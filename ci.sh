@@ -77,6 +77,27 @@ go run -race ./cmd/pandora serve -quick
 # HMAC and is rejected; an open circuit sheds with 503 + Retry-After.
 go run -race ./cmd/pandora serve -chaos-quick
 
+# `pandora run` smoke: a tiny silent-store program (store 0 over 0 to a
+# line a load has already brought in, retired behind a slow divide) runs
+# with the obs JSONL event dump and the pipeview diagram. The SS-Load must
+# return a match and the store must dequeue silently.
+prog=$(mktemp)
+out=$(mktemp)
+cat > "$prog" <<'EOF'
+	addi x1, x0, 0x100
+	ld   x5, 0(x1)
+	addi x9, x0, 1000
+	addi x2, x0, 3
+	div  x3, x9, x2
+	sd   x0, 0(x1)
+	halt
+EOF
+go run ./cmd/pandora run -machine silentstores -events -pipeview "$prog" > "$out"
+grep -q '"kind":"ssload-return".*"detail":"match"' "$out"
+grep -q '"kind":"sq-dequeue".*"detail":"silent"' "$out"
+grep -q '^pipeview: cycles' "$out"
+rm -f "$prog" "$out"
+
 # Cycle-loop throughput gate: re-measure single-core cycles/sec and fail
 # if it regressed more than 10% below the committed BENCH_cycles.json
 # baseline. The check self-skips (exit 0, warning) when the baseline was

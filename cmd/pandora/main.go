@@ -30,6 +30,7 @@ import (
 	"pandora/internal/core"
 	"pandora/internal/isa"
 	"pandora/internal/mem"
+	"pandora/internal/obs"
 	"pandora/internal/parallel"
 	"pandora/internal/pipeline"
 )
@@ -170,7 +171,7 @@ func runAll(opts core.Options) int {
 func runAssembly(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	machine := fs.String("machine", "", "comma-separated machine features: "+core.MachineFeatures())
-	events := fs.Bool("events", false, "print the pipeline event log")
+	events := fs.Bool("events", false, "print the run's obs events as JSONL")
 	pipeview := fs.Bool("pipeview", false, "draw a per-µop pipeline diagram")
 	regs := fs.Bool("regs", false, "dump non-zero architectural registers")
 	if err := fs.Parse(args); err != nil {
@@ -195,7 +196,10 @@ func runAssembly(args []string) int {
 		fmt.Fprintf(os.Stderr, "pandora: %v\n", err)
 		return 1
 	}
-	cfg.RecordEvents = *events || *pipeview
+	tr := obs.NewTrace()
+	if *events || *pipeview {
+		cfg.Probe = tr
+	}
 	m, err := pipeline.New(cfg, mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig()))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pandora: %v\n", err)
@@ -217,12 +221,14 @@ func runAssembly(args []string) int {
 		}
 	}
 	if *events {
-		for _, e := range m.Events {
-			fmt.Println(e)
-		}
+		err = tr.WriteJSONL(os.Stdout)
 	}
-	if *pipeview {
-		fmt.Print(pipeline.RenderPipeview(m.Events, 96))
+	if *pipeview && err == nil {
+		err = tr.WritePipeview(os.Stdout, 96, func(pc int64) string { return prog[pc].String() })
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pandora: %v\n", err)
+		return 1
 	}
 	return 0
 }
@@ -238,7 +244,7 @@ func usage() {
 	fmt.Printf("  trace: %s\n", strings.Join(core.TraceScenarios(), " | "))
 	fmt.Println("\nusage: pandora <experiment>|all|list [-samples N] [-secretlen N] [-full] [-parallel N] [-v]")
 	fmt.Println("       pandora bench [-parallel N] [-json path] | -cycles [-check] | -serve [-jobs N]")
-	fmt.Println("       pandora run [-machine spec] [-events] [-pipeview] [-regs] <file.s>")
+	fmt.Println("       pandora run [-machine spec] [-events] [-pipeview] [-regs] <file.s>  (-events: obs JSONL)")
 	fmt.Println("       pandora check [-n N] [-seed S] [-masks K] [-quick] [-inject] [-parallel N] [-v]")
 	fmt.Println("       pandora scan [-machine spec] [-secret base:len[:name]] [-json] <file.s>")
 	fmt.Println("       pandora scan -scenario <scan scenario> | -quick | -inject")

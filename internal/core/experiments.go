@@ -15,6 +15,7 @@ import (
 	"pandora/internal/leakage"
 	"pandora/internal/mem"
 	"pandora/internal/mld"
+	"pandora/internal/obs"
 	"pandora/internal/pipeline"
 )
 
@@ -151,7 +152,8 @@ func fig4Case(name string, cfg pipeline.Config, warm bool, src string) (string, 
 	if warm {
 		h.Access(0x800, 7, false)
 	}
-	cfg.RecordEvents = true
+	tr := obs.NewTrace()
+	cfg.Probe = tr
 	m, err := pipeline.New(cfg, mm, h)
 	if err != nil {
 		return "", pipeline.Stats{}, err
@@ -165,16 +167,54 @@ func fig4Case(name string, cfg pipeline.Config, warm bool, src string) (string, 
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", name)
-	for _, e := range m.Events {
+	writeFig4Timeline(&b, tr)
+	return b.String(), m.Stats(), nil
+}
+
+// writeFig4Timeline renders the store-queue events of a trace in the
+// paper's Figure 4 action-sequence vocabulary, one line per step.
+func writeFig4Timeline(b *strings.Builder, tr *obs.Trace) {
+	storeData := map[uint64]uint64{} // store µop seq → data, from addr-resolved
+	step := func(e obs.Event, action, detail string) {
+		fmt.Fprintf(b, "  cycle %5d  #%-4d pc=%-4d %-20s", e.Cycle, e.Seq, e.PC, action)
+		if detail != "" {
+			b.WriteString(" " + detail)
+		}
+		b.WriteString("\n")
+	}
+	for _, e := range tr.Events {
 		switch e.Kind {
-		case pipeline.EvAddrResolved, pipeline.EvSSLoadIssue, pipeline.EvSSLoadReturn,
-			pipeline.EvSSLoadNoPort, pipeline.EvSSLoadLate, pipeline.EvSQHead,
-			pipeline.EvFillRequest, pipeline.EvMemResponse, pipeline.EvStoreToCache,
-			pipeline.EvDequeue, pipeline.EvDequeueSilent:
-			fmt.Fprintf(&b, "  %v\n", e)
+		case obs.KindAddrResolved:
+			storeData[e.Seq] = uint64(e.Arg)
+			step(e, "addr-resolved", fmt.Sprintf("addr=%#x", e.Addr))
+		case obs.KindUopt:
+			if e.Detail == "ss-load" {
+				step(e, "ssload-issue", fmt.Sprintf("returns at %d", e.Cycle+e.Arg))
+			}
+		case obs.KindSSLoadReturn:
+			detail := "match (silent candidate)"
+			if e.Detail == "mismatch" {
+				detail = fmt.Sprintf("mismatch (read %#x, storing %#x)", uint64(e.Arg), storeData[e.Seq])
+			}
+			step(e, "ssload-return", detail)
+		case obs.KindSSLoadNoPort, obs.KindSSLoadLate, obs.KindSQHead:
+			step(e, e.Kind.String(), "")
+		case obs.KindFillRequest:
+			step(e, "fill-request", fmt.Sprintf("latency=%d", e.Arg))
+		case obs.KindDequeue:
+			switch e.Detail {
+			case "":
+				// An in-order perform completes all three steps at once.
+				step(e, "response-from-mem", "")
+				step(e, "store-sent-to-cache", "")
+				step(e, "sq-dequeue", "")
+			case "silent":
+				step(e, "sq-dequeue-silent", "")
+			default:
+				step(e, "sq-dequeue", e.Detail)
+			}
 		}
 	}
-	return b.String(), m.Stats(), nil
 }
 
 func runFig4(o Options) (Result, error) {

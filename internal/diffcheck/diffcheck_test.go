@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pandora/internal/isa"
+	"pandora/internal/parallel"
 	"pandora/internal/uopt"
 )
 
@@ -207,4 +208,24 @@ func hasOp(p isa.Program, op isa.Op) bool {
 		}
 	}
 	return false
+}
+
+// TestSpecDataThroughStoreForward is the regression for a spurious
+// branch divergence (check -seed 9, gen-0325): a store whose data came
+// from an unverified speculative forward was then forwarded normally to
+// a younger load, which dropped the speculative mark. A branch on that
+// load computed the wrong direction and failed the oracle check before
+// the older forward's retire-time replay could squash it. The load must
+// inherit the store's speculative-data mark. The reported failure needs
+// reuse on too (ss+ru+sf); both masks run on every cache variant.
+func TestSpecDataThroughStoreForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(parallel.Seed(9, 325)))
+	c := Case{Name: "gen-0325", Prog: Generate(rng), Init: InitMemory}
+	for _, mask := range []ToggleMask{TogSilentStores | TogStLF, TogSilentStores | TogReuse | TogStLF} {
+		for _, v := range CacheVariants() {
+			if div := RunCase(c, mask, v, nil); div != nil {
+				t.Errorf("mask %v cache %s: %v", mask, v.Name, div)
+			}
+		}
+	}
 }

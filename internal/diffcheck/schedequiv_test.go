@@ -8,19 +8,21 @@ import (
 	"pandora/internal/cache"
 	"pandora/internal/isa"
 	"pandora/internal/mem"
+	"pandora/internal/obs"
 	"pandora/internal/pipeline"
 	"pandora/internal/taint"
 )
 
 // schedRun executes prog under one optimization mask with the chosen
 // candidate-gathering path and returns everything observable: the Result
-// (stats included), the full ordered event log (which encodes retire
+// (stats included), the full ordered obs trace (which encodes retire
 // order cycle by cycle), the taint recorder's leak events, and the final
 // architectural registers.
-func schedRun(t *testing.T, prog isa.Program, mask ToggleMask, linear bool) (pipeline.Result, []pipeline.Event, *taint.Recorder, [isa.NumRegs]uint64) {
+func schedRun(t *testing.T, prog isa.Program, mask ToggleMask, linear bool) (pipeline.Result, []obs.Event, *taint.Recorder, [isa.NumRegs]uint64) {
 	t.Helper()
 	cfg := PipeConfig(mask)
-	cfg.RecordEvents = true
+	tr := obs.NewTrace()
+	cfg.Probe = tr
 	cfg.LinearScheduler = linear
 	st := taint.NewState()
 	bases, span := ScratchRegions()
@@ -42,17 +44,17 @@ func schedRun(t *testing.T, prog isa.Program, mask ToggleMask, linear bool) (pip
 	for r := 0; r < isa.NumRegs; r++ {
 		regs[r] = m.Reg(isa.Reg(r))
 	}
-	return res, m.Events, st.Rec, regs
+	return res, tr.Events, st.Rec, regs
 }
 
 // TestSchedulerEquivalence diffs the bitset scheduler against the
 // reference linear walk over a seeded corpus: for every program and
 // toggle mask, the two candidate-gathering paths must agree on the Stats
-// block, the full per-µop event stream (dispatch/issue/retire/squash
-// order, cycle for cycle — this is the retire-order check), the recorded
-// taint-leak events, and the final architectural registers. Any
-// divergence means the dispW/execW mask bookkeeping disagrees with the
-// stages it mirrors.
+// block, the full obs event stream (rename/issue/retire/squash, store
+// queue and cache order, cycle for cycle — this is the retire-order
+// check), the recorded taint-leak events, and the final architectural
+// registers. Any divergence means the dispW/execW mask bookkeeping
+// disagrees with the stages it mirrors.
 func TestSchedulerEquivalence(t *testing.T) {
 	const numPrograms = 120
 	rng := rand.New(rand.NewSource(0xb17_5e7))

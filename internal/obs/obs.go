@@ -1,8 +1,8 @@
 // Package obs is the simulator's unified observability layer: a typed
 // probe/event taxonomy every simulated structure publishes into, a
 // registry of named counters behind snapshot/diff methods, and exporters
-// (deterministic JSONL, Chrome trace-event format for Perfetto, and a
-// text cycle-attribution report).
+// (deterministic JSONL, Chrome trace-event format for Perfetto, a text
+// cycle-attribution report, and a per-µop pipeview diagram).
 //
 // The layer is zero-cost when disabled: every publisher guards its
 // emission with a nil check on the probe, events are plain value structs
@@ -18,7 +18,8 @@ import "fmt"
 // Kind classifies one probe event. The taxonomy covers the µop lifecycle
 // (fetch/rename/issue/forward/retire plus squash and store dequeue), the
 // cache hierarchy (hit/miss/fill/evict/prefetch), optimization-feature
-// activations, taint leak events, and fault injections.
+// activations, taint leak events, fault injections, and the store-queue
+// steps of the paper's Figure 4.
 type Kind uint8
 
 const (
@@ -37,7 +38,9 @@ const (
 	// KindSquash: a µop was squashed for replay (value misprediction).
 	KindSquash
 	// KindDequeue: a store left the store queue; Detail is "silent" for a
-	// silently elided store (Figure 4 Case A).
+	// silently elided store (Figure 4 Case A). An in-order dequeue with
+	// empty Detail is also the memory response and the store reaching
+	// the cache.
 	KindDequeue
 	// KindRunStart / KindRunEnd bracket one Machine.Run on the retire
 	// track, so a trace's retire-track cycle span equals Result.Cycles.
@@ -66,6 +69,24 @@ const (
 	// KindFault: a fault injector fired (Detail names the site).
 	KindFault
 
+	// Store-queue steps of Figure 4, all on TrackMem. (An SS-Load issue
+	// is KindUopt "ss-load", returning at Cycle+Arg.)
+
+	// KindAddrResolved: a store's address (Addr) and data (Arg) resolved.
+	KindAddrResolved
+	// KindSSLoadNoPort: an SS-Load found no free load port (Case C).
+	KindSSLoadNoPort
+	// KindSSLoadReturn: a silent-store check resolved; Arg is the old
+	// value read, Detail "match" or "mismatch".
+	KindSSLoadReturn
+	// KindSSLoadLate: the store had to perform before its SS-Load
+	// returned (Case D).
+	KindSSLoadLate
+	// KindSQHead: a retired store reached the store-queue head.
+	KindSQHead
+	// KindFillRequest: a store missed L1 at perform; Arg is the latency.
+	KindFillRequest
+
 	numKinds
 )
 
@@ -87,6 +108,12 @@ var kindNames = [numKinds]string{
 	KindUopt:          "uopt",
 	KindTaintLeak:     "taint-leak",
 	KindFault:         "fault",
+	KindAddrResolved:  "addr-resolved",
+	KindSSLoadNoPort:  "ssload-no-port",
+	KindSSLoadReturn:  "ssload-return",
+	KindSSLoadLate:    "ssload-late",
+	KindSQHead:        "reaches-sq-head",
+	KindFillRequest:   "fill-request",
 }
 
 func (k Kind) String() string {
@@ -154,7 +181,7 @@ type Event struct {
 	// Addr is the byte address for memory/cache events.
 	Addr uint64
 	// Arg is a kind-specific scalar: issue latency, retire lifetime,
-	// taint label set, fault payload.
+	// taint label set, fault payload, store data or SS-Load value.
 	Arg int64
 	// Detail is short static context (feature name, fault site, ...).
 	Detail string

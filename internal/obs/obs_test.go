@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -251,5 +252,53 @@ func TestKindTrackStrings(t *testing.T) {
 		if tr.String() == "" || strings.HasPrefix(tr.String(), "track(") {
 			t.Errorf("Track %d has no name", tr)
 		}
+	}
+}
+
+func TestTracePipeview(t *testing.T) {
+	tr := NewTrace()
+	for _, e := range []Event{
+		{Cycle: 0, Kind: KindRename, Seq: 1, PC: 0},
+		{Cycle: 1, Kind: KindRename, Seq: 2, PC: 1},
+		{Cycle: 1, Kind: KindIssue, Seq: 1, PC: 0, Arg: 2},
+		{Cycle: 2, Kind: KindUopt, Seq: 2, PC: 1, Detail: "ss-load"},
+		{Cycle: 2, Kind: KindUopt, Seq: 2, PC: 1, Detail: "reuse"},
+		{Cycle: 2, Kind: KindCacheHit, PC: -1, Addr: 0x40},
+		{Cycle: 3, Kind: KindRetire, Seq: 1, PC: 0},
+		{Cycle: 4, Kind: KindSSLoadReturn, Seq: 2, PC: 1, Detail: "match"},
+		{Cycle: 5, Kind: KindSQHead, Seq: 2, PC: 1},
+		{Cycle: 5, Kind: KindRetire, Seq: 2, PC: 1},
+	} {
+		tr.Emit(e)
+	}
+	label := func(pc int64) string { return fmt.Sprintf("op%d", pc) }
+	const legend = "D dispatch  I issue  s ss-load  r ss-return  q sq-dequeue  x squash  R retire\n\n"
+	for _, c := range []struct {
+		cols int
+		want string
+	}{
+		{0, "pipeview: cycles 0..5 (1 column = 1 cycle(s))\n" + legend +
+			"#1    pc=0    |DI.R  | op0\n" +
+			"#2    pc=1    | Ds.rR| op1\n"},
+		// Two cycles per column: the later marker in a column wins,
+		// except that retire always shows.
+		{3, "pipeview: cycles 0..5 (1 column = 2 cycle(s))\n" + legend +
+			"#1    pc=0    |IR | op0\n" +
+			"#2    pc=1    |DsR| op1\n"},
+	} {
+		var buf bytes.Buffer
+		if err := tr.WritePipeview(&buf, c.cols, label); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != c.want {
+			t.Errorf("maxCols=%d:\n%s\nwant:\n%s", c.cols, buf.String(), c.want)
+		}
+	}
+	var empty bytes.Buffer
+	if err := NewTrace().WritePipeview(&empty, 0, label); err != nil {
+		t.Fatal(err)
+	}
+	if empty.String() != "pipeview: no events\n" {
+		t.Errorf("empty pipeview = %q", empty.String())
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"pandora/internal/asm"
@@ -32,10 +33,16 @@ loop:
 `
 
 // countProbe is the minimal enabled probe: emission must not allocate, so
-// it only counts.
-type countProbe struct{ n uint64 }
+// it only counts, in total and per kind.
+type countProbe struct {
+	n     uint64
+	kinds [256]uint64
+}
 
-func (p *countProbe) Emit(obs.Event) { p.n++ }
+func (p *countProbe) Emit(e obs.Event) {
+	p.n++
+	p.kinds[e.Kind]++
+}
 
 func steadyStateAllocs(t *testing.T, cfg Config) float64 {
 	t.Helper()
@@ -87,6 +94,85 @@ func TestSteadyStateAllocsEnabledProbe(t *testing.T) {
 	}
 	if p.n == 0 {
 		t.Fatal("probe saw no events — the enabled-probe path was not exercised")
+	}
+}
+
+// TestSteadyStateAllocsSilentStores covers the store-queue emit sites
+// (address resolve, SS-Load issue/return/no-port/late, queue head, fill
+// request): a silent-store machine with a probe attached still
+// steady-states at zero allocations, and the four Figure 4 cases between
+// them publish every store-queue kind.
+func TestSteadyStateAllocsSilentStores(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SilentStores = &SilentStoreConfig{}
+	steady := &countProbe{}
+	cfg.Probe = steady
+	if avg := steadyStateAllocs(t, cfg); avg != 0 {
+		t.Errorf("silent-store enabled-probe steady-state Run allocates %.1f times, want 0", avg)
+	}
+	if steady.kinds[obs.KindAddrResolved] == 0 || steady.kinds[obs.KindSSLoadReturn] == 0 || steady.kinds[obs.KindSQHead] == 0 {
+		t.Fatal("steady-state kernel never reached the store-queue emit sites")
+	}
+
+	caseBSrc := strings.Replace(caseASrc, "addi x2, x0, 7", "addi x2, x0, 8", 1)
+	caseCSrc := `
+		addi x1, x0, 0x800
+		addi x2, x0, 7
+		sd   x2, 0(x1)
+		ld   x10, 64(x1)
+		ld   x11, 128(x1)
+		ld   x12, 192(x1)
+		ld   x13, 256(x1)
+		ld   x14, 320(x1)
+		ld   x15, 384(x1)
+		halt
+	`
+	caseDSrc := `
+		addi x1, x0, 0x800
+		addi x2, x0, 7
+		sd   x2, 0(x1)
+		halt
+	`
+	cases := []struct {
+		name      string
+		src       string
+		loadPorts int
+		warm      bool
+	}{
+		{"A silent", caseASrc, 0, true},
+		{"B mismatch", caseBSrc, 0, true},
+		// Case C on a cold line: the SS-Load never touches the cache, so
+		// the store's own perform misses L1 and requests the fill.
+		{"C no port", caseCSrc, 1, false},
+		{"D late", caseDSrc, 0, false},
+	}
+	p := &countProbe{}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.SilentStores = &SilentStoreConfig{}
+		if c.loadPorts > 0 {
+			cfg.LoadPorts = c.loadPorts
+		}
+		cfg.Probe = p
+		mm := mem.New()
+		mm.Write(0x800, 8, 7)
+		h := cache.MustNewHierarchy(cache.DefaultHierConfig())
+		if c.warm {
+			h.Access(0x800, 7, false)
+		}
+		m, err := New(cfg, mm, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(asm.MustAssemble(c.src)); err != nil {
+			t.Fatalf("case %s: %v", c.name, err)
+		}
+	}
+	for _, k := range []obs.Kind{obs.KindAddrResolved, obs.KindSSLoadNoPort, obs.KindSSLoadReturn,
+		obs.KindSSLoadLate, obs.KindSQHead, obs.KindFillRequest} {
+		if p.kinds[k] == 0 {
+			t.Errorf("no %v event across the Figure 4 cases", k)
+		}
 	}
 }
 

@@ -173,10 +173,6 @@ type Config struct {
 	// simulated time only. Nil costs one pointer compare per cycle.
 	Cancel *CancelFlag
 
-	// RecordEvents enables the per-µop event log used to render the
-	// Figure 4 timelines.
-	RecordEvents bool
-
 	// Probe, when non-nil, receives a typed obs.Event for every pipeline,
 	// cache, optimization, taint and fault occurrence (the observability
 	// layer; see internal/obs). New wires the same probe into the cache

@@ -254,5 +254,4 @@ func (m *Machine) dispatch(u *uop) {
 		m.markDispatched(u)
 		m.iqCount++
 	}
-	m.event(EvDispatch, u, t.str)
 }

@@ -118,8 +118,6 @@ type Machine struct {
 	reg                       *obs.Registry
 	runStart, runEnd, runDiff obs.Snapshot
 
-	Events []Event
-
 	err error
 }
 
@@ -182,45 +180,6 @@ func (m *Machine) emit(k obs.Kind, tr obs.Track, u *uop, arg int64, detail strin
 		ev.Addr = u.addr
 	}
 	m.probe.Emit(ev)
-}
-
-// Event is one entry of the µop event log (Figure 4 timelines).
-type Event struct {
-	Cycle  int64
-	Seq    uint64
-	PC     int64
-	Kind   EventKind
-	Detail string
-}
-
-// EventKind labels pipeline events.
-type EventKind string
-
-// Event kinds recorded when Config.RecordEvents is set.
-const (
-	EvDispatch      EventKind = "dispatch"
-	EvIssue         EventKind = "issue"
-	EvAddrResolved  EventKind = "addr-resolved"
-	EvSSLoadIssue   EventKind = "ssload-issue"
-	EvSSLoadNoPort  EventKind = "ssload-no-port"
-	EvSSLoadReturn  EventKind = "ssload-return"
-	EvSSLoadLate    EventKind = "ssload-late"
-	EvSQHead        EventKind = "reaches-sq-head"
-	EvFillRequest   EventKind = "fill-request"
-	EvStoreToCache  EventKind = "store-sent-to-cache"
-	EvMemResponse   EventKind = "response-from-mem"
-	EvDequeue       EventKind = "sq-dequeue"
-	EvDequeueSilent EventKind = "sq-dequeue-silent"
-	EvRetire        EventKind = "retire"
-	EvSquash        EventKind = "squash"
-)
-
-func (e Event) String() string {
-	s := fmt.Sprintf("cycle %5d  #%-4d pc=%-4d %-20s", e.Cycle, e.Seq, e.PC, e.Kind)
-	if e.Detail != "" {
-		s += " " + e.Detail
-	}
-	return s
 }
 
 // New builds a machine. mem and hier must be non-nil; the caller owns both
@@ -457,20 +416,15 @@ func (m *Machine) fail(format string, args ...any) {
 	}
 }
 
-func (m *Machine) event(kind EventKind, u *uop, detail string) {
-	if !m.cfg.RecordEvents {
-		return
-	}
-	m.Events = append(m.Events, Event{Cycle: m.cycle, Seq: u.seq, PC: u.pc, Kind: kind, Detail: detail})
-}
-
 // readWithForward reads width bytes at addr, patching in store data from
 // in-flight stores older than seq (store-to-load forwarding). It reports
 // whether the whole access was covered by forwarding, whether any byte
-// was, whether any byte carries RDCYCLE taint, and (when Config.Taint is
-// set) the union of the bytes' secret labels — shadow memory for bytes
-// read from memory, the store µop's labels for forwarded bytes.
-func (m *Machine) readWithForward(addr uint64, width int, seq uint64) (val uint64, full, any, tainted bool, labels taint.LabelSet) {
+// was, whether any byte carries RDCYCLE taint, whether any overlapping
+// store holds data from an unverified speculative forward (specData),
+// and (when Config.Taint is set) the union of the bytes' secret labels —
+// shadow memory for bytes read from memory, the store µop's labels for
+// forwarded bytes.
+func (m *Machine) readWithForward(addr uint64, width int, seq uint64) (val uint64, full, any, tainted, spec bool, labels taint.LabelSet) {
 	var b [8]byte
 	var covered [8]bool
 	var byteLabels [8]taint.LabelSet
@@ -512,6 +466,9 @@ func (m *Machine) readWithForward(addr uint64, width int, seq uint64) (val uint6
 				if e.u.tainted {
 					tainted = true
 				}
+				if e.u.specData {
+					spec = true
+				}
 				// A forwarded byte takes the store's labels, exactly as
 				// shadow memory will once that store performs.
 				byteLabels[i] = e.u.labels
@@ -545,7 +502,7 @@ func (m *Machine) readWithForward(addr uint64, width int, seq uint64) (val uint6
 	if m.cfg.CheckInvariants {
 		m.checkForwardConsistency(addr, width, seq, val, full && any, any)
 	}
-	return val, full && any, any, tainted, labels
+	return val, full && any, any, tainted, spec, labels
 }
 
 // RegTainted reports whether r's committed value derives from RDCYCLE.

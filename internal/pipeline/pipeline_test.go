@@ -10,6 +10,7 @@ import (
 	"pandora/internal/emu"
 	"pandora/internal/isa"
 	"pandora/internal/mem"
+	"pandora/internal/obs"
 	"pandora/internal/uopt"
 )
 
@@ -456,23 +457,30 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
+// TestRenderPipeview draws a real run through the obs pipeview exporter:
+// one labelled row per µop with its dispatch, issue and retire markers.
 func TestRenderPipeview(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordEvents = true
+	tr := obs.NewTrace()
+	cfg.Probe = tr
 	m := newTestMachine(t, cfg)
-	run(t, m, `
+	prog := asm.MustAssemble(`
 		addi x1, x0, 7
 		mul  x2, x1, x1
 		sd   x2, 0x100(x0)
 		halt
 	`)
-	out := RenderPipeview(m.Events, 40)
-	for _, frag := range []string{"pipeview", "D", "R", "pc=0", "pc=2"} {
+	if _, err := m.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := tr.WritePipeview(&b, 40, func(pc int64) string { return prog[pc].String() }); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, frag := range []string{"pipeview", "D", "I", "R", "pc=0", "pc=2", prog[1].String()} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("pipeview missing %q:\n%s", frag, out)
 		}
-	}
-	if got := RenderPipeview(nil, 0); !strings.Contains(got, "no events") {
-		t.Errorf("empty pipeview: %q", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pandora/internal/cache"
 	"pandora/internal/isa"
 	"pandora/internal/mem"
+	"pandora/internal/obs"
 )
 
 // TestDeterminism: two machines with identical configuration and inputs
@@ -171,7 +172,8 @@ func (p *eagerPredictor) Flush()  { p.last = map[int64]uint64{} }
 // TestEventLogOrdering: per µop, dispatch ≤ issue ≤ retire cycles.
 func TestEventLogOrdering(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RecordEvents = true
+	tr := obs.NewTrace()
+	cfg.Probe = tr
 	m := newTestMachine(t, cfg)
 	run(t, m, `
 		addi x1, x0, 5
@@ -182,18 +184,21 @@ func TestEventLogOrdering(t *testing.T) {
 	`)
 	type times struct{ dispatch, issue, retire int64 }
 	seen := map[uint64]*times{}
-	for _, e := range m.Events {
+	for _, e := range tr.Events {
+		if e.Seq == 0 {
+			continue // machine-level and cache events
+		}
 		tt := seen[e.Seq]
 		if tt == nil {
 			tt = &times{-1, -1, -1}
 			seen[e.Seq] = tt
 		}
 		switch e.Kind {
-		case EvDispatch:
+		case obs.KindRename:
 			tt.dispatch = e.Cycle
-		case EvIssue:
+		case obs.KindIssue:
 			tt.issue = e.Cycle
-		case EvRetire:
+		case obs.KindRetire:
 			tt.retire = e.Cycle
 		}
 	}

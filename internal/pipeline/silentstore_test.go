@@ -6,6 +6,7 @@ import (
 	"pandora/internal/asm"
 	"pandora/internal/cache"
 	"pandora/internal/mem"
+	"pandora/internal/obs"
 )
 
 // ssSetup returns a machine with silent stores enabled, mem[0x800]=7 and
@@ -142,19 +143,20 @@ func TestSilentStoreCaseDLateReturn(t *testing.T) {
 func TestSilentStoreEventTimeline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SilentStores = &SilentStoreConfig{}
-	cfg.RecordEvents = true
+	tr := obs.NewTrace()
+	cfg.Probe = tr
 	m, _ := ssSetup(t, cfg)
 	if _, err := m.Run(asm.MustAssemble(caseASrc)); err != nil {
 		t.Fatal(err)
 	}
 	var issueC, returnC, silentC int64 = -1, -1, -1
-	for _, e := range m.Events {
-		switch e.Kind {
-		case EvSSLoadIssue:
+	for _, e := range tr.Events {
+		switch {
+		case e.Kind == obs.KindUopt && e.Detail == "ss-load":
 			issueC = e.Cycle
-		case EvSSLoadReturn:
+		case e.Kind == obs.KindSSLoadReturn:
 			returnC = e.Cycle
-		case EvDequeueSilent:
+		case e.Kind == obs.KindDequeue && e.Detail == "silent":
 			silentC = e.Cycle
 		}
 	}

@@ -174,7 +174,7 @@ func (m *Machine) stlfBump(pc int64) {
 	if m.stlf == nil || m.cfg.Faults.PredictorStuck(m.cycle) {
 		return
 	}
-	if i := uint64(pc) & uint64(len(m.stlf) - 1); m.stlf[i] < 3 {
+	if i := uint64(pc) & uint64(len(m.stlf)-1); m.stlf[i] < 3 {
 		m.stlf[i]++
 	}
 }
@@ -251,7 +251,6 @@ func (m *Machine) verifySpecForward(u *uop) bool {
 		m.stlfReset(u.pc)
 		m.stats.SpecForwardReplays++
 		m.emit(obs.KindSquash, obs.TrackIssue, u, 0, "spec-forward-replay")
-		m.event(EvSquash, u, "spec-forward-replay")
 		m.squashTail(u.seq, m.cfg.SquashPenalty)
 		return false
 	}
@@ -296,7 +295,6 @@ func (m *Machine) squashTail(minSeq uint64, penalty int) {
 	for _, v := range squashed {
 		m.stats.SquashedUops++
 		m.emit(obs.KindSquash, obs.TrackIssue, v, 0, "")
-		m.event(EvSquash, v, "")
 		if v.t.writesReg {
 			if v.wroteback {
 				if m.vf.Release(v.result) {

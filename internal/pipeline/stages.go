@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"pandora/internal/faults"
 	"pandora/internal/isa"
 	"pandora/internal/obs"
@@ -43,7 +41,6 @@ func (m *Machine) retire() {
 		m.robPopHead()
 		m.stats.Retired++
 		m.emit(obs.KindRetire, obs.TrackRetire, u, m.cycle-u.fetchC, "")
-		m.event(EvRetire, u, "")
 		if m.cfg.Watchdog != nil {
 			if depth := m.cfg.Watchdog.depth(); len(m.lastRetired) >= depth {
 				copy(m.lastRetired, m.lastRetired[1:])
@@ -193,9 +190,7 @@ func (m *Machine) complete() {
 		case isa.ClassStore:
 			e := u.sqe
 			e.addrReady = true
-			if m.cfg.RecordEvents {
-				m.event(EvAddrResolved, u, fmt.Sprintf("addr=%#x", u.addr))
-			}
+			m.emit(obs.KindAddrResolved, obs.TrackMem, u, int64(u.storeVal), "")
 			if ss := m.cfg.SilentStores; ss != nil && ss.Scheme == SSLSQCompare {
 				m.lsqCompare(e)
 			}
@@ -284,20 +279,7 @@ func (m *Machine) sqTick() {
 	// SS-Load returns.
 	for _, e := range m.sq {
 		if e.ss == ssPending && m.cycle >= e.ssReturnC {
-			e.ss = ssReturned
-			e.ssMatch = e.ssValue == e.u.storeVal
-			// The elision check compares old value against new: if either
-			// side is secret, whether the store dequeues silently — and
-			// hence its timing and cache footprint — depends on a secret.
-			m.cfg.Taint.ObserveSilentStore(m.cycle, e.u.pc, false, e.u.labels|e.ssLabels)
-			if e.ssMatch {
-				m.event(EvSSLoadReturn, e.u, "match (silent candidate)")
-			} else {
-				m.stats.NonSilentChecks++
-				if m.cfg.RecordEvents {
-					m.event(EvSSLoadReturn, e.u, fmt.Sprintf("mismatch (read %#x, storing %#x)", e.ssValue, e.u.storeVal))
-				}
-			}
+			m.ssCompare(e, false)
 		}
 	}
 	// Head processing. Multiple consecutive silent stores may dequeue in
@@ -314,9 +296,6 @@ func (m *Machine) sqTick() {
 			}
 			m.performStore(e)
 			m.emit(obs.KindDequeue, obs.TrackMem, e.u, 0, "")
-			m.event(EvMemResponse, e.u, "")
-			m.event(EvStoreToCache, e.u, "")
-			m.event(EvDequeue, e.u, "")
 			m.popSQHead()
 			return // next store begins dequeue next cycle
 		}
@@ -331,25 +310,15 @@ func (m *Machine) sqTick() {
 		}
 		if !e.headSeen {
 			e.headSeen = true
-			m.event(EvSQHead, e.u, "")
+			m.emit(obs.KindSQHead, obs.TrackMem, e.u, 0, "")
 		}
 		if m.cfg.SilentStores != nil {
 			switch e.ss {
 			case ssReturned:
 				if e.ssMatch {
-					// Case A: silent store — dequeue without touching
-					// memory or the cache; consecutive silent stores
-					// dequeue in the same cycle. The shadow write still
-					// happens: eliding the write is a timing decision,
-					// not an architectural one, and the location now
-					// provably holds the (equal) store value.
-					if st := m.cfg.Taint; st != nil {
-						st.Mem.Write(e.u.addr, e.u.memWidth, e.u.labels)
-					}
-					m.stats.SilentStores++
-					m.emit(obs.KindUopt, obs.TrackUopt, e.u, 0, "silent-store")
-					m.emit(obs.KindDequeue, obs.TrackMem, e.u, 0, "silent")
-					m.event(EvDequeueSilent, e.u, "")
+					// Case A: silent store — consecutive silent stores
+					// dequeue in the same cycle.
+					m.elideStore(e)
 					m.popSQHead()
 					continue
 				}
@@ -357,7 +326,7 @@ func (m *Machine) sqTick() {
 			case ssPending:
 				// Case D: SS-Load has not returned by perform time.
 				m.stats.SSLoadLate++
-				m.event(EvSSLoadLate, e.u, "")
+				m.emit(obs.KindSSLoadLate, obs.TrackMem, e.u, 0, "")
 				e.ss = ssFailed
 			}
 		}
@@ -374,8 +343,8 @@ func (m *Machine) sqTick() {
 		}
 		e.dequeuing = true
 		e.dequeueDoneC = m.cycle + lat
-		if !res.L1Hit && m.cfg.RecordEvents {
-			m.event(EvFillRequest, e.u, fmt.Sprintf("latency=%d", lat))
+		if !res.L1Hit {
+			m.emit(obs.KindFillRequest, obs.TrackMem, e.u, lat, "")
 		}
 		return
 	}
@@ -399,17 +368,27 @@ func (m *Machine) lsqCompare(e *sqEntry) {
 		e.ss = ssFailed
 		return
 	}
-	e.ss = ssReturned
 	e.ssValue = prev.u.storeVal
 	e.ssLabels = prev.u.labels
-	e.ssMatch = prev.u.storeVal == e.u.storeVal
-	m.cfg.Taint.ObserveSilentStore(m.cycle, e.u.pc, true, e.u.labels|e.ssLabels)
-	if e.ssMatch {
-		m.event(EvSSLoadReturn, e.u, "lsq match (silent candidate)")
-	} else {
+	m.ssCompare(e, true)
+}
+
+// ssCompare resolves a silent-store check once the old value (ssValue)
+// is known: read by an SS-Load, or taken from an older in-flight store
+// under LSQ compare.
+func (m *Machine) ssCompare(e *sqEntry, lsq bool) {
+	e.ss = ssReturned
+	e.ssMatch = e.ssValue == e.u.storeVal
+	// The elision check compares old value against new: if either side
+	// is secret, whether the store dequeues silently — and hence its
+	// timing and cache footprint — depends on a secret.
+	m.cfg.Taint.ObserveSilentStore(m.cycle, e.u.pc, lsq, e.u.labels|e.ssLabels)
+	detail := "match"
+	if !e.ssMatch {
 		m.stats.NonSilentChecks++
-		m.event(EvSSLoadReturn, e.u, "lsq mismatch")
+		detail = "mismatch"
 	}
+	m.emit(obs.KindSSLoadReturn, obs.TrackMem, e.u, int64(e.ssValue), detail)
 }
 
 // dequeuePastBlockedHead is the ablation of the in-order-dequeue design
@@ -434,19 +413,12 @@ func (m *Machine) dequeuePastBlockedHead() {
 			if !overlaps {
 				switch {
 				case e.ss == ssReturned && e.ssMatch:
-					if st := m.cfg.Taint; st != nil {
-						st.Mem.Write(e.u.addr, e.u.memWidth, e.u.labels)
-					}
-					m.stats.SilentStores++
-					m.emit(obs.KindUopt, obs.TrackUopt, e.u, 0, "silent-store")
-					m.emit(obs.KindDequeue, obs.TrackMem, e.u, 0, "silent")
-					m.event(EvDequeueSilent, e.u, "out-of-order")
+					m.elideStore(e)
 					removed = true
 				case !performed && m.hier.L1.Contains(e.u.addr):
 					m.hier.Access(e.u.addr, e.u.storeVal, true)
 					m.performStore(e)
 					m.emit(obs.KindDequeue, obs.TrackMem, e.u, 0, "out-of-order")
-					m.event(EvDequeue, e.u, "out-of-order")
 					performed = true
 					removed = true
 				}
@@ -462,6 +434,19 @@ func (m *Machine) dequeuePastBlockedHead() {
 		m.sq[i] = nil
 	}
 	m.sq = keep
+}
+
+// elideStore dequeues a silent store without touching memory or the
+// cache. The shadow write still happens: eliding the write is a timing
+// decision, not an architectural one, and the location now provably
+// holds the (equal) store value.
+func (m *Machine) elideStore(e *sqEntry) {
+	if st := m.cfg.Taint; st != nil {
+		st.Mem.Write(e.u.addr, e.u.memWidth, e.u.labels)
+	}
+	m.stats.SilentStores++
+	m.emit(obs.KindUopt, obs.TrackUopt, e.u, 0, "silent-store")
+	m.emit(obs.KindDequeue, obs.TrackMem, e.u, 0, "silent")
 }
 
 // performStore writes the store's bytes to memory and updates taint.
@@ -795,22 +780,19 @@ func (m *Machine) issue() {
 				if !m.cfg.SilentStores.Retry {
 					e.ss = ssFailed
 					m.stats.SSLoadNoPort++
-					m.event(EvSSLoadNoPort, e.u, "")
+					m.emit(obs.KindSSLoadNoPort, obs.TrackMem, e.u, 0, "")
 				}
 				continue
 			}
 			ld--
 			lat := m.hier.AccessSilent(e.u.addr).Latency
-			val, _, _, _, lbl := m.readWithForward(e.u.addr, e.u.memWidth, e.u.seq)
+			val, _, _, _, _, lbl := m.readWithForward(e.u.addr, e.u.memWidth, e.u.seq)
 			e.ss = ssPending
 			e.ssReturnC = m.cycle + int64(lat)
 			e.ssValue = val
 			e.ssLabels = lbl
 			m.stats.SSLoadsIssued++
 			m.emit(obs.KindUopt, obs.TrackUopt, e.u, int64(lat), "ss-load")
-			if m.cfg.RecordEvents {
-				m.event(EvSSLoadIssue, e.u, fmt.Sprintf("returns at %d", e.ssReturnC))
-			}
 		}
 	}
 }
@@ -831,7 +813,7 @@ func (m *Machine) lqReadyLoad(u *uop) bool {
 		// µop will be squashed — a squashed leak is still a leak.
 		m.cfg.Taint.ObserveWrongPathLoad(m.cycle, u.pc, u.labels)
 	}
-	val, full, _, memTaint, memLabels := m.readWithForward(u.addr, u.memWidth, u.seq)
+	val, full, _, memTaint, spec, memLabels := m.readWithForward(u.addr, u.memWidth, u.seq)
 	val = isa.LoadExtend(u.inst.Op, val)
 	var lat int
 	if full {
@@ -854,6 +836,13 @@ func (m *Machine) lqReadyLoad(u *uop) bool {
 	u.result = val
 	if memTaint {
 		u.tainted = true
+	}
+	// Forwarding from a store whose data came from an unverified
+	// speculative forward passes that speculation on: the value may be
+	// wrong until the older forward verifies, and its replay squashes
+	// this load too.
+	if spec {
+		u.specData = true
 	}
 	u.labels |= memLabels
 	return true
@@ -930,9 +919,6 @@ func (m *Machine) startExec(u *uop, latency int) {
 	// references drop here so retired producers can recycle.
 	m.releaseProds(u)
 	m.emit(obs.KindIssue, obs.TrackIssue, u, int64(latency), "")
-	if m.cfg.RecordEvents {
-		m.event(EvIssue, u, fmt.Sprintf("latency=%d", latency))
-	}
 }
 
 // olderStoresResolved reports whether every store older than seq has a

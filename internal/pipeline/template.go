@@ -37,10 +37,6 @@ type uopTemplate struct {
 	// always blocks fetch.
 	predictedTaken bool
 	alwaysRedirect bool
-
-	// str is inst.String(), pre-rendered only when Config.RecordEvents is
-	// set — the event log's dispatch detail. Hot runs never format it.
-	str string
 }
 
 // prepareProgram (re)builds the decoded-template cache for prog. It runs
@@ -80,9 +76,6 @@ func (m *Machine) prepareProgram(prog isa.Program) {
 			t.predictedTaken = in.Imm <= int64(pc)
 		case isa.ClassJump:
 			t.alwaysRedirect = in.Op == isa.JALR
-		}
-		if m.cfg.RecordEvents {
-			t.str = in.String()
 		}
 	}
 }

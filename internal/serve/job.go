@@ -32,7 +32,11 @@ import (
 // whenever an analysis' observable output changes.
 // v2: scan jobs canonicalize the machine spec (equivalent spellings now
 // share a cache key) and the contract kind exists.
-const CodeVersion = "pandora-serve-v2"
+// v3: the pipeline publishes the Figure 4 store-queue steps as obs
+// events (addr-resolved, ssload-no-port, ssload-return, ssload-late,
+// reaches-sq-head, fill-request), so trace jobs' jsonl, chrome and report
+// exports and their events metric gain those events.
+const CodeVersion = "pandora-serve-v3"
 
 // JobKind names one of the six analyses.
 type JobKind string
