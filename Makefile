@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race ci check check-quick scan fault fault-quick trace trace-quick serve serve-quick serve-chaos contract contract-quick statscheck bench bench-cycles bench-cycles-check bench-serve clean
+.PHONY: build test race ci check check-quick scan fault fault-quick trace trace-quick serve serve-quick serve-chaos contract contract-quick statscheck clean
 
 build:
 	$(GO) build ./...
@@ -78,29 +78,6 @@ contract-quick: build
 # Stats-encapsulation lint: no cross-package raw Stats writes.
 statscheck:
 	$(GO) run ./tools/statscheck -v internal cmd
-
-# Regenerate BENCH_parallel.json (serial vs parallel wall-clock).
-bench: build
-	$(GO) run ./cmd/pandora bench -parallel 4 -json BENCH_parallel.json
-
-# Re-measure single-core cycle-loop throughput and rewrite
-# BENCH_cycles.json (refuses to overwrite a baseline from a different
-# CPU count without -force).
-bench-cycles: build
-	$(GO) run ./cmd/pandora bench -cycles -json BENCH_cycles.json
-
-# Regression gate: fail if measured cycles/sec fall more than 10% below
-# the committed BENCH_cycles.json baseline. Skips (exit 0, with a
-# warning) when the committed baseline was recorded on a machine with a
-# different CPU count.
-bench-cycles-check: build
-	$(GO) run ./cmd/pandora bench -cycles -check -json BENCH_cycles.json
-
-# Benchmark the job service (cold vs warm jobs/sec, latency percentiles)
-# and rewrite BENCH_serve.json (refuses to overwrite a baseline from a
-# different CPU count without -force).
-bench-serve: build
-	$(GO) run ./cmd/pandora bench -serve -json BENCH_serve.json
 
 clean:
 	$(GO) clean ./...

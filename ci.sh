@@ -98,12 +98,13 @@ grep -q '"kind":"sq-dequeue".*"detail":"silent"' "$out"
 grep -q '^pipeview: cycles' "$out"
 rm -f "$prog" "$out"
 
-# Cycle-loop throughput gate: re-measure single-core cycles/sec and fail
-# if it regressed more than 10% below the committed BENCH_cycles.json
-# baseline. The check self-skips (exit 0, warning) when the baseline was
-# recorded with a different CPU count, so a laptop baseline does not
-# fail a wider CI box or vice versa.
-go run ./cmd/pandora bench -cycles -check -json BENCH_cycles.json
+# Benchmark smoke test: the bench module's own tests run all four
+# BENCHMARK.json workloads (contract, cycles, suite, serve) and the traced
+# per-layer sweep at tiny size, with every golden and exact-count check —
+# CONTRACT_table.json cells, diffcheck agreement, serve executed/hit/dedupe
+# counts. It checks that the benchmark still builds and measures what it
+# claims; throughput is compared by `bash bench/run.sh`, not here.
+(cd bench && GOWORK=off GOPROXY=off GOFLAGS= go test ./...)
 
 # Fuzz smoke: a few seconds per target, same oracle as the sweep.
 go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'

@@ -1,8 +1,8 @@
 // Package cli is the shared runner for pandora subcommands. Every
-// subcommand (bench, check, scan, fault, trace) declares which of the
-// common flags it takes — -seed, -parallel, -json, -quick, -v — through
-// options, so the flag names, defaults and help strings stay identical
-// across the tool. The profiling flags -cpuprofile, -memprofile and
+// subcommand (check, scan, fault, trace, serve, contract) declares which
+// of the common flags it takes — -seed, -parallel, -json, -quick, -v —
+// through options, so the flag names, defaults and help strings stay
+// identical across the tool. The profiling flags -cpuprofile, -memprofile and
 // -runtime-metrics are registered on every command unconditionally.
 package cli
 

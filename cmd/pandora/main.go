@@ -6,7 +6,6 @@
 //	pandora list                 # enumerate experiments
 //	pandora <experiment> [flags] # run one (e.g. pandora table1)
 //	pandora all [flags]          # run every experiment
-//	pandora bench [flags]        # time serial vs parallel, write JSON
 //
 // Flags:
 //
@@ -43,9 +42,6 @@ func main() {
 	cmd := os.Args[1]
 	if cmd == "run" {
 		os.Exit(runAssembly(os.Args[2:]))
-	}
-	if cmd == "bench" {
-		os.Exit(runBench(os.Args[2:]))
 	}
 	if cmd == "check" {
 		os.Exit(runCheck(os.Args[2:]))
@@ -243,7 +239,6 @@ func usage() {
 	fmt.Printf("  scan:  %s\n", strings.Join(core.ScanScenarios(), " | "))
 	fmt.Printf("  trace: %s\n", strings.Join(core.TraceScenarios(), " | "))
 	fmt.Println("\nusage: pandora <experiment>|all|list [-samples N] [-secretlen N] [-full] [-parallel N] [-v]")
-	fmt.Println("       pandora bench [-parallel N] [-json path] | -cycles [-check] | -serve [-jobs N]")
 	fmt.Println("       pandora run [-machine spec] [-events] [-pipeview] [-regs] <file.s>  (-events: obs JSONL)")
 	fmt.Println("       pandora check [-n N] [-seed S] [-masks K] [-quick] [-inject] [-parallel N] [-v]")
 	fmt.Println("       pandora scan [-machine spec] [-secret base:len[:name]] [-json] <file.s>")

@@ -19,8 +19,8 @@ func benchMachine(b *testing.B, cfg Config) *Machine {
 }
 
 // benchRun measures whole-Run throughput of the allocKernel loop and
-// reports simulated cycles per wall-clock second — the same figure of
-// merit `pandora bench -cycles` gates on.
+// reports simulated cycles per wall-clock second — the figure of merit
+// of the cycles workload in `bash bench/run.sh` (see bench/README.md).
 func benchRun(b *testing.B, cfg Config) {
 	m := benchMachine(b, cfg)
 	prog := asm.MustAssemble(allocKernel)

@@ -21,8 +21,8 @@ var ErrCancelled = errors.New("pipeline: run cancelled")
 // which bears no fixed relation to wall-clock. A nil Config.Cancel costs
 // one pointer compare per cycle and nothing else; the armed path is a
 // single atomic load every checkpoint interval, so the cycle loop stays
-// allocation-free either way (the BENCH_cycles gate runs with the
-// checkpoint compiled in).
+// allocation-free either way (the benchmark's cycles workload runs with
+// the checkpoint compiled in; see bench/README.md).
 type CancelFlag struct {
 	v atomic.Bool
 }

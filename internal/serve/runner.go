@@ -68,9 +68,9 @@ func Kinds() []JobKind {
 	return []JobKind{KindBench, KindCheck, KindScan, KindFault, KindTrace, KindContract}
 }
 
-// benchRunner reproduces one registered core experiment. The bench CLI
-// measures wall-clock around experiments; the job returns the
-// experiment's own (simulated, deterministic) report and metrics.
+// benchRunner reproduces one registered core experiment. It returns the
+// experiment's own (simulated, deterministic) report and metrics;
+// wall-clock is measured by `bash bench/run.sh` (see bench/README.md).
 type benchRunner struct{}
 
 func (benchRunner) Kind() JobKind { return KindBench }

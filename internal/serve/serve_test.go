@@ -170,6 +170,44 @@ func TestConcurrentIdenticalSubmissionsSingleflight(t *testing.T) {
 	}
 }
 
+// A concurrent resubmission of an already-stored job is a cache hit
+// served in the POST response, never a dedupe onto a short-lived flight.
+func TestConcurrentResubmissionsOfSettledJobAreHits(t *testing.T) {
+	base, srv := startServer(t)
+	first, _ := post(t, base, smallCheck)
+	if done := wait(t, base, first.ID); done.State != string(stateDone) {
+		t.Fatalf("first run: state=%s error=%q", done.State, done.Error)
+	}
+
+	const clients = 64
+	var wg sync.WaitGroup
+	views := make([]JobView, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			views[i], _ = post(t, base, smallCheck)
+		}(i)
+	}
+	wg.Wait()
+
+	for i, v := range views {
+		if !v.Cached || v.Deduped || v.State != string(stateDone) {
+			t.Fatalf("client %d: state=%s cached=%v deduped=%v; want a settled cache hit",
+				i, v.State, v.Cached, v.Deduped)
+		}
+	}
+	if got := srv.stats.Deduped.Load(); got != 0 {
+		t.Fatalf("deduped = %d, want 0", got)
+	}
+	if got := srv.stats.CacheHits.Load(); got != clients {
+		t.Fatalf("cache hits = %d, want %d", got, clients)
+	}
+	if got := srv.stats.Executed.Load(); got != 1 {
+		t.Fatalf("executed = %d, want 1", got)
+	}
+}
+
 func TestTamperedEntryIsRejectedAndRecomputed(t *testing.T) {
 	base, srv := startServer(t)
 

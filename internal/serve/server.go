@@ -281,7 +281,10 @@ func New(opts Options) (*Server, error) {
 func (s *Server) replay(pending []walPending) error {
 	for _, p := range pending {
 		s.stats.WALReplayed.Add(1)
+		s.mu.Lock()
 		j := s.newJobLocked(p.Key, p.Spec, s.effectiveTimeout(p.Spec.TimeoutMS))
+		s.flights[p.Key] = j
+		s.mu.Unlock()
 		j.log.appendf(PhaseReplayed, "recovered from journal (accepted by a previous process)")
 		s.logf("serve: replaying journaled job %s key %.12s…", j.id, j.key)
 
@@ -303,10 +306,9 @@ func (s *Server) replay(pending []walPending) error {
 	return nil
 }
 
-// newJobLocked allocates and registers a Job (takes s.mu itself).
+// newJobLocked allocates a Job and registers it under its id; the
+// caller holds s.mu and registers the flight when the job may execute.
 func (s *Server) newJobLocked(key string, spec JobSpec, timeout time.Duration) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.seq++
 	j := &Job{
 		id:      fmt.Sprintf("j%06d", s.seq),
@@ -318,7 +320,6 @@ func (s *Server) newJobLocked(key string, spec JobSpec, timeout time.Duration) *
 		state:   stateQueued,
 	}
 	s.jobs[j.id] = j
-	s.flights[key] = j
 	return j
 }
 
@@ -458,9 +459,9 @@ func (s *Server) shed(w http.ResponseWriter, retryAfter time.Duration, format st
 	httpError(w, http.StatusServiceUnavailable, format, args...)
 }
 
-// handleSubmit is POST /v1/jobs: canonicalize, dedupe against flights,
-// consult the store, and only then — behind the breaker and concurrency
-// limits, through the journal — queue an execution.
+// handleSubmit is POST /v1/jobs: canonicalize, consult the store, dedupe
+// a miss against flights, and only then — behind the breaker and
+// concurrency limits, through the journal — queue an execution.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
@@ -476,22 +477,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.Submitted.Add(1)
 
+	// A cache hit registers no flight, so a concurrent resubmission of a
+	// settled job is always a hit, never a dedupe. Cache hits are served
+	// even while shedding: they cost no execution.
+	body, outcome, cerr := s.store.Get(key)
 	s.mu.Lock()
-	if leader, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		s.stats.Deduped.Add(1)
-		writeJSON(w, http.StatusOK, leader.view(true))
-		return
+	if outcome != Hit {
+		if leader, ok := s.flights[key]; ok {
+			s.mu.Unlock()
+			s.stats.Deduped.Add(1)
+			writeJSON(w, http.StatusOK, leader.view(true))
+			return
+		}
+	}
+	j := s.newJobLocked(key, canon, s.effectiveTimeout(spec.TimeoutMS))
+	if outcome != Hit {
+		s.flights[key] = j
 	}
 	s.mu.Unlock()
-	j := s.newJobLocked(key, canon, s.effectiveTimeout(spec.TimeoutMS))
 	j.log.appendf(PhaseQueued, "%s job %s key %s", canon.Kind, j.id, key)
 
-	// The store consult happens with the flight registered, so a
-	// concurrent identical submission coalesces instead of racing the
-	// lookup. Cache hits are served even while shedding: they cost no
-	// execution.
-	body, outcome, cerr := s.store.Get(key)
+	if outcome == Miss {
+		// A leader may have stored its result and settled between the
+		// lookup and the registration; look again so the key still
+		// executes exactly once.
+		body, outcome, cerr = s.store.Get(key)
+	}
 	switch outcome {
 	case Hit:
 		s.stats.CacheHits.Add(1)
