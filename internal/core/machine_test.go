@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"pandora/internal/pipeline"
@@ -80,4 +81,36 @@ func TestParseMachineSpecErrors(t *testing.T) {
 	if cfg, err := ParseMachineSpec("  "); err != nil || cfg.FetchWidth == 0 {
 		t.Error("empty spec must yield the default baseline")
 	}
+}
+
+// FuzzParseMachineSpec: ParseMachineSpec never panics, rejects only
+// with a *SpecError, and every accepted spec keeps FormatMachineSpec's
+// round-trip property — format, reparse, format again gives the same
+// string.
+func FuzzParseMachineSpec(f *testing.F) {
+	for _, spec := range []string{
+		"silentstores,compsimp,packing,reuse-sv,vp:3,rfc-any,sq=5,rob=32,prf=48,alu=4,ld=1",
+		"silentstores-lsq,vp-stride,strengthred", "spec,stlf,staddr=4", "wrongpath:12",
+		"bimodal", "bogus", "vp:x", "sq=0", "sq=-3", "  ",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseMachineSpec(spec)
+		if err != nil {
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Fatalf("ParseMachineSpec(%q): untyped error %v", spec, err)
+			}
+			return
+		}
+		canon := FormatMachineSpec(cfg)
+		again, err := ParseMachineSpec(canon)
+		if err != nil {
+			t.Fatalf("reparse of %q (from %q): %v", canon, spec, err)
+		}
+		if got := FormatMachineSpec(again); got != canon {
+			t.Fatalf("round trip of %q: %q -> %q", spec, canon, got)
+		}
+	})
 }

@@ -15,12 +15,12 @@
 // there is a false positive and fails Verify.
 //
 // Campaigns checkpoint: with Options.Journal set, every completed trial
-// is appended to a journal file as one JSON line under a header that
-// fingerprints the campaign (seed, trial counts, sites, and the memory
-// image the generator programs run against). Options.Resume skips the
-// journaled trials, and because every trial's randomness derives from
-// parallel.Seed(Seed, globalIndex), a resumed campaign reports results
-// byte-identical to an uninterrupted one.
+// is appended to an internal/journal file as one MAC'd JSON line under
+// a header that fingerprints the campaign (seed, trial counts, sites,
+// and the memory image the generator programs run against).
+// Options.Resume skips the journaled trials, and because every trial's
+// randomness derives from parallel.Seed(Seed, globalIndex), a resumed
+// campaign reports results byte-identical to an uninterrupted one.
 package campaign
 
 import (
@@ -38,6 +38,7 @@ import (
 	"pandora/internal/emu"
 	"pandora/internal/faults"
 	"pandora/internal/isa"
+	"pandora/internal/journal"
 	"pandora/internal/mem"
 	"pandora/internal/parallel"
 	"pandora/internal/pipeline"
@@ -230,14 +231,14 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	done := map[string]Trial{}
-	var j *journal
+	var j *journal.Writer
 	if opts.Journal != "" {
 		var err error
 		j, done, err = openJournal(&opts)
 		if err != nil {
 			return nil, err
 		}
-		defer j.close()
+		defer j.Close()
 	}
 	if opts.DumpDir != "" {
 		if err := os.MkdirAll(opts.DumpDir, 0o755); err != nil {
@@ -260,8 +261,8 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		func(_ context.Context, _ int, seed int64, it workItem) (Trial, error) {
 			tr := runTrial(&opts, it, seed)
 			if j != nil {
-				if err := j.append(tr); err != nil {
-					return tr, err
+				if err := j.Append(tr); err != nil {
+					return tr, fmt.Errorf("campaign: %w", err)
 				}
 			}
 			opts.log("campaign: %s trial %d: fired=%v detections=%d",

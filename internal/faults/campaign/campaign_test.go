@@ -1,16 +1,17 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pandora/internal/faults"
+	"pandora/internal/journal"
 )
 
 // smallOpts is a bounded campaign profile used by every test: two sites
@@ -122,7 +123,8 @@ func TestResumeByteIdentical(t *testing.T) {
 
 // TestResumeToleratesTornFinalLine simulates an append interrupted
 // mid-write: the half-written trial line must be ignored and rerun, not
-// poison the resume.
+// poison the resume — and the rerun trial must land in the journal, so
+// a second resume of the same file finds all 6 trials and reruns none.
 func TestResumeToleratesTornFinalLine(t *testing.T) {
 	dir := t.TempDir()
 
@@ -145,16 +147,90 @@ func TestResumeToleratesTornFinalLine(t *testing.T) {
 		t.Fatalf("write torn journal: %v", err)
 	}
 
-	res := smallOpts()
-	res.Journal = tornPath
-	res.Resume = true
-	gotRep, err := Run(context.Background(), res)
+	for pass := 1; pass <= 2; pass++ {
+		res := smallOpts()
+		res.Journal = tornPath
+		res.Resume = true
+		var reran atomic.Int64 // trial workers log concurrently
+		res.Log = func(format string, _ ...any) {
+			if strings.HasPrefix(format, "campaign: %s trial %d") {
+				reran.Add(1)
+			}
+		}
+		gotRep, err := Run(context.Background(), res)
+		if err != nil {
+			t.Fatalf("resume %d: %v", pass, err)
+		}
+		if got, _ := json.Marshal(gotRep); !bytes.Equal(got, want) {
+			t.Errorf("resume %d: report differs:\nwant: %s\ngot:  %s", pass, want, got)
+		}
+		if wantReran := map[int]int64{1: 4, 2: 0}[pass]; reran.Load() != wantReran {
+			t.Errorf("resume %d reran %d trials, want %d", pass, reran.Load(), wantReran)
+		}
+	}
+	if n := len(journaledTrials(t, smallOpts(), tornPath)); n != 6 {
+		t.Errorf("journal holds %d trials after resuming, want 6", n)
+	}
+}
+
+// journaledTrials reads the trials a campaign journal holds, failing
+// the test on any rejected line.
+func journaledTrials(t *testing.T, opts Options, path string) []Trial {
+	t.Helper()
+	h := headerFor(&opts)
+	key, _ := json.Marshal(h)
+	recs, rejected, err := journal.Read(path, key, h)
+	if err != nil || rejected != 0 {
+		t.Fatalf("read journal: %d rejected, err %v", rejected, err)
+	}
+	trials := make([]Trial, len(recs))
+	for i, rec := range recs {
+		if err := json.Unmarshal(rec, &trials[i]); err != nil {
+			t.Fatalf("trial record %d: %v", i, err)
+		}
+	}
+	return trials
+}
+
+// TestResumeRejectsCorruptedTrial flips one digit of a journaled
+// detection cycle. The record's MAC must reject it, so the trial reruns
+// and the resumed report stays byte-identical to the uninterrupted run
+// instead of silently reporting the corrupted cycle.
+func TestResumeRejectsCorruptedTrial(t *testing.T) {
+	opts := smallOpts()
+	opts.Workers = 1 // journal in canonical order: line 1 is cache-line trial 0
+	opts.Journal = filepath.Join(t.TempDir(), "c.journal")
+	wantRep, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want, _ := json.Marshal(wantRep)
+
+	data, err := os.ReadFile(opts.Journal)
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	at := bytes.Index(lines[1], []byte(`"cycle":`))
+	if at < 0 {
+		t.Fatalf("trial line 1 has no detection cycle: %s", lines[1])
+	}
+	end := at + len(`"cycle":`)
+	for lines[1][end] >= '0' && lines[1][end] <= '9' {
+		end++
+	}
+	lines[1][end-1] = '0' + (lines[1][end-1]-'0'+1)%10
+	if err := os.WriteFile(opts.Journal, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatalf("write corrupted journal: %v", err)
+	}
+
+	opts.Resume = true
+	gotRep, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("resumed Run: %v", err)
 	}
-	got, _ := json.Marshal(gotRep)
-	if !bytes.Equal(got, want) {
-		t.Errorf("torn-line resume report differs:\nwant: %s\ngot:  %s", want, got)
+	if got, _ := json.Marshal(gotRep); !bytes.Equal(got, want) {
+		t.Errorf("corrupted-journal resume report differs:\nwant: %s\ngot:  %s", want, got)
 	}
 }
 
@@ -185,31 +261,10 @@ func TestJournalRecordsEveryTrial(t *testing.T) {
 	if _, err := Run(context.Background(), opts); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	f, err := os.Open(opts.Journal)
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		t.Fatalf("journal missing header")
-	}
-	var h journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		t.Fatalf("header: %v", err)
-	}
-	if h.Version != journalVersion || h.Seed != 3 || h.Image == "" {
+	if h := headerFor(&opts); h.Version != journalVersion || h.Seed != 3 || h.Image == "" {
 		t.Errorf("header %+v: want version %d, seed 3, non-empty image digest", h, journalVersion)
 	}
-	n := 0
-	for sc.Scan() {
-		var tr Trial
-		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
-			t.Fatalf("trial line %d: %v", n, err)
-		}
-		n++
-	}
-	if n != 6 {
+	if n := len(journaledTrials(t, opts, opts.Journal)); n != 6 {
 		t.Errorf("journal holds %d trials, want 6", n)
 	}
 }

@@ -1,20 +1,19 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"sync"
 
 	"pandora/internal/diffcheck"
+	"pandora/internal/journal"
 	"pandora/internal/mem"
 )
 
-// journalVersion guards the journal line format.
-const journalVersion = 1
+// journalVersion guards the journal format; version 1 journals predate
+// internal/journal and read as foreign.
+const journalVersion = 2
 
 // journalHeader is the journal's first line: it fingerprints the campaign
 // so Resume refuses to mix trials from incompatible runs. Image digests
@@ -43,19 +42,6 @@ func headerFor(opts *Options) journalHeader {
 	return h
 }
 
-func (h journalHeader) equal(o journalHeader) bool {
-	if h.Version != o.Version || h.Seed != o.Seed || h.Trials != o.Trials ||
-		h.Control != o.Control || h.Image != o.Image || len(h.Sites) != len(o.Sites) {
-		return false
-	}
-	for i := range h.Sites {
-		if h.Sites[i] != o.Sites[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // imageDigest fingerprints the initial memory image trials run against:
 // an FNV-64a over a snapshot of the generator's scratch regions.
 func imageDigest() string {
@@ -74,95 +60,45 @@ func trialKey(site string, index int) string {
 	return fmt.Sprintf("%s/%d", site, index)
 }
 
-// journal is the append side of the checkpoint file. Appends are
-// serialized: trial workers finish concurrently.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func (j *journal) append(t Trial) error {
-	b, err := json.Marshal(t)
-	if err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("campaign: journal: %w", err)
-	}
-	// One fsync per trial keeps the checkpoint crash-consistent; trials
-	// cost millions of simulated cycles, so the sync is noise.
-	return j.f.Sync()
-}
-
-func (j *journal) close() {
-	if j != nil && j.f != nil {
-		j.f.Close()
-	}
-}
-
-// openJournal creates (or, under Resume, reopens and replays) the
+// openJournal creates (or, under Resume, replays and compacts) the
 // campaign journal. It returns the append handle and the trials already
 // completed, keyed by trialKey.
-func openJournal(opts *Options) (*journal, map[string]Trial, error) {
-	want := headerFor(opts)
+//
+// The MAC key is the marshalled header itself, which anyone can
+// recompute: the per-record MACs detect corrupted, torn or spliced
+// lines (a corrupted trial reruns instead of skewing the report), not
+// deliberate forgery.
+func openJournal(opts *Options) (*journal.Writer, map[string]Trial, error) {
+	h := headerFor(opts)
+	key, _ := json.Marshal(h) // ints and strings only: cannot fail
 	done := map[string]Trial{}
-
+	var kept []json.RawMessage
 	if opts.Resume {
-		data, err := os.ReadFile(opts.Journal)
-		switch {
-		case os.IsNotExist(err):
-			// Nothing to resume; fall through to a fresh journal.
-		case err != nil:
-			return nil, nil, fmt.Errorf("campaign: journal: %w", err)
-		default:
-			sc := bufio.NewScanner(bytes.NewReader(data))
-			sc.Buffer(make([]byte, 1<<20), 1<<20)
-			if !sc.Scan() {
-				return nil, nil, fmt.Errorf("campaign: journal %s: empty", opts.Journal)
+		recs, _, err := journal.Read(opts.Journal, key, h)
+		if errors.As(err, new(*journal.MismatchError)) {
+			return nil, nil, fmt.Errorf(
+				"campaign: journal %s was written by a different campaign (seed/sites/trials/image differ); delete it or drop -resume",
+				opts.Journal)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("campaign: %w", err)
+		}
+		for _, rec := range recs {
+			var t Trial
+			if json.Unmarshal(rec, &t) != nil {
+				continue
 			}
-			var got journalHeader
-			if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
-				return nil, nil, fmt.Errorf("campaign: journal %s: bad header: %w", opts.Journal, err)
+			k := trialKey(t.Site, t.Index)
+			if _, dup := done[k]; dup {
+				continue
 			}
-			if !got.equal(want) {
-				return nil, nil, fmt.Errorf(
-					"campaign: journal %s was written by a different campaign (seed/sites/trials/image differ); delete it or drop -resume",
-					opts.Journal)
-			}
-			for sc.Scan() {
-				var t Trial
-				// A torn final line from an interrupted append is not an
-				// error — that trial simply reruns.
-				if err := json.Unmarshal(sc.Bytes(), &t); err != nil {
-					continue
-				}
-				key := trialKey(t.Site, t.Index)
-				if _, dup := done[key]; !dup {
-					done[key] = t
-				}
-			}
-			f, err := os.OpenFile(opts.Journal, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, nil, fmt.Errorf("campaign: journal: %w", err)
-			}
-			return &journal{f: f}, done, nil
+			done[k] = t
+			kept = append(kept, rec)
 		}
 	}
-
-	f, err := os.Create(opts.Journal)
+	j, err := journal.Create(opts.Journal, key, h, kept)
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: journal: %w", err)
+		return nil, nil, fmt.Errorf("campaign: %w", err)
 	}
-	hb, err := json.Marshal(want)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	if _, err := f.Write(append(hb, '\n')); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal: %w", err)
-	}
-	return &journal{f: f}, done, nil
+	return j, done, nil
 }

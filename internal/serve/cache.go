@@ -18,8 +18,8 @@ import (
 // version, body) under a per-store secret key, so an entry whose body
 // or header was modified on disk — or that was written by a different
 // code version — fails authentication on read and is rejected and
-// deleted, forcing a recompute. This is the campaign journal's
-// identity-header discipline applied to a content-addressed store.
+// deleted, forcing a recompute. The job journal (internal/journal under
+// the same secret) applies the same discipline per record.
 type Store struct {
 	dir    string
 	secret []byte

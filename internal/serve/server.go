@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pandora/internal/faults"
+	"pandora/internal/journal"
 	"pandora/internal/obs"
 	"pandora/internal/parallel"
 )
@@ -187,7 +188,7 @@ type Server struct {
 	pool  *parallel.ShardPool
 	reg   *obs.Registry
 	stats Stats
-	wal   *wal
+	wal   *journal.Writer
 
 	// lifeCtx is the server's lifecycle context: every job attempt runs
 	// under a context derived from it, so a shutdown (after the drain
@@ -238,7 +239,7 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, pending, rejected, err := openWAL(opts.CacheDir, store.secret)
+	w, pending, rejected, err := openWAL(opts.CacheDir, store.secret, opts.Log)
 	if err != nil {
 		return nil, err
 	}
@@ -342,8 +343,10 @@ func (s *Server) Store() *Store { return s.store }
 
 // WALDiagnostics re-reads the on-disk journal and reports its pending
 // and rejected record counts (exported for the -chaos-quick self-test).
+// A journal it cannot read reports no pending jobs.
 func (s *Server) WALDiagnostics() (pending, rejected int) {
-	return verifyWAL(s.store.Dir(), s.store.secret)
+	p, r, _ := replayWAL(WALPath(s.store.Dir()), s.store.secret)
+	return len(p), r
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -424,7 +427,7 @@ func (s *Server) stop() {
 		s.pool.Drain()
 		timer.Stop()
 		s.lifeCancel()
-		if err := s.wal.close(); err != nil {
+		if err := s.wal.Close(); err != nil {
 			s.logf("serve: %v", err)
 		}
 	})
@@ -546,7 +549,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Journal the acceptance before queueing: from here the job either
 	// reaches a terminal state or replays after a crash.
-	if err := s.wal.accept(key, canon); err != nil {
+	if err := s.wal.Append(walRecord{Op: walAccept, Key: key, Spec: &canon}); err != nil {
 		s.logf("%v", err)
 	}
 	if err := s.pool.Submit(keyShard(key), func() { s.run(j) }); err != nil {
@@ -584,7 +587,7 @@ func (s *Server) breakerFor(kind JobKind) *breaker {
 // walDone marks a job terminal in the journal, tolerating journal
 // errors (worst case the job replays once more).
 func (s *Server) walDone(key string) {
-	if err := s.wal.done(key); err != nil {
+	if err := s.wal.Append(walRecord{Op: walDone, Key: key}); err != nil {
 		s.logf("%v", err)
 	}
 }

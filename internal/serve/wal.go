@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
+
+	"pandora/internal/journal"
 )
 
 // The job journal makes accepted work crash-safe: every job the server
@@ -22,16 +19,19 @@ import (
 // never silently lost. Jobs cancelled by a server shutdown are
 // deliberately NOT marked done: they are the replay set.
 //
-// Records carry the store's HMAC identity discipline (the campaign
-// journal's header idea applied per record): a record whose bytes were
-// modified on disk fails authentication on open and is skipped and
-// counted, never replayed — a tampered journal can lose pending work
-// (like deleting the file can) but cannot make the server run a spec it
-// never accepted. Torn trailing writes from a crash mid-append are
-// tolerated the same way.
+// The file is an internal/journal journal keyed by the store secret: a
+// record modified on disk, torn by a crash mid-append or moved to
+// another line fails its HMAC and is skipped and counted, never
+// replayed, and a journal whose header is not walHeader (including a
+// headerless pre-journal jobs.wal) is refused whole and started afresh.
+// Tampering can lose pending work, like deleting the file can, but
+// cannot make the server run a spec it never accepted.
 
 // walFile is the journal's name inside the cache directory.
 const walFile = "jobs.wal"
+
+// walHeader is the journal's header line: the record format tag.
+const walHeader = "pandora-jobs-wal/1"
 
 // WALPath returns where the job journal for a cache directory lives
 // (exported for the -chaos-quick self-test, which tampers with it).
@@ -44,136 +44,68 @@ const (
 	walDone   walOp = "done"
 )
 
-// walRecord is one journal line.
+// walRecord is one journal record.
 type walRecord struct {
-	Seq  int      `json:"seq"`
 	Op   walOp    `json:"op"`
 	Key  string   `json:"key"`
 	Spec *JobSpec `json:"spec,omitempty"` // accept records only
-	MAC  string   `json:"mac"`
 }
 
-// walPending is one accepted-but-unfinished job recovered on open.
+// walPending is one accepted-but-unfinished job recovered on open; rec
+// is its accept record as read, carried into the compacted journal.
 type walPending struct {
 	Key  string
 	Spec JobSpec
-}
-
-// wal is the open journal handle. Appends are serialized and fsynced:
-// an accept record is durable before the job is queued.
-type wal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	secret []byte
-	seq    int
-	closed bool
-}
-
-// walMAC authenticates one record's identity fields under the store
-// secret. The sequence number is bound in, so records cannot be
-// reordered or replayed under another sequence, and the spec bytes are
-// bound for accepts, so a tampered spec fails authentication.
-func walMAC(secret []byte, seq int, op walOp, key string, spec *JobSpec) (string, error) {
-	h := hmac.New(sha256.New, secret)
-	fmt.Fprintf(h, "%d\n%s\n%s\n", seq, op, key)
-	if spec != nil {
-		b, err := json.Marshal(spec)
-		if err != nil {
-			return "", fmt.Errorf("serve: wal: marshal spec: %w", err)
-		}
-		h.Write(b)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	rec  json.RawMessage
 }
 
 // openWAL opens (creating if needed) the journal in dir, returning the
-// handle, the jobs left pending by the previous process in acceptance
-// order, and how many records were rejected (tampered or torn). The
-// surviving pending set is compacted into a fresh journal before the
-// handle is returned, so the file does not grow without bound across
-// restarts.
-func openWAL(dir string, secret []byte) (*wal, []walPending, int, error) {
-	path := filepath.Join(dir, walFile)
-	pending, rejected := replayWAL(path, secret)
-
-	// Compact: rewrite only the pending accepts, re-sequenced, through a
-	// temp file + rename so a crash mid-compaction leaves the old
-	// journal intact.
-	w := &wal{path: path, secret: secret}
-	tmp, err := os.CreateTemp(dir, "."+walFile+".tmp*")
-	if err != nil {
-		return nil, nil, rejected, fmt.Errorf("serve: wal: compact: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	for _, p := range pending {
-		spec := p.Spec
-		line, err := w.encode(walAccept, p.Key, &spec)
-		if err != nil {
-			tmp.Close()
-			return nil, nil, rejected, err
+// append handle, the jobs left pending by the previous process in
+// acceptance order, and how many records were rejected. The journal is
+// compacted to the pending accepts, so it does not grow without bound
+// across restarts. logf (nil = silent) hears about a refused journal.
+func openWAL(dir string, secret []byte, logf func(string, ...any)) (*journal.Writer, []walPending, int, error) {
+	pending, rejected, err := replayWAL(WALPath(dir), secret)
+	if errors.As(err, new(*journal.MismatchError)) {
+		if logf != nil {
+			logf("serve: %v; starting a fresh journal", err)
 		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			return nil, nil, rejected, fmt.Errorf("serve: wal: compact: %w", err)
-		}
-		w.seq++
+	} else if err != nil {
+		return nil, nil, 0, fmt.Errorf("serve: wal: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, nil, rejected, fmt.Errorf("serve: wal: compact: %w", err)
+	recs := make([]json.RawMessage, len(pending))
+	for i, p := range pending {
+		recs[i] = p.rec
 	}
-	if err := tmp.Close(); err != nil {
-		return nil, nil, rejected, fmt.Errorf("serve: wal: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return nil, nil, rejected, fmt.Errorf("serve: wal: compact: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
+	w, err := journal.Create(WALPath(dir), secret, walHeader, recs)
 	if err != nil {
-		return nil, nil, rejected, fmt.Errorf("serve: wal: open: %w", err)
+		return nil, nil, 0, fmt.Errorf("serve: wal: %w", err)
 	}
-	w.f = f
 	return w, pending, rejected, nil
 }
 
-// replayWAL reads a journal and reduces it to the pending set:
-// authenticated accepts minus authenticated dones, in acceptance order.
-// Unparseable, torn or MAC-failing lines are skipped and counted.
-func replayWAL(path string, secret []byte) (pending []walPending, rejected int) {
-	raw, err := os.ReadFile(path)
+// replayWAL reads a journal and reduces it to the pending set: accepts
+// not yet followed by a done for their key, in acceptance order, with
+// rejected counting the records the journal refused.
+func replayWAL(path string, secret []byte) (pending []walPending, rejected int, err error) {
+	recs, rejected, err := journal.Read(path, secret, walHeader)
 	if err != nil {
-		return nil, 0 // no journal yet (or unreadable: nothing to replay)
+		return nil, rejected, err
 	}
-	open := map[string]int{} // key → index into pending (-1 = done)
-	for _, line := range bytes.Split(raw, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	open := map[string]int{} // key → index into pending of its open accept
+	for _, raw := range recs {
 		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			rejected++
-			continue
+		if json.Unmarshal(raw, &rec) != nil {
+			continue // authenticated, so written by this code: unreachable
 		}
-		want, err := walMAC(secret, rec.Seq, rec.Op, rec.Key, rec.Spec)
-		if err != nil || !hmac.Equal([]byte(want), []byte(rec.MAC)) {
-			rejected++
-			continue
-		}
-		switch rec.Op {
-		case walAccept:
-			if _, seen := open[rec.Key]; seen || rec.Spec == nil {
-				continue // duplicate accept or malformed: keep first
-			}
+		i, isOpen := open[rec.Key]
+		switch {
+		case rec.Op == walAccept && !isOpen && rec.Spec != nil:
 			open[rec.Key] = len(pending)
-			pending = append(pending, walPending{Key: rec.Key, Spec: *rec.Spec})
-		case walDone:
-			if i, seen := open[rec.Key]; seen && i >= 0 {
-				pending[i].Key = "" // tombstone, filtered below
-				open[rec.Key] = -1
-			}
-		default:
-			rejected++
+			pending = append(pending, walPending{Key: rec.Key, Spec: *rec.Spec, rec: raw})
+		case rec.Op == walDone && isOpen:
+			pending[i].Key = "" // tombstone, filtered below
+			delete(open, rec.Key)
 		}
 	}
 	out := pending[:0]
@@ -182,74 +114,7 @@ func replayWAL(path string, secret []byte) (pending []walPending, rejected int) 
 			out = append(out, p)
 		}
 	}
-	return out, rejected
-}
-
-// encode serializes the next record (advancing no state; the caller
-// owns w.seq) as a newline-terminated JSON line.
-func (w *wal) encode(op walOp, key string, spec *JobSpec) ([]byte, error) {
-	mac, err := walMAC(w.secret, w.seq, op, key, spec)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(walRecord{Seq: w.seq, Op: op, Key: key, Spec: spec, MAC: mac})
-	if err != nil {
-		return nil, fmt.Errorf("serve: wal: marshal record: %w", err)
-	}
-	return append(b, '\n'), nil
-}
-
-// append writes and fsyncs one record. The record is durable when
-// append returns.
-func (w *wal) append(op walOp, key string, spec *JobSpec) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("serve: wal: append to closed journal")
-	}
-	line, err := w.encode(op, key, spec)
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("serve: wal: append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("serve: wal: sync: %w", err)
-	}
-	w.seq++
-	return nil
-}
-
-// accept journals a job acceptance; it must be durable before the job
-// is queued.
-func (w *wal) accept(key string, spec JobSpec) error {
-	return w.append(walAccept, key, &spec)
-}
-
-// done journals a job's terminal state.
-func (w *wal) done(key string) error {
-	return w.append(walDone, key, nil)
-}
-
-// close releases the journal handle. Pending records stay on disk for
-// the next open to replay.
-func (w *wal) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	return w.f.Close()
-}
-
-// verifyWAL re-reads a journal from disk and reports its pending and
-// rejected counts — the -chaos-quick self-test's view into journal
-// integrity without opening a second append handle.
-func verifyWAL(dir string, secret []byte) (pending, rejected int) {
-	p, r := replayWAL(filepath.Join(dir, walFile), secret)
-	return len(p), r
+	return out, rejected, nil
 }
 
 // SimulateCrashedJob forges the on-disk state of a server that crashed
@@ -267,12 +132,12 @@ func SimulateCrashedJob(dir string, spec JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	w, _, _, err := openWAL(dir, store.secret)
+	w, _, _, err := openWAL(dir, store.secret, nil)
 	if err != nil {
 		return "", err
 	}
-	defer w.close()
-	if err := w.accept(key, canon); err != nil {
+	defer w.Close()
+	if err := w.Append(walRecord{Op: walAccept, Key: key, Spec: &canon}); err != nil {
 		return "", err
 	}
 	return key, nil

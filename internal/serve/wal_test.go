@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"os"
 	"strings"
 	"testing"
+
+	"pandora/internal/journal"
 )
 
 func walSecret(t *testing.T, dir string) []byte {
@@ -16,10 +17,23 @@ func walSecret(t *testing.T, dir string) []byte {
 	return store.secret
 }
 
+// walAppend journals records in order and closes the journal.
+func walAppend(t *testing.T, w *journal.Writer, recs ...walRecord) {
+	t.Helper()
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatalf("append %s %s: %v", r.Op, r.Key, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 func TestWALAcceptDoneRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	secret := walSecret(t, dir)
-	w, pending, rejected, err := openWAL(dir, secret)
+	w, pending, rejected, err := openWAL(dir, secret, nil)
 	if err != nil {
 		t.Fatalf("openWAL: %v", err)
 	}
@@ -28,25 +42,17 @@ func TestWALAcceptDoneRoundTrip(t *testing.T) {
 	}
 	specA := JobSpec{Kind: KindCheck, Programs: 4, Masks: 1, Seed: 7}
 	specB := JobSpec{Kind: KindScan, Scenario: "stlf"}
-	if err := w.accept("key-a", specA); err != nil {
-		t.Fatalf("accept a: %v", err)
-	}
-	if err := w.accept("key-b", specB); err != nil {
-		t.Fatalf("accept b: %v", err)
-	}
-	if err := w.done("key-a"); err != nil {
-		t.Fatalf("done a: %v", err)
-	}
-	if err := w.close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
+	walAppend(t, w,
+		walRecord{Op: walAccept, Key: "key-a", Spec: &specA},
+		walRecord{Op: walAccept, Key: "key-b", Spec: &specB},
+		walRecord{Op: walDone, Key: "key-a"})
 
 	// Reopen: only the unfinished job is pending, with its spec intact.
-	w2, pending, rejected, err := openWAL(dir, secret)
+	w2, pending, rejected, err := openWAL(dir, secret, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer w2.close()
+	defer w2.Close()
 	if rejected != 0 {
 		t.Fatalf("reopen rejected %d records from a clean journal", rejected)
 	}
@@ -67,94 +73,79 @@ func TestWALAcceptDoneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWALTamperedRecordRejected(t *testing.T) {
-	dir := t.TempDir()
-	secret := walSecret(t, dir)
-	w, _, _, err := openWAL(dir, secret)
-	if err != nil {
-		t.Fatalf("openWAL: %v", err)
-	}
-	if err := w.accept("key-a", JobSpec{Kind: KindCheck, Programs: 4}); err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	w.close()
-
-	// Flip one byte inside the record (the spec's programs count).
-	raw, err := os.ReadFile(WALPath(dir))
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
-	}
-	tampered := bytes.Replace(raw, []byte(`"programs":4`), []byte(`"programs":9`), 1)
-	if bytes.Equal(tampered, raw) {
-		t.Fatalf("tamper target not found in journal:\n%s", raw)
-	}
-	if err := os.WriteFile(WALPath(dir), tampered, 0o600); err != nil {
-		t.Fatalf("write tampered journal: %v", err)
-	}
-
-	w2, pending, rejected, err := openWAL(dir, secret)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer w2.close()
-	if len(pending) != 0 {
-		t.Fatalf("tampered record replayed: %+v", pending)
-	}
-	if rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", rejected)
-	}
-}
-
-func TestWALTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	secret := walSecret(t, dir)
-	w, _, _, err := openWAL(dir, secret)
-	if err != nil {
-		t.Fatalf("openWAL: %v", err)
-	}
-	if err := w.accept("key-a", JobSpec{Kind: KindScan, Scenario: "stlf"}); err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	w.close()
-
-	// A crash mid-append leaves a torn trailing line.
-	f, err := os.OpenFile(WALPath(dir), os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	f.WriteString(`{"seq":1,"op":"done","key":"key-a","ma`)
-	f.Close()
-
-	w2, pending, rejected, err := openWAL(dir, secret)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer w2.close()
-	if len(pending) != 1 || pending[0].Key != "key-a" {
-		t.Fatalf("pending = %+v, want the intact accept", pending)
-	}
-	if rejected != 1 {
-		t.Fatalf("rejected = %d, want 1 (the torn line)", rejected)
-	}
-}
-
 func TestWALDoneForUnknownKeyIgnored(t *testing.T) {
 	dir := t.TempDir()
 	secret := walSecret(t, dir)
-	w, _, _, err := openWAL(dir, secret)
+	w, _, _, err := openWAL(dir, secret, nil)
 	if err != nil {
 		t.Fatalf("openWAL: %v", err)
 	}
-	if err := w.done("never-accepted"); err != nil {
-		t.Fatalf("done: %v", err)
-	}
-	w.close()
-	w2, pending, rejected, err := openWAL(dir, secret)
+	walAppend(t, w, walRecord{Op: walDone, Key: "never-accepted"})
+	w2, pending, rejected, err := openWAL(dir, secret, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer w2.close()
+	defer w2.Close()
 	if len(pending) != 0 || rejected != 0 {
 		t.Fatalf("pending=%d rejected=%d, want 0/0", len(pending), rejected)
+	}
+}
+
+// TestWALReacceptAfterDonePending: a key accepted, finished and then
+// accepted again (a resubmission of a job that failed without caching)
+// is pending again; the second accept must not be mistaken for a
+// duplicate of the first.
+func TestWALReacceptAfterDonePending(t *testing.T) {
+	dir := t.TempDir()
+	secret := walSecret(t, dir)
+	w, _, _, err := openWAL(dir, secret, nil)
+	if err != nil {
+		t.Fatalf("openWAL: %v", err)
+	}
+	spec := JobSpec{Kind: KindScan, Scenario: "stlf"}
+	walAppend(t, w,
+		walRecord{Op: walAccept, Key: "key-a", Spec: &spec},
+		walRecord{Op: walDone, Key: "key-a"},
+		walRecord{Op: walAccept, Key: "key-a", Spec: &spec})
+	w2, pending, rejected, err := openWAL(dir, secret, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	if len(pending) != 1 || pending[0].Key != "key-a" || rejected != 0 {
+		t.Fatalf("pending=%+v rejected=%d, want key-a pending, 0 rejected", pending, rejected)
+	}
+}
+
+// TestWALForeignJournalStartsFresh: a jobs.wal without this format's
+// header — here a record in the headerless pre-journal format — is
+// refused whole: its lines count as rejected, nothing replays, and the
+// server gets a fresh, working journal.
+func TestWALForeignJournalStartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	secret := walSecret(t, dir)
+	old := `{"seq":0,"op":"accept","key":"key-a","spec":{"kind":"scan","scenario":"stlf"},"mac":"00"}` + "\n" +
+		`{"seq":1,"op":"done","key":"key-b","mac":"00"}` + "\n"
+	if err := os.WriteFile(WALPath(dir), []byte(old), 0o600); err != nil {
+		t.Fatalf("write old journal: %v", err)
+	}
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, format) }
+	w, pending, rejected, err := openWAL(dir, secret, logf)
+	if err != nil {
+		t.Fatalf("openWAL: %v", err)
+	}
+	if len(pending) != 0 || rejected != 2 || len(logged) != 1 {
+		t.Fatalf("pending=%d rejected=%d logged=%q, want 0, 2, one line", len(pending), rejected, logged)
+	}
+	spec := JobSpec{Kind: KindScan, Scenario: "stlf"}
+	walAppend(t, w, walRecord{Op: walAccept, Key: "key-c", Spec: &spec})
+	w2, pending, rejected, err := openWAL(dir, secret, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w2.Close()
+	if len(pending) != 1 || pending[0].Key != "key-c" || rejected != 0 {
+		t.Fatalf("after restart: pending=%+v rejected=%d, want key-c, 0", pending, rejected)
 	}
 }
