@@ -3,6 +3,13 @@
 # detector. -short keeps the paper-scale sweeps (keyrec -full, large
 # fig6 sample counts) out of CI; they are exercised manually via
 # `pandora <experiment> -full` or the single-shot benchmarks.
+#
+# The suite carries the end-to-end gates: the scanner's scenario
+# verdicts and taint self-test, the trace exports, the contract
+# library's designed verdicts and worker-count byte identity, and the
+# job service on an ephemeral port, happy path and chaos — submissions,
+# the worker pool, event streams, replay and the graceful drain race
+# each other under the detector here.
 set -eux
 
 go vet ./...
@@ -19,63 +26,21 @@ go run ./tools/statscheck -v internal cmd
 # all optimization-toggle extremes plus rotating coverage, invariant
 # checks on. The 9-bit mask space includes the speculation toggles
 # (wrong-path fetch, StLF predictor) and the stride schedule guarantees
-# the quick corpus exercises them; squash recovery races under the race
+# the 64-program corpus exercises them; squash recovery races under the race
 # detector. The -inject leg proves the oracle can actually catch a
 # miscompiled pipeline, so a green sweep means something.
-go run -race ./cmd/pandora check -quick
-go run ./cmd/pandora check -quick -inject >/dev/null
+go run -race ./cmd/pandora check -n 64 -masks 1
+go run ./cmd/pandora check -n 64 -masks 1 -inject >/dev/null
 
-# Leakage scanner: AES scans clean on baseline / leaks the key under
-# silent stores, eBPF leaks the kernel byte through the IMP, the
-# speculation scenarios leak only with their predictor on (a squashed
-# access still trips the taint observers), and the taint self-test
-# passes both ways. The -inject leg breaks the ALU propagation rule and
-# requires the no-under-tainting invariant to object.
-go run -race ./cmd/pandora scan -quick
+# Leakage scanner self-test: the -inject leg breaks the ALU propagation
+# rule and requires the no-under-tainting invariant to object.
 go run ./cmd/pandora scan -inject >/dev/null
-
-# Observability: the Chrome export of the aes scenario is valid JSON
-# agreeing with the simulated cycle count, and the sweep scenario's
-# JSONL is byte-identical across repeats and worker counts {1,8} —
-# under the race detector, since the sweep exercises the parallel
-# engine.
-go run -race ./cmd/pandora trace -quick
 
 # Fault campaign: seeded structural faults at every site class under the
 # supervision layer (watchdog + invariants + oracle + state diff +
 # timing). The gate requires at least one detector to fire per site class
 # and zero false positives on the no-fault control arm.
-go run -race ./cmd/pandora fault -quick
-
-# Leakage-contract gate: the crypto-kernel library (ChaCha20 quarter
-# round, Poly1305 accumulation, bitslice and table-lookup AES SubBytes,
-# Montgomery-ladder cswap) enumerated over the rotating mask schedule ×
-# two cache geometries. The constant-time kernels must verdict clean at
-# mask 0, the table-lookup AES must leak through cache addresses at mask
-# 0, the known optimization-induced breaks (silent stores vs the cswap,
-# computation simplification vs everything) must appear, and the report
-# must be byte-identical at 1 worker and 8 — under the race detector,
-# since the enumeration rides the parallel engine.
-go run -race ./cmd/pandora contract -quick
-
-# Job service: a real `pandora serve` instance on an ephemeral port,
-# driven over HTTP — one job per job type, an identical resubmission
-# must be a byte-identical cache hit without re-executing (the
-# serve.executed counter is the probe), and a corrupted cache entry must
-# fail its HMAC identity header and be transparently recomputed. Under
-# the race detector: submissions, the worker pool, the event streams and
-# the graceful drain all run concurrently.
-go run -race ./cmd/pandora serve -quick
-
-# Chaos gate: the same service under seeded fault injection. Every
-# accepted job reaches a terminal state; first-attempt panics retry to
-# success with attempt history in the stored result; deterministic
-# failures cache and never retry; a deadline kills a runaway job through
-# the pipeline's cooperative cancellation checkpoint; a simulated crash
-# (journaled acceptance, no stored result) replays to a byte-identical
-# result exactly once on restart; a tampered journal record fails its
-# HMAC and is rejected; an open circuit sheds with 503 + Retry-After.
-go run -race ./cmd/pandora serve -chaos-quick
+go run -race ./cmd/pandora fault -trials 4
 
 # `pandora run` smoke: a tiny silent-store program (store 0 over 0 to a
 # line a load has already brought in, retired behind a slow divide) runs

@@ -23,7 +23,6 @@ func runCheck(args []string) int {
 	c := cli.New("check",
 		cli.WithSeed(1, "corpus seed"),
 		cli.WithParallel(),
-		cli.WithQuick("bounded CI sweep (64 programs, 1 extra mask)"),
 		cli.WithVerbose(),
 	)
 	n := c.Flags().Int("n", 512, "generated program count (512 covers every toggle mask via the rotating schedule)")
@@ -34,19 +33,14 @@ func runCheck(args []string) int {
 	}
 	defer c.Close()
 
-	programs, masksPer := *n, *masks
-	if *c.Quick {
-		programs, masksPer = 64, 1
-	}
-
 	if *inject {
 		// The injected bug is the SiteMiscompile fault plan — the same
 		// injector `pandora fault` sweeps, applied here as a Subject.
 		// Inverted expectation: the sweep validates itself by catching it.
 		rep, err := diffcheck.Check(context.Background(), diffcheck.Options{
-			Programs:        programs,
+			Programs:        *n,
 			Seed:            *c.Seed,
-			MasksPerProgram: masksPer,
+			MasksPerProgram: *masks,
 			Workers:         *c.Parallel,
 			Log:             c.LogFunc(),
 			Subject:         diffcheck.SubjectFromPlan(&faults.Plan{Site: faults.SiteMiscompile}),
@@ -66,8 +60,8 @@ func runCheck(args []string) int {
 	canon, err := serve.Canonical(serve.JobSpec{
 		Kind:     serve.KindCheck,
 		Seed:     *c.Seed,
-		Programs: programs,
-		Masks:    masksPer,
+		Programs: *n,
+		Masks:    *masks,
 	})
 	if err != nil {
 		return c.Errorf(2, "%v", err)

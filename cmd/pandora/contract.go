@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -28,7 +27,6 @@ func runContract(args []string) int {
 	c := cli.New("contract",
 		cli.WithParallel(),
 		cli.WithJSON("emit the report as JSON (the committed golden form)"),
-		cli.WithQuick("CI gate: kernel library × rotating mask schedule, designed verdicts, worker-count byte-identity"),
 	)
 	fs := c.Flags()
 	kernelsFlag := fs.String("kernels", "", "comma-separated kernel subset: "+strings.Join(kernels.Names(), " | ")+" (empty = all)")
@@ -39,10 +37,6 @@ func runContract(args []string) int {
 		return 2
 	}
 	defer c.Close()
-
-	if *c.Quick {
-		return runContractQuick(*c.Parallel)
-	}
 
 	split := func(s string) []string {
 		if s == "" {
@@ -86,104 +80,4 @@ func runContract(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// quickMasks is the -quick rotating mask schedule: the baseline, every
-// single optimization alone, and everything at once — the cells whose
-// verdicts are pinned by design, cheap enough to run under -race in CI.
-func quickMasks() []diffcheck.ToggleMask {
-	out := []diffcheck.ToggleMask{0}
-	for bit := diffcheck.ToggleMask(1); bit < diffcheck.AllMasks; bit <<= 1 {
-		out = append(out, bit)
-	}
-	return append(out, diffcheck.AllMasks-1)
-}
-
-// runContractQuick is the CI gate (ISSUE acceptance criteria): on the
-// full kernel library over the rotating schedule × two cache variants,
-// the constant-time kernels verdict clean at mask 0, the table-lookup
-// AES verdicts leaking through cache addresses at mask 0, the known
-// optimization-induced leaks appear (silent stores break the cswap,
-// computation simplification breaks even bitslice AES), and the report
-// is byte-identical at 1 worker and 8.
-func runContractQuick(workers int) int {
-	q := cli.NewQuickSuite("CONTRACT")
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "pandora: contract: "+format+"\n", args...)
-		return 1
-	}
-
-	opt := kernels.Options{
-		Masks:    quickMasks(),
-		Variants: []string{"default-lru", "tiny-plru-pow2"},
-		Workers:  workers,
-	}
-	rep, err := kernels.Enumerate(context.Background(), opt)
-	if err != nil {
-		return fail("%v", err)
-	}
-	byName := make(map[string]kernels.KernelReport, len(rep.Kernels))
-	for _, k := range rep.Kernels {
-		byName[k.Kernel] = k
-	}
-	classes := func(k kernels.KernelReport) map[string]bool {
-		m := make(map[string]bool, len(k.Classes))
-		for _, c := range k.Classes {
-			m[c.Class] = true
-		}
-		return m
-	}
-
-	for _, name := range []string{"chacha20-qr", "poly1305-acc", "bsaes-sbox", "montladder-cswap"} {
-		q.Assertf(name+"-baseline-clean", byName[name].BaselineVerdict == "clean",
-			"baseline verdict %q", byName[name].BaselineVerdict)
-	}
-	tt := byName["aes-ttable"]
-	q.Assertf("aes-ttable-baseline-leaks",
-		tt.BaselineVerdict == "leaks" && classes(tt)["cache-addr"],
-		"baseline verdict %q, classes %v", tt.BaselineVerdict, tt.Classes)
-	q.Assertf("montladder-silentstore-leak", classes(byName["montladder-cswap"])["silent-store"],
-		"classes %v", byName["montladder-cswap"].Classes)
-	q.Assertf("chacha-compsimp-leak", classes(byName["chacha20-qr"])["comp-simplification"],
-		"classes %v", byName["chacha20-qr"].Classes)
-	q.Assertf("bsaes-compsimp-leak", classes(byName["bsaes-sbox"])["comp-simplification"],
-		"classes %v", byName["bsaes-sbox"].Classes)
-
-	// Worker-count byte-identity: the property the serve cache and the
-	// committed golden depend on.
-	b, err := rep.Marshal()
-	if err != nil {
-		return fail("%v", err)
-	}
-	for _, w := range []int{1, 8} {
-		opt.Workers = w
-		again, err := kernels.Enumerate(context.Background(), opt)
-		if err != nil {
-			return fail("workers=%d: %v", w, err)
-		}
-		ab, err := again.Marshal()
-		if err != nil {
-			return fail("workers=%d: %v", w, err)
-		}
-		q.Assertf(fmt.Sprintf("byte-identical-at-%d-workers", w), bytes.Equal(b, ab),
-			"%d bytes", len(ab))
-	}
-
-	// Canonicalization: naming every kernel explicitly, in any order, is
-	// the same job as naming none.
-	kAll, _, err := serve.Key(serve.JobSpec{Kind: serve.KindContract})
-	if err != nil {
-		return fail("key: %v", err)
-	}
-	names := kernels.Names()
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	kExplicit, _, err := serve.Key(serve.JobSpec{Kind: serve.KindContract, Kernels: names})
-	if err != nil {
-		return fail("key: %v", err)
-	}
-	q.Assertf("job-key-canonical", kAll == kExplicit, "%.12s… == %.12s…", kAll, kExplicit)
-
-	return q.Done()
 }

@@ -27,7 +27,6 @@ func runFault(args []string) int {
 		cli.WithSeed(1, "campaign master seed"),
 		cli.WithParallel(),
 		cli.WithJSON("emit the full report as JSON"),
-		cli.WithQuick("bounded CI campaign (4 trials/site) with acceptance gates"),
 		cli.WithVerbose(),
 	)
 	fs := c.Flags()
@@ -42,9 +41,6 @@ func runFault(args []string) int {
 	defer c.Close()
 
 	spec := serve.JobSpec{Kind: serve.KindFault, Seed: *c.Seed, Trials: *trials}
-	if *c.Quick && spec.Trials == 0 {
-		spec.Trials = 4
-	}
 	if *sitesFlag != "" {
 		for _, name := range strings.Split(*sitesFlag, ",") {
 			spec.Sites = append(spec.Sites, strings.TrimSpace(name))

@@ -1,6 +1,6 @@
 // Package cli is the shared runner for pandora subcommands. Every
 // subcommand (check, scan, fault, trace, serve, contract) declares which
-// of the common flags it takes — -seed, -parallel, -json, -quick, -v —
+// of the common flags it takes — -seed, -parallel, -json, -v —
 // through options, so the flag names, defaults and help strings stay
 // identical across the tool. The profiling flags -cpuprofile, -memprofile and
 // -runtime-metrics are registered on every command unconditionally.
@@ -25,7 +25,6 @@ type Command struct {
 	Seed     *int64
 	Parallel *int
 	JSON     *bool
-	Quick    *bool
 	Verbose  *bool
 
 	cpuProfile     *string
@@ -52,11 +51,6 @@ func WithParallel() Option {
 // WithJSON registers -json.
 func WithJSON(usage string) Option {
 	return func(c *Command) { c.JSON = c.fs.Bool("json", false, usage) }
-}
-
-// WithQuick registers -quick.
-func WithQuick(usage string) Option {
-	return func(c *Command) { c.Quick = c.fs.Bool("quick", false, usage) }
 }
 
 // WithVerbose registers -v.

@@ -19,16 +19,13 @@ import (
 // It runs a program with per-byte secret labels propagated alongside
 // architectural state and reports every optimization whose trigger
 // condition depended on a secret. Like a linter, it exits non-zero when
-// leaks are found; `-quick` instead runs the CI assertion suite.
+// leaks are found.
 //
 // The scenario and source paths execute through the same serve.JobRunner
 // the `pandora serve` service uses, so the CLI and the job API cannot
 // drift: one spec, one canonical form, one result.
 func runScan(args []string) int {
-	c := cli.New("scan",
-		cli.WithJSON("emit the report as JSON"),
-		cli.WithQuick("CI assertions: AES/StLF/spec-vect baselines clean, optimization runs dirty, propagation self-test"),
-	)
+	c := cli.New("scan", cli.WithJSON("emit the report as JSON"))
 	fs := c.Flags()
 	inject := fs.Bool("inject", false, "break the ALU propagation rule; the self-test must catch it")
 	scenario := fs.String("scenario", "", "built-in scenario: "+strings.Join(core.ScanScenarios(), " | "))
@@ -51,12 +48,14 @@ func runScan(args []string) int {
 		fmt.Println("[INJECTED TAINT BUG CAUGHT]")
 		return 0
 	}
-	if *c.Quick {
-		return runScanQuick()
-	}
-
 	spec := serve.JobSpec{Kind: serve.KindScan}
 	switch {
+	case *scenario != "" && (*machine != "" || *secretFlag != ""):
+		// A scenario fixes its own machine and secrets; a spec that
+		// would be silently ignored is a usage error.
+		fmt.Fprintln(os.Stderr, "pandora: scan: -machine and -secret apply to source scans, not -scenario")
+		scanUsage()
+		return 2
 	case *scenario != "":
 		spec.Scenario = *scenario
 	case fs.NArg() == 1:
@@ -75,9 +74,7 @@ func runScan(args []string) int {
 			spec.Secrets = []string{*secretFlag}
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: pandora scan [-machine spec] [-secret base:len[:name]] [-json] <file.s>")
-		fmt.Fprintf(os.Stderr, "       pandora scan -scenario %s [-json]\n", strings.Join(core.ScanScenarios(), "|"))
-		fmt.Fprintln(os.Stderr, "       pandora scan -quick | -inject")
+		scanUsage()
 		return 2
 	}
 
@@ -110,71 +107,9 @@ func runScan(args []string) int {
 	return 0
 }
 
-// runScanQuick is the CI suite: every assertion is an end-to-end property
-// of the scanner (ISSUE acceptance criteria — the AES kernel scans clean
-// on a baseline machine and reports silent-store leaks of key-derived
-// bytes with silent stores enabled; the eBPF scenario reports prefetcher
-// leaks of the protected region; the propagation self-test has teeth).
-func runScanQuick() int {
-	q := cli.NewQuickSuite("SCAN")
-
-	base, err := core.ScanAES(context.Background(), false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: aes baseline: %v\n", err)
-		return 1
-	}
-	q.Assertf("aes-baseline-clean", base.Total == 0, "%d events", base.Total)
-
-	ss, err := core.ScanAES(context.Background(), true)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: aes silent-stores: %v\n", err)
-		return 1
-	}
-	q.Assertf("aes-silentstore-leak", ss.HasLeak("silent-store", "key"),
-		"%d silent-store events", ss.Count("silent-store"))
-
-	ebpf, err := core.ScanEBPF(context.Background())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: ebpf: %v\n", err)
-		return 1
-	}
-	q.Assertf("ebpf-prefetcher-leak", ebpf.HasLeak("prefetcher", "kernel"),
-		"%d prefetcher events", ebpf.Count("prefetcher"))
-
-	stlfBase, err := core.ScanStLF(context.Background(), false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: stlf baseline: %v\n", err)
-		return 1
-	}
-	q.Assertf("stlf-baseline-clean", stlfBase.Total == 0, "%d events", stlfBase.Total)
-
-	stlf, err := core.ScanStLF(context.Background(), true)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: stlf: %v\n", err)
-		return 1
-	}
-	q.Assertf("stlf-forward-leak", stlf.HasLeak("spec-forward", "secret"),
-		"%d spec-forward events", stlf.Count("spec-forward"))
-
-	svBase, err := core.ScanSpecVect(context.Background(), false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: specvect baseline: %v\n", err)
-		return 1
-	}
-	q.Assertf("specvect-baseline-clean", svBase.Total == 0, "%d events", svBase.Total)
-
-	sv, err := core.ScanSpecVect(context.Background(), true)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pandora: scan: specvect: %v\n", err)
-		return 1
-	}
-	q.Assertf("specvect-wrongpath-leak", sv.HasLeak("wrong-path-load", "secret"),
-		"%d wrong-path-load events", sv.Count("wrong-path-load"))
-
-	q.Assert("selftest-clean", taint.SelfTestPlan(nil) == nil, "intact rules verify")
-	q.Assert("selftest-inject",
-		taint.SelfTestPlan(&faults.Plan{Site: faults.SiteTaintALU}) == nil,
-		"broken ALU rule caught")
-
-	return q.Done()
+// scanUsage prints the scan command's usage text to stderr.
+func scanUsage() {
+	fmt.Fprintln(os.Stderr, "usage: pandora scan [-machine spec] [-secret base:len[:name]] [-json] <file.s>")
+	fmt.Fprintf(os.Stderr, "       pandora scan -scenario %s [-json]\n", strings.Join(core.ScanScenarios(), "|"))
+	fmt.Fprintln(os.Stderr, "       pandora scan -inject")
 }

@@ -1,21 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"pandora/cmd/pandora/internal/cli"
-	"pandora/internal/faults"
 	"pandora/internal/serve"
 )
 
@@ -25,14 +18,9 @@ import (
 // and land in a content-addressed, tamper-evident result cache —
 // identical resubmissions are served from the store without
 // re-executing. SIGINT/SIGTERM drains gracefully: accepted jobs run to
-// a stored result before the process exits. `-quick` instead runs the
-// self-test: an ephemeral instance, one job per job type, cache
-// miss→hit byte-identity, and tamper detection.
+// a stored result before the process exits.
 func runServe(args []string) int {
-	c := cli.New("serve",
-		cli.WithParallel(),
-		cli.WithQuick("self-test on an ephemeral port: one job per type, cache hit byte-identity, tamper rejection"),
-	)
+	c := cli.New("serve", cli.WithParallel())
 	fs := c.Flags()
 	addr := fs.String("addr", "127.0.0.1:8753", "listen address")
 	cacheDir := fs.String("cache", ".pandora-cache", "result cache directory")
@@ -42,7 +30,6 @@ func runServe(args []string) int {
 	maxTimeout := fs.Duration("max-timeout", 10*time.Minute, "upper bound on client-requested job deadlines")
 	drain := fs.Duration("drain", 15*time.Second, "shutdown window for in-flight jobs before they are cancelled and journaled for replay")
 	retries := fs.Int("retries", 3, "attempt budget per job for transient failures (panics, watchdog stalls)")
-	chaosQuick := fs.Bool("chaos-quick", false, "chaos self-test: injected panics, crash recovery, journal tamper, load shedding")
 	if err := c.Parse(args); err != nil {
 		return 2
 	}
@@ -51,13 +38,6 @@ func runServe(args []string) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	if *chaosQuick {
-		return serveChaosQuick(*c.Parallel)
-	}
-	if *c.Quick {
-		return serveQuick(*c.Parallel)
-	}
-
 	srv, err := serve.New(serve.Options{
 		Addr:           *addr,
 		CacheDir:       *cacheDir,
@@ -79,480 +59,4 @@ func runServe(args []string) int {
 		return c.Errorf(1, "%v", err)
 	}
 	return 0
-}
-
-// serveQuick is the CI self-test: a real server on an ephemeral port
-// with a throwaway cache, exercised end to end over HTTP (ISSUE
-// acceptance criteria — every job type round-trips, an identical
-// resubmission is a byte-identical cache hit without re-execution, and
-// a corrupted entry is rejected and transparently recomputed).
-func serveQuick(workers int) int {
-	q := cli.NewQuickSuite("SERVE")
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "pandora: serve: "+format+"\n", args...)
-		return 1
-	}
-
-	dir, err := os.MkdirTemp("", "pandora-serve-quick-")
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer os.RemoveAll(dir)
-	srv, err := serve.New(serve.Options{CacheDir: dir, Workers: workers})
-	if err != nil {
-		return fail("%v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail("%v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, ln) }()
-	defer func() {
-		cancel()
-		<-served
-	}()
-	base := "http://" + ln.Addr().String()
-
-	submit := func(spec serve.JobSpec) (serve.JobView, error) {
-		body, err := json.Marshal(spec)
-		if err != nil {
-			return serve.JobView{}, err
-		}
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return serve.JobView{}, err
-		}
-		var view serve.JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			return serve.JobView{}, err
-		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-			return view, fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, view.Error)
-		}
-		deadline := time.Now().Add(120 * time.Second)
-		for view.State != "done" && view.State != "failed" {
-			if time.Now().After(deadline) {
-				return view, fmt.Errorf("job %s did not settle", view.ID)
-			}
-			wresp, err := http.Get(base + "/v1/jobs/" + view.ID + "?wait=30s")
-			if err != nil {
-				return view, err
-			}
-			err = json.NewDecoder(wresp.Body).Decode(&view)
-			wresp.Body.Close()
-			if err != nil {
-				return view, err
-			}
-		}
-		if view.State != "done" {
-			return view, fmt.Errorf("job %s failed: %s", view.ID, view.Error)
-		}
-		return view, nil
-	}
-
-	// One scaled-down job per job type. Each runs cold (executes) and is
-	// then resubmitted: the second submission must be a cache hit with a
-	// byte-identical result body.
-	specs := []serve.JobSpec{
-		{Kind: serve.KindBench, Experiment: "fig4"},
-		{Kind: serve.KindCheck, Programs: 6, Masks: 1, Seed: 1},
-		{Kind: serve.KindScan, Scenario: "stlf"},
-		{Kind: serve.KindFault, Trials: 1, Sites: []string{"fence-stuck"}, Seed: 1},
-		{Kind: serve.KindTrace, Scenario: "stlf", Format: "jsonl"},
-		{Kind: serve.KindContract, Kernels: []string{"montladder-cswap"},
-			Variants: []string{"default-lru"}, Masks: 4},
-		// A self-registered crypto-kernel scenario, submitted like any
-		// built-in: registration keeps the job API open.
-		{Kind: serve.KindScan, Scenario: "chacha20-qr"},
-	}
-	label := func(spec serve.JobSpec) string {
-		if spec.Kind == serve.KindScan && spec.Scenario != "stlf" {
-			return string(spec.Kind) + "-kernel"
-		}
-		return string(spec.Kind)
-	}
-	var scanCold serve.JobView
-	for _, spec := range specs {
-		cold, err := submit(spec)
-		if err != nil {
-			return fail("%s cold: %v", label(spec), err)
-		}
-		warm, err := submit(spec)
-		if err != nil {
-			return fail("%s warm: %v", label(spec), err)
-		}
-		q.Assertf(label(spec)+"-cold-executes", !cold.Cached, "job %s key %.12s…", cold.ID, cold.Key)
-		q.Assertf(label(spec)+"-warm-cache-hit",
-			warm.Cached && bytes.Equal(cold.Result, warm.Result),
-			"cached=%v, %d result bytes identical", warm.Cached, len(warm.Result))
-		if spec.Kind == serve.KindScan && spec.Scenario == "stlf" {
-			scanCold = cold
-		}
-	}
-
-	stats := func() (map[string]uint64, error) {
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		var m map[string]uint64
-		return m, json.NewDecoder(resp.Body).Decode(&m)
-	}
-	st, err := stats()
-	if err != nil {
-		return fail("stats: %v", err)
-	}
-	// The execution-count probe: one cold execution and one warm hit per
-	// spec, nothing double-run.
-	q.Assertf("executed-once-per-type", st["serve.executed"] == uint64(len(specs)),
-		"serve.executed=%d", st["serve.executed"])
-	q.Assertf("warm-pass-pure-hits", st["serve.cache.hits"] == uint64(len(specs)),
-		"serve.cache.hits=%d", st["serve.cache.hits"])
-	// On the happy path none of the reliability machinery fires.
-	q.Assertf("happy-path-no-reliability-events",
-		st["serve.retries"] == 0 && st["serve.shed"] == 0 && st["serve.wal_replayed"] == 0,
-		"retries=%d shed=%d wal_replayed=%d",
-		st["serve.retries"], st["serve.shed"], st["serve.wal_replayed"])
-
-	// Corrupt the scan job's stored entry on disk; the next submission
-	// must reject the entry and transparently recompute the same bytes.
-	path := srv.Store().EntryPath(scanCold.Key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fail("read cache entry: %v", err)
-	}
-	raw[len(raw)-2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fail("corrupt cache entry: %v", err)
-	}
-	recomputed, err := submit(serve.JobSpec{Kind: serve.KindScan, Scenario: "stlf"})
-	if err != nil {
-		return fail("post-tamper scan: %v", err)
-	}
-	q.Assertf("tampered-entry-recomputed",
-		!recomputed.Cached && bytes.Equal(recomputed.Result, scanCold.Result),
-		"cached=%v, bytes match original=%v", recomputed.Cached,
-		bytes.Equal(recomputed.Result, scanCold.Result))
-	st, err = stats()
-	if err != nil {
-		return fail("stats: %v", err)
-	}
-	q.Assertf("tampered-entry-rejected", st["serve.cache.rejected"] == 1,
-		"serve.cache.rejected=%d", st["serve.cache.rejected"])
-
-	// The job's event stream replays the full lifecycle.
-	resp, err := http.Get(base + "/v1/jobs/" + scanCold.ID + "/events")
-	if err != nil {
-		return fail("events: %v", err)
-	}
-	events, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fail("events: %v", err)
-	}
-	q.Assertf("events-stream-lifecycle",
-		bytes.Contains(events, []byte(`"phase":"queued"`)) &&
-			bytes.Contains(events, []byte(`"phase":"started"`)) &&
-			bytes.Contains(events, []byte(`"phase":"done"`)),
-		"%d stream bytes", len(events))
-
-	return q.Done()
-}
-
-// chaosProbe is the -chaos-quick suite's HTTP client against one server
-// instance: submit without settling, settle by polling, and read the
-// stats counters.
-type chaosProbe struct{ base string }
-
-func (p chaosProbe) submit(spec serve.JobSpec) (serve.JobView, int, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return serve.JobView{}, 0, err
-	}
-	resp, err := http.Post(p.base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return serve.JobView{}, 0, err
-	}
-	defer resp.Body.Close()
-	var view serve.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil && resp.StatusCode < 400 {
-		return view, resp.StatusCode, err
-	}
-	return view, resp.StatusCode, nil
-}
-
-// settle polls until the job reaches a terminal state — unlike the
-// happy-path suite it treats "failed" as a valid outcome, because half
-// of what chaos-quick checks is that failures are VISIBLE.
-func (p chaosProbe) settle(view serve.JobView) (serve.JobView, error) {
-	deadline := time.Now().Add(120 * time.Second)
-	for view.State != "done" && view.State != "failed" {
-		if time.Now().After(deadline) {
-			return view, fmt.Errorf("job %s did not settle (state %s)", view.ID, view.State)
-		}
-		resp, err := http.Get(p.base + "/v1/jobs/" + view.ID + "?wait=30s")
-		if err != nil {
-			return view, err
-		}
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			return view, err
-		}
-	}
-	return view, nil
-}
-
-func (p chaosProbe) run(spec serve.JobSpec) (serve.JobView, error) {
-	view, code, err := p.submit(spec)
-	if err != nil {
-		return view, err
-	}
-	if code != http.StatusOK && code != http.StatusAccepted {
-		return view, fmt.Errorf("submit: HTTP %d: %s", code, view.Error)
-	}
-	return p.settle(view)
-}
-
-func (p chaosProbe) stats() (map[string]uint64, error) {
-	resp, err := http.Get(p.base + "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var m map[string]uint64
-	return m, json.NewDecoder(resp.Body).Decode(&m)
-}
-
-// serveChaosQuick is the chaos gate (ISSUE acceptance criteria): under
-// seeded fault injection every accepted job still reaches a terminal
-// state, transient failures retry to success with their attempt history
-// recorded, deterministic failures are cached and never retried,
-// deadlines kill runaway jobs visibly, a simulated crash replays to a
-// stored result exactly once, a tampered journal record is rejected
-// rather than replayed, and an open circuit sheds load with 503 +
-// Retry-After.
-func serveChaosQuick(workers int) int {
-	q := cli.NewQuickSuite("SERVE-CHAOS")
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "pandora: serve: chaos: "+format+"\n", args...)
-		return 1
-	}
-
-	dir, err := os.MkdirTemp("", "pandora-serve-chaos-")
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer os.RemoveAll(dir)
-
-	start := func(opts serve.Options) (*serve.Server, chaosProbe, func(), error) {
-		srv, err := serve.New(opts)
-		if err != nil {
-			return nil, chaosProbe{}, nil, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			return nil, chaosProbe{}, nil, err
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ctx, ln) }()
-		stop := func() { cancel(); <-served }
-		return srv, chaosProbe{base: "http://" + ln.Addr().String()}, stop, nil
-	}
-
-	// Server A: every job's FIRST attempt panics. Retry must absorb all
-	// of it.
-	chaos := &faults.ChaosPlan{Seed: 1, PanicPerMille: 1000, FirstAttemptsOnly: true}
-	srvA, probeA, stopA, err := start(serve.Options{
-		CacheDir:  dir,
-		Workers:   workers,
-		RetryBase: 5 * time.Millisecond,
-		Chaos:     chaos,
-	})
-	if err != nil {
-		return fail("server A: %v", err)
-	}
-
-	check := serve.JobSpec{Kind: serve.KindCheck, Programs: 6, Masks: 1, Seed: 1}
-	scan := serve.JobSpec{Kind: serve.KindScan, Scenario: "stlf"}
-	for _, spec := range []serve.JobSpec{check, scan} {
-		view, err := probeA.run(spec)
-		if err != nil {
-			return fail("%s under chaos: %v", spec.Kind, err)
-		}
-		q.Assertf(string(spec.Kind)+"-transient-retried-to-success",
-			view.State == "done" && !view.Cached,
-			"state=%s after injected first-attempt panic", view.State)
-		if spec.Kind == serve.KindCheck {
-			q.Assertf("attempt-history-in-stored-result",
-				bytes.Contains(view.Result, []byte(`"attempts"`)) &&
-					bytes.Contains(view.Result, []byte(`"transient"`)),
-				"%d result bytes", len(view.Result))
-		}
-	}
-
-	// A deterministic failure (unassemblable source) is never retried,
-	// and its failure caches: the resubmission serves it without
-	// executing.
-	bad := serve.JobSpec{Kind: serve.KindScan, Source: "this is not an instruction\n"}
-	badCold, err := probeA.run(bad)
-	if err != nil {
-		return fail("deterministic failure: %v", err)
-	}
-	badWarm, err := probeA.run(bad)
-	if err != nil {
-		return fail("deterministic resubmit: %v", err)
-	}
-	q.Assertf("deterministic-failure-visible",
-		badCold.State == "failed" && badCold.Error != "",
-		"state=%s error=%q", badCold.State, badCold.Error)
-	q.Assertf("deterministic-failure-cached",
-		badWarm.State == "failed" && badWarm.Cached && badWarm.Error == badCold.Error,
-		"state=%s cached=%v", badWarm.State, badWarm.Cached)
-
-	// A deadline kills a job that would run far longer, visibly.
-	slow := serve.JobSpec{Kind: serve.KindCheck, Programs: 200000, Masks: 3, Seed: 9, TimeoutMS: 150}
-	timedOut, err := probeA.run(slow)
-	if err != nil {
-		return fail("deadline job: %v", err)
-	}
-	q.Assertf("deadline-kills-runaway-job",
-		timedOut.State == "failed" && strings.Contains(timedOut.Error, "deadline"),
-		"state=%s error=%q", timedOut.State, timedOut.Error)
-
-	st, err := probeA.stats()
-	if err != nil {
-		return fail("stats A: %v", err)
-	}
-	// 4 first-attempt panics retried (check, scan, bad scan, deadline
-	// job); the bad scan's second attempt failed deterministically with
-	// no further retry; the deadline job's second attempt was aborted.
-	q.Assertf("retries-counted", st["serve.retries"] == 4, "serve.retries=%d", st["serve.retries"])
-	q.Assertf("timeouts-counted", st["serve.timeouts"] == 1, "serve.timeouts=%d", st["serve.timeouts"])
-	q.Assertf("executed-exactly-per-job", st["serve.executed"] == 4, "serve.executed=%d", st["serve.executed"])
-	stopA()
-	pending, _ := srvA.WALDiagnostics()
-	q.Assertf("no-job-lost-in-journal", pending == 0, "pending=%d after full drain", pending)
-
-	// Crash recovery: forge a server that died after journaling an
-	// acceptance but before storing the result, then restart on the same
-	// directory. The replayed job's first attempt panics too — recovery
-	// and retry must compose.
-	crashed := serve.JobSpec{Kind: serve.KindCheck, Programs: 5, Masks: 1, Seed: 99}
-	key, err := serve.SimulateCrashedJob(dir, crashed)
-	if err != nil {
-		return fail("SimulateCrashedJob: %v", err)
-	}
-	srvB, probeB, stopB, err := start(serve.Options{
-		CacheDir:  dir,
-		Workers:   workers,
-		RetryBase: 5 * time.Millisecond,
-		Chaos:     chaos,
-	})
-	if err != nil {
-		return fail("server B: %v", err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	var outcome serve.Outcome
-	for {
-		_, outcome, _ = srvB.Store().Get(key)
-		if outcome == serve.Hit || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	q.Assertf("crashed-job-replayed-to-stored-result", outcome == serve.Hit, "outcome=%v", outcome)
-	st, err = probeB.stats()
-	if err != nil {
-		return fail("stats B: %v", err)
-	}
-	q.Assertf("replay-exactly-once",
-		st["serve.wal_replayed"] == 1 && st["serve.executed"] == 1,
-		"wal_replayed=%d executed=%d", st["serve.wal_replayed"], st["serve.executed"])
-	stopB()
-
-	// Journal tamper: flip one byte inside a forged pending record. The
-	// restart must reject it rather than replay a spec it cannot
-	// authenticate.
-	forged := serve.JobSpec{Kind: serve.KindCheck, Programs: 7, Masks: 1, Seed: 42}
-	if _, err := serve.SimulateCrashedJob(dir, forged); err != nil {
-		return fail("forge tamper target: %v", err)
-	}
-	raw, err := os.ReadFile(serve.WALPath(dir))
-	if err != nil {
-		return fail("read journal: %v", err)
-	}
-	tampered := bytes.Replace(raw, []byte(`"programs":7`), []byte(`"programs":8`), 1)
-	if bytes.Equal(tampered, raw) {
-		return fail("tamper target not found in journal")
-	}
-	if err := os.WriteFile(serve.WALPath(dir), tampered, 0o600); err != nil {
-		return fail("write tampered journal: %v", err)
-	}
-	srvC, probeC, stopC, err := start(serve.Options{CacheDir: dir, Workers: workers})
-	if err != nil {
-		return fail("server C: %v", err)
-	}
-	st, err = probeC.stats()
-	if err != nil {
-		return fail("stats C: %v", err)
-	}
-	q.Assertf("tampered-journal-record-rejected",
-		st["serve.wal_rejected"] >= 1 && st["serve.wal_replayed"] == 0 && st["serve.executed"] == 0,
-		"wal_rejected=%d wal_replayed=%d executed=%d",
-		st["serve.wal_rejected"], st["serve.wal_replayed"], st["serve.executed"])
-	stopC()
-	_ = srvC
-
-	// Load shedding: two consecutive deterministic scan failures open
-	// the scan circuit; the next scan is shed with 503 + Retry-After.
-	dir2, err := os.MkdirTemp("", "pandora-serve-chaos-breaker-")
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer os.RemoveAll(dir2)
-	_, probeD, stopD, err := start(serve.Options{
-		CacheDir:         dir2,
-		Workers:          workers,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-	})
-	if err != nil {
-		return fail("server D: %v", err)
-	}
-	defer stopD()
-	for i, src := range []string{"bogus one\n", "bogus two\n"} {
-		view, err := probeD.run(serve.JobSpec{Kind: serve.KindScan, Source: src})
-		if err != nil || view.State != "failed" {
-			return fail("breaker setup %d: state=%s err=%v", i, view.State, err)
-		}
-	}
-	shedView, code, err := probeD.submit(serve.JobSpec{Kind: serve.KindScan, Scenario: "stlf"})
-	if err != nil {
-		return fail("shed submit: %v", err)
-	}
-	resp, err := http.Get(probeD.base + "/readyz")
-	if err != nil {
-		return fail("readyz: %v", err)
-	}
-	resp.Body.Close()
-	st, err = probeD.stats()
-	if err != nil {
-		return fail("stats D: %v", err)
-	}
-	q.Assertf("open-circuit-sheds-with-503",
-		code == http.StatusServiceUnavailable && st["serve.shed"] == 1,
-		"HTTP %d (%s), serve.shed=%d", code, shedView.Error, st["serve.shed"])
-	q.Assertf("readyz-reports-open-circuit",
-		resp.StatusCode == http.StatusServiceUnavailable,
-		"readyz HTTP %d", resp.StatusCode)
-
-	return q.Done()
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -12,19 +10,16 @@ import (
 
 	"pandora/cmd/pandora/internal/cli"
 	"pandora/internal/core"
-	"pandora/internal/obs"
 )
 
 // runTrace implements `pandora trace`: run a built-in scenario under
 // the cycle-accurate probe and export the event trace as deterministic
 // JSONL, Chrome trace-event JSON (load in Perfetto or chrome://tracing)
 // or a text report with per-track activity and cycle attribution.
-// `-quick` instead runs the CI validation suite.
 func runTrace(args []string) int {
 	c := cli.New("trace",
 		cli.WithSeed(1, "sweep scenario corpus seed"),
 		cli.WithParallel(),
-		cli.WithQuick("CI validation: chrome export consistent with Cycles, JSONL byte-identical across worker counts"),
 	)
 	scenario := c.Flags().String("scenario", "aes", "built-in scenario: "+strings.Join(core.TraceScenarios(), " | "))
 	format := c.Flags().String("format", "report", "export format: jsonl | chrome | report")
@@ -34,10 +29,6 @@ func runTrace(args []string) int {
 		return 2
 	}
 	defer c.Close()
-
-	if *c.Quick {
-		return traceQuick(c)
-	}
 
 	res, err := core.RunTrace(context.Background(), *scenario, *c.Seed, *c.Parallel)
 	if err != nil {
@@ -99,88 +90,4 @@ func parseWindow(s string) (lo, hi int64, err error) {
 		}
 	}
 	return lo, hi, nil
-}
-
-// traceQuick is the CI suite: end-to-end properties of the trace
-// pipeline (ISSUE acceptance criteria — the Chrome export of the aes
-// scenario is valid JSON whose retire track agrees with the simulated
-// cycle count, and the sweep JSONL is byte-identical across repeats and
-// worker counts).
-func traceQuick(c *cli.Command) int {
-	q := cli.NewQuickSuite("TRACE")
-
-	aes, err := core.RunTrace(context.Background(), "aes", *c.Seed, *c.Parallel)
-	if err != nil {
-		return c.Errorf(1, "aes: %v", err)
-	}
-	var chrome bytes.Buffer
-	if err := aes.Trace.WriteChrome(&chrome); err != nil {
-		return c.Errorf(1, "aes chrome export: %v", err)
-	}
-	retireTs, parseErr := chromeRetireMax(chrome.Bytes())
-	q.Assertf("chrome-valid-json", parseErr == nil, "%d bytes", chrome.Len())
-	q.Assertf("chrome-retire-cycles", parseErr == nil && retireTs == aes.Cycles,
-		"retire ts %d, cycles %d", retireTs, aes.Cycles)
-	q.Assertf("aes-taint-events", aes.Trace.CountKind(obs.KindTaintLeak) > 0,
-		"%d taint-leak events", aes.Trace.CountKind(obs.KindTaintLeak))
-
-	var report bytes.Buffer
-	if err := aes.Trace.WriteReport(&report); err != nil {
-		return c.Errorf(1, "aes report export: %v", err)
-	}
-	q.Assertf("report-renders", report.Len() > 0, "%d bytes", report.Len())
-
-	jsonl := func(workers int) ([]byte, error) {
-		res, err := core.RunTrace(context.Background(), "sweep", *c.Seed, workers)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := res.Trace.WriteJSONL(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	s1a, err := jsonl(1)
-	if err != nil {
-		return c.Errorf(1, "sweep workers=1: %v", err)
-	}
-	s1b, err := jsonl(1)
-	if err != nil {
-		return c.Errorf(1, "sweep workers=1 repeat: %v", err)
-	}
-	s8, err := jsonl(8)
-	if err != nil {
-		return c.Errorf(1, "sweep workers=8: %v", err)
-	}
-	q.Assertf("sweep-jsonl-repeatable", bytes.Equal(s1a, s1b), "%d bytes", len(s1a))
-	q.Assert("sweep-jsonl-workers", bytes.Equal(s1a, s8), "workers 1 vs 8 byte-identical")
-
-	return q.Done()
-}
-
-// chromeRetireMax re-parses a Chrome trace-event export and returns the
-// maximum timestamp on the retire track (slice ends included), i.e. the
-// simulated cycle count the export claims.
-func chromeRetireMax(data []byte) (int64, error) {
-	var file struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Ts  int64  `json:"ts"`
-			Tid int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &file); err != nil {
-		return 0, err
-	}
-	max := int64(-1)
-	for _, e := range file.TraceEvents {
-		if e.Ph == "M" || e.Tid != int(obs.TrackRetire) {
-			continue
-		}
-		if e.Ts > max {
-			max = e.Ts
-		}
-	}
-	return max, nil
 }

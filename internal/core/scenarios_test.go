@@ -87,3 +87,41 @@ func TestScanScenarioRejectsTraceOnly(t *testing.T) {
 		t.Fatal("trace of scan-only scenario succeeded")
 	}
 }
+
+// TestScanScenarioVerdicts pins the scanner's verdict on every built-in
+// scan scenario: each baseline scans clean, and each optimization leaks
+// its class with the expected secret label — silent stores leak the
+// AES key (the Figure 6 precondition), the eBPF IMP prefetcher leaks
+// the protected kernel byte, and the two speculation witnesses leak
+// only with their predictor on.
+func TestScanScenarioVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		scenario   string
+		opt, label string // empty: the scenario must scan clean
+	}{
+		{"aes-baseline", "", ""},
+		{"aes", "silent-store", "key"},
+		{"ebpf", "prefetcher", "kernel"},
+		{"stlf-baseline", "", ""},
+		{"stlf", "spec-forward", "secret"},
+		{"specvect-baseline", "", ""},
+		{"specvect", "wrong-path-load", "secret"},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			sum, err := ScanScenario(context.Background(), tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.opt == "" {
+				if sum.Total != 0 {
+					t.Fatalf("baseline recorded %d leak events: %+v", sum.Total, sum.ByClass)
+				}
+				return
+			}
+			if !sum.HasLeak(tc.opt, tc.label) {
+				t.Fatalf("no %s leak of %q (%d %s events): %+v",
+					tc.opt, tc.label, sum.Count(tc.opt), tc.opt, sum.ByClass)
+			}
+		})
+	}
+}

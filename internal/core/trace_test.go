@@ -23,15 +23,14 @@ func sweepJSONL(t *testing.T, seed int64, workers int) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceSweepDeterministicAcrossWorkers pins the ISSUE acceptance
-// criterion: the same seed produces byte-identical JSONL at every
-// worker count.
+// TestTraceSweepDeterministicAcrossWorkers: the same seed produces
+// byte-identical JSONL on a repeat run and at every worker count.
 func TestTraceSweepDeterministicAcrossWorkers(t *testing.T) {
 	ref := sweepJSONL(t, 7, 1)
 	if len(ref) == 0 {
 		t.Fatal("empty sweep trace")
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		if got := sweepJSONL(t, 7, workers); !bytes.Equal(got, ref) {
 			t.Errorf("sweep JSONL differs between workers=1 and workers=%d", workers)
 		}
@@ -41,9 +40,9 @@ func TestTraceSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceAESChromeCycles pins the other acceptance criterion: the
-// Chrome export of the aes scenario is valid JSON and its retire
-// track's maximum timestamp equals the scenario's cycle count.
+// TestTraceAESChromeCycles: the Chrome export of the aes scenario is
+// valid JSON and its retire track's maximum timestamp equals the
+// scenario's cycle count, and the text report renders.
 func TestTraceAESChromeCycles(t *testing.T) {
 	res, err := RunTrace(context.Background(), "aes", 1, 1)
 	if err != nil {
@@ -78,6 +77,13 @@ func TestTraceAESChromeCycles(t *testing.T) {
 	// The silent-store precondition must be visible in the trace.
 	if res.Trace.CountKind(obs.KindTaintLeak) == 0 {
 		t.Error("aes scenario trace has no taint-leak events")
+	}
+	var report bytes.Buffer
+	if err := res.Trace.WriteReport(&report); err != nil {
+		t.Fatalf("report export: %v", err)
+	}
+	if report.Len() == 0 {
+		t.Error("aes report export is empty")
 	}
 }
 

@@ -78,7 +78,7 @@ func TestQuickSweepClean(t *testing.T) {
 }
 
 // TestQuickScheduleCoversSpeculation pins the CI contract of the
-// rotating-mask stride: even the 64-program `-quick` corpus must run
+// rotating-mask stride: even the 64-program CI corpus (`check -n 64`) must run
 // deterministic masks with each speculation toggle set, not just reach
 // them through the all-on extreme and random draws.
 func TestQuickScheduleCoversSpeculation(t *testing.T) {

@@ -80,7 +80,7 @@ func (r Report) String() string {
 // maskStride is the rotating schedule's step. It is odd, hence coprime
 // with AllMasks (a power of two), so a 512-program sweep still visits
 // every mask exactly once — but the walk spreads over the whole 9-bit
-// space immediately, so even the 64-program `-quick` corpus exercises
+// space immediately, so even the 64-program CI corpus (`check -n 64`) exercises
 // masks with the high speculation bits (sp, sf) set instead of only
 // masks 0–63.
 const maskStride = 73

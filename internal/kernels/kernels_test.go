@@ -80,14 +80,22 @@ func TestKernelSecretsLabeled(t *testing.T) {
 	}
 }
 
-// TestEnumerateDeterministic checks the acceptance bar for the report:
-// the marshalled bytes are identical at 1 worker and at 8, over a
-// representative slice of the space (one ct kernel, one violating
-// kernel, a handful of masks, two cache variants).
+// TestEnumerateDeterministic checks the acceptance bar for the report
+// over the full kernel library × the rotating mask schedule (the
+// baseline, every optimization alone, everything at once) × two cache
+// geometries: the marshalled bytes are identical at 1 worker and at 8,
+// and the verdicts the library is designed around appear in the report
+// — the constant-time kernels clean at mask 0, the table-lookup AES
+// leaking through cache addresses, silent stores breaking the cswap and
+// computation simplification breaking ChaCha and bitslice AES.
 func TestEnumerateDeterministic(t *testing.T) {
+	masks := []diffcheck.ToggleMask{0}
+	for bit := diffcheck.ToggleMask(1); bit < diffcheck.AllMasks; bit <<= 1 {
+		masks = append(masks, bit)
+	}
+	masks = append(masks, diffcheck.AllMasks-1)
 	opt := Options{
-		Kernels:  []string{"aes-ttable", "montladder-cswap"},
-		Masks:    []diffcheck.ToggleMask{0, diffcheck.TogSilentStores, diffcheck.TogSimplifier},
+		Masks:    masks,
 		Variants: []string{"default-lru", "tiny-plru-pow2"},
 	}
 	opt.Workers = 1
@@ -111,11 +119,40 @@ func TestEnumerateDeterministic(t *testing.T) {
 	if string(b1) != string(b8) {
 		t.Fatalf("report differs between 1 and 8 workers:\n%s\n----\n%s", b1, b8)
 	}
-	if rep1.Kernels[0].Kernel != "aes-ttable" || rep1.Kernels[0].BaselineVerdict != "leaks" {
-		t.Fatalf("aes-ttable baseline verdict: %+v", rep1.Kernels[0])
+
+	byName := map[string]KernelReport{}
+	for _, k := range rep1.Kernels {
+		byName[k.Kernel] = k
 	}
-	if rep1.Kernels[1].BaselineVerdict != "clean" || rep1.Kernels[1].Verdict != "leaks" {
-		t.Fatalf("montladder-cswap verdicts: %+v", rep1.Kernels[1])
+	hasClass := func(kernel, class string) bool {
+		for _, c := range byName[kernel].Classes {
+			if c.Class == class {
+				return true
+			}
+		}
+		return false
+	}
+	if len(byName) != len(Kernels()) {
+		t.Fatalf("report covers %d kernels, want %d", len(byName), len(Kernels()))
+	}
+	for _, k := range Kernels() {
+		want := "clean"
+		if !k.ConstantTime {
+			want = "leaks"
+		}
+		if got := byName[k.Name].BaselineVerdict; got != want {
+			t.Errorf("%s baseline verdict %q, want %q", k.Name, got, want)
+		}
+	}
+	for _, tc := range []struct{ kernel, class string }{
+		{"aes-ttable", "cache-addr"},
+		{"montladder-cswap", "silent-store"},
+		{"chacha20-qr", "comp-simplification"},
+		{"bsaes-sbox", "comp-simplification"},
+	} {
+		if !hasClass(tc.kernel, tc.class) {
+			t.Errorf("%s: no %s class in report (classes %+v)", tc.kernel, tc.class, byName[tc.kernel].Classes)
+		}
 	}
 }
 

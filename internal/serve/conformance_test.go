@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,6 +117,21 @@ func TestContractJobCanonicalization(t *testing.T) {
 	}
 	if len(reordered.Kernels) != 2 || reordered.Kernels[0] != "chacha20-qr" {
 		t.Fatalf("subset not in library order: %v", reordered.Kernels)
+	}
+	// Naming every kernel explicitly, in any order, is the same job as
+	// naming none: one cache key.
+	names := kernels.Names()
+	slices.Reverse(names)
+	kAll, _, err := Key(JobSpec{Kind: KindContract})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kExplicit, _, err := Key(JobSpec{Kind: KindContract, Kernels: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kAll != kExplicit {
+		t.Fatalf("reversed full kernel list keys to %.12s…, empty list to %.12s…", kExplicit, kAll)
 	}
 	if _, err := Canonical(JobSpec{Kind: KindContract, Kernels: []string{"des"}}); err == nil {
 		t.Fatal("unknown kernel accepted")

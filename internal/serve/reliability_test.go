@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +28,9 @@ func TestTransientFailureRetriedToSuccess(t *testing.T) {
 	}
 	if got := srv.stats.Retries.Load(); got != 1 {
 		t.Fatalf("retries = %d, want 1", got)
+	}
+	if got := srv.stats.Executed.Load(); got != 1 {
+		t.Fatalf("executed = %d, want 1 (a retry is an attempt, not a second job)", got)
 	}
 	var res JobResult
 	if err := json.Unmarshal(final.Result, &res); err != nil {
@@ -70,7 +74,7 @@ func TestTransientExhaustionVisiblyFails(t *testing.T) {
 	if got := srv.stats.Retries.Load(); got != 1 {
 		t.Fatalf("retries = %d, want 1 (budget 2)", got)
 	}
-	if pending, _ := srv.WALDiagnostics(); pending != 0 {
+	if pending := srv.journalPending(); pending != 0 {
 		t.Fatalf("exhausted job left %d pending journal records, want 0 (visibly failed)", pending)
 	}
 	// Not cached: the store has no entry for the key.
@@ -126,7 +130,7 @@ func TestJobDeadlineCancelsRun(t *testing.T) {
 	if got := srv.stats.TimedOut.Load(); got != 1 {
 		t.Fatalf("timeouts = %d, want 1", got)
 	}
-	if pending, _ := srv.WALDiagnostics(); pending != 0 {
+	if pending := srv.journalPending(); pending != 0 {
 		t.Fatalf("timed-out job left %d pending journal records (visible failures must be journaled done)", pending)
 	}
 	// The timeout knob never fragments the cache: the same spec without
@@ -144,7 +148,9 @@ func TestJobDeadlineCancelsRun(t *testing.T) {
 // that died after journaling an acceptance (but before storing the
 // result) is simulated, a new server on the same directory replays the
 // job to a stored result, exactly once, byte-identical to a crash-free
-// run.
+// run. Under first-attempt chaos the replayed job's first attempt
+// panics too: recovery and retry must compose, and the stored result
+// differs from the crash-free one only by its attempt history.
 func TestRestartRecoversCrashedJob(t *testing.T) {
 	// A crash-free reference run in its own directory.
 	refBase, _ := startServerWith(t, Options{})
@@ -153,52 +159,109 @@ func TestRestartRecoversCrashedJob(t *testing.T) {
 	if refFinal.State != string(stateDone) {
 		t.Fatalf("reference run failed: %s", refFinal.Error)
 	}
-
-	// The crashed server's remains: an accept record, no done marker,
-	// no cache entry.
-	dir := t.TempDir()
-	key, err := SimulateCrashedJob(dir, smallCheck)
-	if err != nil {
-		t.Fatalf("SimulateCrashedJob: %v", err)
-	}
-
-	srv, err := New(Options{CacheDir: dir})
-	if err != nil {
-		t.Fatalf("New on crashed dir: %v", err)
-	}
-	t.Cleanup(srv.Close)
-	if got := srv.stats.WALReplayed.Load(); got != 1 {
-		t.Fatalf("wal_replayed = %d, want 1", got)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	var body []byte
-	for {
-		var outcome Outcome
-		body, outcome, _ = srv.Store().Get(key)
-		if outcome == Hit {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replayed job never reached the store")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := srv.stats.Executed.Load(); got != 1 {
-		t.Fatalf("executed = %d, want exactly 1", got)
-	}
-	// The HTTP view re-indents; compare the compact forms byte for byte.
-	var gotC, refC bytes.Buffer
-	if err := json.Compact(&gotC, bytes.TrimRight(body, "\n")); err != nil {
-		t.Fatalf("compact replayed result: %v", err)
-	}
+	var refC bytes.Buffer
 	if err := json.Compact(&refC, refFinal.Result); err != nil {
 		t.Fatalf("compact reference result: %v", err)
 	}
-	if !bytes.Equal(gotC.Bytes(), refC.Bytes()) {
-		t.Fatalf("replayed result differs from crash-free run:\n%s\nvs\n%s", gotC.Bytes(), refC.Bytes())
+
+	for _, tc := range []struct {
+		name  string
+		chaos *faults.ChaosPlan
+	}{
+		{"plain", nil},
+		{"first-attempt-chaos", &faults.ChaosPlan{Seed: 1, PanicPerMille: 1000, FirstAttemptsOnly: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The crashed server's remains: an accept record, no done
+			// marker, no cache entry.
+			dir := t.TempDir()
+			key := simulateCrashedJob(t, dir, smallCheck)
+
+			srv, err := New(Options{CacheDir: dir, RetryBase: time.Millisecond, Chaos: tc.chaos})
+			if err != nil {
+				t.Fatalf("New on crashed dir: %v", err)
+			}
+			t.Cleanup(srv.Close)
+			if got := srv.stats.WALReplayed.Load(); got != 1 {
+				t.Fatalf("wal_replayed = %d, want 1", got)
+			}
+			deadline := time.Now().Add(60 * time.Second)
+			var body []byte
+			for {
+				var outcome Outcome
+				body, outcome, _ = srv.Store().Get(key)
+				if outcome == Hit {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replayed job never reached the store")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := srv.stats.Executed.Load(); got != 1 {
+				t.Fatalf("executed = %d, want exactly 1", got)
+			}
+
+			wantRetries := uint64(0)
+			if tc.chaos != nil {
+				wantRetries = 1
+				var res JobResult
+				if err := json.Unmarshal(body, &res); err != nil {
+					t.Fatalf("decode replayed result: %v", err)
+				}
+				if len(res.Attempts) != 1 || res.Attempts[0].Class != "transient" {
+					t.Fatalf("stored attempts = %+v, want one transient failure", res.Attempts)
+				}
+				res.Attempts = nil
+				if body, err = MarshalResult(&res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := srv.stats.Retries.Load(); got != wantRetries {
+				t.Fatalf("retries = %d, want %d", got, wantRetries)
+			}
+			// The HTTP view re-indents; compare the compact forms byte for byte.
+			var gotC bytes.Buffer
+			if err := json.Compact(&gotC, bytes.TrimRight(body, "\n")); err != nil {
+				t.Fatalf("compact replayed result: %v", err)
+			}
+			if !bytes.Equal(gotC.Bytes(), refC.Bytes()) {
+				t.Fatalf("replayed result differs from crash-free run:\n%s\nvs\n%s", gotC.Bytes(), refC.Bytes())
+			}
+			if pending := srv.journalPending(); pending != 0 {
+				t.Fatalf("journal still pending after replay: %d", pending)
+			}
+		})
 	}
-	if pending, _ := srv.WALDiagnostics(); pending != 0 {
-		t.Fatalf("journal still pending after replay: %d", pending)
+}
+
+// TestRestartRejectsTamperedWALRecord: a pending journal record
+// modified on disk fails its HMAC on restart and is rejected, never
+// replayed — the server must not run a spec it cannot authenticate.
+func TestRestartRejectsTamperedWALRecord(t *testing.T) {
+	dir := t.TempDir()
+	simulateCrashedJob(t, dir, JobSpec{Kind: KindCheck, Programs: 7, Masks: 1, Seed: 42})
+	raw, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	tampered := bytes.Replace(raw, []byte(`"programs":7`), []byte(`"programs":8`), 1)
+	if bytes.Equal(tampered, raw) {
+		t.Fatalf("tamper target not found in journal:\n%s", raw)
+	}
+	if err := os.WriteFile(walPath(dir), tampered, 0o600); err != nil {
+		t.Fatalf("write tampered journal: %v", err)
+	}
+
+	_, srv := startServerWith(t, Options{CacheDir: dir})
+	if got := srv.stats.WALRejected.Load(); got < 1 {
+		t.Fatalf("wal_rejected = %d, want >= 1", got)
+	}
+	if got := srv.stats.WALReplayed.Load(); got != 0 {
+		t.Fatalf("wal_replayed = %d, want 0", got)
+	}
+	if got := srv.stats.Executed.Load(); got != 0 {
+		t.Fatalf("executed = %d, want 0", got)
 	}
 }
 
@@ -215,9 +278,7 @@ func TestRestartCompletedJobNotReExecuted(t *testing.T) {
 	srv.Close()
 
 	// Forge the lost done marker: a fresh accept with no done.
-	if _, err := SimulateCrashedJob(dir, smallCheck); err != nil {
-		t.Fatalf("SimulateCrashedJob: %v", err)
-	}
+	simulateCrashedJob(t, dir, smallCheck)
 	srv2, err := New(Options{CacheDir: dir})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -229,7 +290,7 @@ func TestRestartCompletedJobNotReExecuted(t *testing.T) {
 	if got := srv2.stats.Executed.Load(); got != 0 {
 		t.Fatalf("executed = %d, want 0 (result was already cached)", got)
 	}
-	if pending, _ := srv2.WALDiagnostics(); pending != 0 {
+	if pending := srv2.journalPending(); pending != 0 {
 		t.Fatalf("journal still pending: %d", pending)
 	}
 }
@@ -282,7 +343,7 @@ func TestShutdownDrainsQueuedJobsUnderChaos(t *testing.T) {
 	if got := srv.stats.Retries.Load(); got != uint64(len(specs)) {
 		t.Fatalf("retries = %d, want %d (every first attempt panicked)", got, len(specs))
 	}
-	if pending, _ := srv.WALDiagnostics(); pending != 0 {
+	if pending := srv.journalPending(); pending != 0 {
 		t.Fatalf("journal pending after full drain: %d", pending)
 	}
 }
@@ -323,7 +384,7 @@ func TestShutdownCancelsLongJobAndReplays(t *testing.T) {
 	if _, outcome, _ := srv.Store().Get(v.Key); outcome == Hit {
 		t.Skipf("long job finished before the drain window; nothing to replay")
 	}
-	pending, _ := srv.WALDiagnostics()
+	pending := srv.journalPending()
 	if pending != 1 {
 		t.Fatalf("cancelled job not pending in journal (pending=%d)", pending)
 	}

@@ -93,43 +93,68 @@ func wait(t *testing.T, base, id string) JobView {
 // smallCheck is a fast check-job spec used across the tests.
 var smallCheck = JobSpec{Kind: KindCheck, Programs: 4, Masks: 1, Seed: 7}
 
+// TestSubmitMissThenByteIdenticalHit round-trips one scaled-down job of
+// every kind on one server — plus a self-registered crypto-kernel scan
+// scenario, submitted like any built-in — each cold (executes) and then
+// resubmitted: the second submission must be a byte-identical cache hit
+// that does not execute again.
 func TestSubmitMissThenByteIdenticalHit(t *testing.T) {
 	base, srv := startServer(t)
+	specs := []struct {
+		name string
+		spec JobSpec
+	}{
+		{"bench", JobSpec{Kind: KindBench, Experiment: "fig4"}},
+		{"check", JobSpec{Kind: KindCheck, Programs: 6, Masks: 1, Seed: 1}},
+		{"scan", JobSpec{Kind: KindScan, Scenario: "stlf"}},
+		{"fault", JobSpec{Kind: KindFault, Trials: 1, Sites: []string{"fence-stuck"}, Seed: 1}},
+		{"trace", JobSpec{Kind: KindTrace, Scenario: "stlf", Format: "jsonl"}},
+		{"contract", JobSpec{Kind: KindContract, Kernels: []string{"montladder-cswap"},
+			Variants: []string{"default-lru"}, Masks: 4}},
+		{"scan-kernel", JobSpec{Kind: KindScan, Scenario: "chacha20-qr"}},
+	}
+	for _, tc := range specs {
+		t.Run(tc.name, func(t *testing.T) {
+			first, code := post(t, base, tc.spec)
+			if code != http.StatusAccepted && code != http.StatusOK {
+				t.Fatalf("submit: HTTP %d (%s)", code, first.Error)
+			}
+			done := wait(t, base, first.ID)
+			if done.State != string(stateDone) || done.Cached {
+				t.Fatalf("first run: state=%s cached=%v error=%q; want fresh done", done.State, done.Cached, done.Error)
+			}
+			if len(done.Result) == 0 {
+				t.Fatalf("first run returned no result body")
+			}
 
-	first, code := post(t, base, smallCheck)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	done := wait(t, base, first.ID)
-	if done.State != string(stateDone) || done.Cached {
-		t.Fatalf("first run: state=%s cached=%v error=%q; want fresh done", done.State, done.Cached, done.Error)
-	}
-	if len(done.Result) == 0 {
-		t.Fatalf("first run returned no result body")
-	}
-
-	// Identical resubmission: served from the store, byte-identical,
-	// without executing again.
-	second, code := post(t, base, smallCheck)
-	if code != http.StatusOK {
-		t.Fatalf("resubmit: HTTP %d, want 200", code)
-	}
-	if !second.Cached || second.State != string(stateDone) {
-		t.Fatalf("resubmit: state=%s cached=%v; want cached done", second.State, second.Cached)
-	}
-	if !bytes.Equal(done.Result, second.Result) {
-		t.Fatalf("cached result differs from computed result:\n%s\nvs\n%s", done.Result, second.Result)
-	}
-	if got := srv.stats.Executed.Load(); got != 1 {
-		t.Fatalf("executed %d jobs, want 1 (cache hit must not re-execute)", got)
-	}
-	if got := srv.stats.CacheHits.Load(); got != 1 {
-		t.Fatalf("cache hits = %d, want 1", got)
+			second, code := post(t, base, tc.spec)
+			if code != http.StatusOK {
+				t.Fatalf("resubmit: HTTP %d, want 200", code)
+			}
+			if !second.Cached || second.State != string(stateDone) {
+				t.Fatalf("resubmit: state=%s cached=%v; want cached done", second.State, second.Cached)
+			}
+			if !bytes.Equal(done.Result, second.Result) {
+				t.Fatalf("cached result differs from computed result:\n%s\nvs\n%s", done.Result, second.Result)
+			}
+			// Two job IDs, one key.
+			if first.Key != second.Key || first.ID == second.ID {
+				t.Fatalf("key/id bookkeeping: first %s/%s second %s/%s", first.ID, first.Key, second.ID, second.Key)
+			}
+		})
 	}
 
-	// The two submissions also used different job IDs but one key.
-	if first.Key != second.Key || first.ID == second.ID {
-		t.Fatalf("key/id bookkeeping: first %s/%s second %s/%s", first.ID, first.Key, second.ID, second.Key)
+	// One execution and one hit per spec, nothing double-run — and on
+	// the happy path none of the reliability machinery fires.
+	n := uint64(len(specs))
+	if got := srv.stats.Executed.Load(); got != n {
+		t.Errorf("executed %d jobs, want %d (cache hits must not re-execute)", got, n)
+	}
+	if got := srv.stats.CacheHits.Load(); got != n {
+		t.Errorf("cache hits = %d, want %d", got, n)
+	}
+	if r, sh, w := srv.stats.Retries.Load(), srv.stats.Shed.Load(), srv.stats.WALReplayed.Load(); r+sh+w != 0 {
+		t.Errorf("retries=%d shed=%d wal_replayed=%d, want all 0", r, sh, w)
 	}
 }
 
@@ -411,8 +436,7 @@ func TestListJobs(t *testing.T) {
 
 func TestRunnersCoverEveryKindDeterministically(t *testing.T) {
 	// Every kind's runner produces the same result bytes when run twice
-	// — the property the content-addressed cache is built on. Specs are
-	// the same scaled-down jobs the -quick self-test submits.
+	// — the property the content-addressed cache is built on.
 	specs := map[JobKind]JobSpec{
 		KindBench: {Kind: KindBench, Experiment: "fig4"},
 		KindCheck: smallCheck,

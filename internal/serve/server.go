@@ -63,8 +63,8 @@ type Options struct {
 	// submissions over the cap are shed with 503 (0 = unlimited).
 	KindConcurrency int
 	// Chaos, when non-nil, injects seeded failures (panics, stalls,
-	// slow-downs) into job attempts. Test-only: the -chaos-quick gate
-	// and the chaos tests drive it; production servers leave it nil.
+	// slow-downs) into job attempts. Test-only: the chaos tests drive
+	// it; production servers leave it nil.
 	Chaos *faults.ChaosPlan
 }
 
@@ -337,17 +337,9 @@ func (s *Server) effectiveTimeout(requestedMS int) time.Duration {
 	return d
 }
 
-// Store exposes the underlying result store (the -quick self-test
-// tampers entries through it).
+// Store exposes the underlying result store (the benchmark reads
+// stored results through it to check them).
 func (s *Server) Store() *Store { return s.store }
-
-// WALDiagnostics re-reads the on-disk journal and reports its pending
-// and rejected record counts (exported for the -chaos-quick self-test).
-// A journal it cannot read reports no pending jobs.
-func (s *Server) WALDiagnostics() (pending, rejected int) {
-	p, r, _ := replayWAL(WALPath(s.store.Dir()), s.store.secret)
-	return len(p), r
-}
 
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Log != nil {
@@ -389,8 +381,8 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return s.Serve(ctx, ln)
 }
 
-// Serve runs the service on an existing listener (tests and -quick use
-// an ephemeral port). It owns the listener and the graceful drain:
+// Serve runs the service on an existing listener (tests use an
+// ephemeral port). It owns the listener and the graceful drain:
 // on ctx cancellation intake stops, queued and in-flight jobs get
 // DrainWindow to finish, and whatever is still running after that is
 // cancelled through the lifecycle context — those jobs stay pending in
@@ -434,8 +426,8 @@ func (s *Server) stop() {
 }
 
 // Close shuts the server down outside Serve: drains the pool (within
-// the drain window) and closes the journal. Tests and the -chaos-quick
-// gate use it to release the cache directory before a restart.
+// the drain window) and closes the journal. Tests use it to release
+// the cache directory before a restart.
 func (s *Server) Close() { s.stop() }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -33,9 +33,8 @@ const walFile = "jobs.wal"
 // walHeader is the journal's header line: the record format tag.
 const walHeader = "pandora-jobs-wal/1"
 
-// WALPath returns where the job journal for a cache directory lives
-// (exported for the -chaos-quick self-test, which tampers with it).
-func WALPath(dir string) string { return filepath.Join(dir, walFile) }
+// walPath returns where the job journal for a cache directory lives.
+func walPath(dir string) string { return filepath.Join(dir, walFile) }
 
 type walOp string
 
@@ -65,7 +64,7 @@ type walPending struct {
 // compacted to the pending accepts, so it does not grow without bound
 // across restarts. logf (nil = silent) hears about a refused journal.
 func openWAL(dir string, secret []byte, logf func(string, ...any)) (*journal.Writer, []walPending, int, error) {
-	pending, rejected, err := replayWAL(WALPath(dir), secret)
+	pending, rejected, err := replayWAL(walPath(dir), secret)
 	if errors.As(err, new(*journal.MismatchError)) {
 		if logf != nil {
 			logf("serve: %v; starting a fresh journal", err)
@@ -77,7 +76,7 @@ func openWAL(dir string, secret []byte, logf func(string, ...any)) (*journal.Wri
 	for i, p := range pending {
 		recs[i] = p.rec
 	}
-	w, err := journal.Create(WALPath(dir), secret, walHeader, recs)
+	w, err := journal.Create(walPath(dir), secret, walHeader, recs)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: wal: %w", err)
 	}
@@ -115,30 +114,4 @@ func replayWAL(path string, secret []byte) (pending []walPending, rejected int, 
 		}
 	}
 	return out, rejected, nil
-}
-
-// SimulateCrashedJob forges the on-disk state of a server that crashed
-// after accepting spec but before storing its result: an authenticated
-// accept record with no done marker, appended to dir's journal. The
-// restart-recovery tests and the -chaos-quick self-test use it to
-// exercise replay without killing a process mid-job. It returns the
-// job key the next server must recover.
-func SimulateCrashedJob(dir string, spec JobSpec) (string, error) {
-	store, err := OpenStore(dir)
-	if err != nil {
-		return "", err
-	}
-	key, canon, err := Key(spec)
-	if err != nil {
-		return "", err
-	}
-	w, _, _, err := openWAL(dir, store.secret, nil)
-	if err != nil {
-		return "", err
-	}
-	defer w.Close()
-	if err := w.Append(walRecord{Op: walAccept, Key: key, Spec: &canon}); err != nil {
-		return "", err
-	}
-	return key, nil
 }

@@ -17,6 +17,33 @@ func walSecret(t *testing.T, dir string) []byte {
 	return store.secret
 }
 
+// simulateCrashedJob forges the on-disk state of a server that crashed
+// after accepting spec but before storing its result: an authenticated
+// accept record with no done marker, appended to dir's journal. It lets
+// the restart-recovery tests exercise replay without killing a process
+// mid-job, and returns the job key the next server must recover.
+func simulateCrashedJob(t *testing.T, dir string, spec JobSpec) string {
+	t.Helper()
+	key, canon, err := Key(spec)
+	if err != nil {
+		t.Fatalf("Key: %v", err)
+	}
+	w, _, _, err := openWAL(dir, walSecret(t, dir), nil)
+	if err != nil {
+		t.Fatalf("openWAL: %v", err)
+	}
+	walAppend(t, w, walRecord{Op: walAccept, Key: key, Spec: &canon})
+	return key
+}
+
+// journalPending re-reads the server's on-disk journal and returns how many
+// accepted jobs it still holds open. A journal it cannot read reports
+// none.
+func (s *Server) journalPending() int {
+	p, _, _ := replayWAL(walPath(s.store.Dir()), s.store.secret)
+	return len(p)
+}
+
 // walAppend journals records in order and closes the journal.
 func walAppend(t *testing.T, w *journal.Writer, recs ...walRecord) {
 	t.Helper()
@@ -61,7 +88,7 @@ func TestWALAcceptDoneRoundTrip(t *testing.T) {
 	}
 
 	// Compaction rewrote the journal to the pending set only.
-	raw, err := os.ReadFile(WALPath(dir))
+	raw, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatalf("read journal: %v", err)
 	}
@@ -126,7 +153,7 @@ func TestWALForeignJournalStartsFresh(t *testing.T) {
 	secret := walSecret(t, dir)
 	old := `{"seq":0,"op":"accept","key":"key-a","spec":{"kind":"scan","scenario":"stlf"},"mac":"00"}` + "\n" +
 		`{"seq":1,"op":"done","key":"key-b","mac":"00"}` + "\n"
-	if err := os.WriteFile(WALPath(dir), []byte(old), 0o600); err != nil {
+	if err := os.WriteFile(walPath(dir), []byte(old), 0o600); err != nil {
 		t.Fatalf("write old journal: %v", err)
 	}
 	var logged []string
