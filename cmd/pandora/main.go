@@ -236,16 +236,16 @@ func usage() {
 		fmt.Printf("  %-16s %-24s %s\n", e.Name, e.Artifact, e.Title)
 	}
 	fmt.Println("\nscenarios (registry; crypto kernels self-register alongside the built-ins):")
-	fmt.Printf("  scan:  %s\n", strings.Join(core.ScanScenarios(), " | "))
-	fmt.Printf("  trace: %s\n", strings.Join(core.TraceScenarios(), " | "))
+	fmt.Printf("  scan, trace: %s\n", strings.Join(core.ScanScenarios(), " | "))
+	fmt.Println("  trace only:  sweep (seeded multi-machine corpus, no secret)")
 	fmt.Println("\nusage: pandora <experiment>|all|list [-samples N] [-secretlen N] [-full] [-parallel N] [-v]")
 	fmt.Println("       pandora run [-machine spec] [-events] [-pipeview] [-regs] <file.s>  (-events: obs JSONL)")
 	fmt.Println("       pandora check [-n N] [-seed S] [-masks K] [-inject] [-parallel N] [-v]")
 	fmt.Println("       pandora scan [-machine spec] [-secret base:len[:name]] [-json] <file.s>")
-	fmt.Println("       pandora scan -scenario <scan scenario> [-json] | -inject")
+	fmt.Println("       pandora scan -scenario <scenario> [-json] | -inject")
 	fmt.Println("       pandora fault [-seed S] [-trials N] [-sites a,b] [-journal path [-resume]]")
 	fmt.Println("                     [-dump-dir dir] [-json] [-parallel N] [-v]")
-	fmt.Println("       pandora trace [-scenario <trace scenario>] [-format jsonl|chrome|report]")
+	fmt.Println("       pandora trace [-scenario <scenario>|sweep] [-format jsonl|chrome|report]")
 	fmt.Println("                     [-window lo:hi] [-o path] [-seed S] [-parallel N]")
 	fmt.Println("       pandora serve [-addr host:port] [-cache dir] [-shards N] [-queue N] [-parallel N]")
 	fmt.Println("       pandora contract [-kernels a,b] [-variants a,b] [-masks N] [-json] [-o path] [-parallel N]")

@@ -22,15 +22,18 @@ func runTrace(args []string) int {
 		cli.WithParallel(),
 	)
 	scenario := c.Flags().String("scenario", "aes", "built-in scenario: "+strings.Join(core.TraceScenarios(), " | "))
-	format := c.Flags().String("format", "report", "export format: jsonl | chrome | report")
+	format := c.Flags().String("format", "report", "export format: "+strings.Join(core.TraceFormats, " | "))
 	window := c.Flags().String("window", "", "restrict export to cycles lo:hi (hi empty = unbounded)")
 	outPath := c.Flags().String("o", "", "output path (default stdout)")
 	if err := c.Parse(args); err != nil {
 		return 2
 	}
 	defer c.Close()
+	if err := core.CheckTraceFormat(*format); err != nil {
+		return c.Errorf(2, "%v", err)
+	}
 
-	res, err := core.RunTrace(context.Background(), *scenario, *c.Seed, *c.Parallel)
+	res, err := core.RunTrace(context.Background(), *scenario, *c.Seed, *c.Parallel, nil)
 	if err != nil {
 		return c.Errorf(1, "%v", err)
 	}
@@ -53,19 +56,7 @@ func runTrace(args []string) int {
 		out = f
 	}
 
-	switch *format {
-	case "jsonl":
-		err = tr.WriteJSONL(out)
-	case "chrome":
-		err = tr.WriteChrome(out)
-	case "report":
-		fmt.Fprintf(out, "scenario %s: %d cycles, %d retired, %d events\n",
-			res.Scenario, res.Cycles, res.Retired, res.Trace.Len())
-		err = tr.WriteReport(out)
-	default:
-		return c.Errorf(2, "unknown format %q (want jsonl, chrome or report)", *format)
-	}
-	if err != nil {
+	if err := res.Export(out, *format, tr); err != nil {
 		return c.Errorf(1, "%v", err)
 	}
 	if *outPath != "" {

@@ -26,6 +26,8 @@
 //
 // Secret regions are carried on the Unit returned by AssembleUnit and feed
 // the taint scanner (`pandora scan`); Assemble accepts and discards them.
+// A region the taint shadow cannot label (over taint.MaxSecretLen bytes,
+// or wrapping past the top of memory) is an assembly error.
 //
 // Pseudo-instructions expand to one base instruction each:
 //
@@ -44,6 +46,7 @@ import (
 	"strings"
 
 	"pandora/internal/isa"
+	"pandora/internal/taint"
 )
 
 // Error describes an assembly failure with its source line.
@@ -257,6 +260,9 @@ func (a *assembler) parseDirective(name, line string) error {
 				return fmt.Errorf(".secret name %q is not an identifier", ops[2])
 			}
 			sname = ops[2]
+		}
+		if err := (taint.Secret{Name: sname, Base: uint64(base), Len: uint64(n)}).Check(); err != nil {
+			return err
 		}
 		a.secrets = append(a.secrets, SecretRegion{Base: uint64(base), Len: uint64(n), Name: sname})
 		return nil

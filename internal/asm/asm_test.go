@@ -1,10 +1,12 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"pandora/internal/isa"
+	"pandora/internal/taint"
 )
 
 func TestAssembleBasics(t *testing.T) {
@@ -267,13 +269,15 @@ func TestSecretDirective(t *testing.T) {
 
 func TestSecretDirectiveErrors(t *testing.T) {
 	for _, src := range []string{
-		".secret",                    // missing operands
-		".secret 0x1000",             // missing length
-		".secret 0x1000, 0",          // zero length
-		".secret 0x1000, -4",         // negative length
-		".secret 0x1000, 8, 9bad",    // malformed name
-		".secret 0x1000, 8, a, b",    // too many operands
-		".quux 1, 2",                 // unknown directive
+		".secret",                           // missing operands
+		".secret 0x1000",                    // missing length
+		".secret 0x1000, 0",                 // zero length
+		".secret 0x1000, -4",                // negative length
+		".secret 0x1000, 8, 9bad",           // malformed name
+		".secret 0x1000, 8, a, b",           // too many operands
+		".secret 0x100, 0x7fffffffffffffff", // too long to shadow
+		".secret -8, 16",                    // wraps past the top of memory
+		".quux 1, 2",                        // unknown directive
 	} {
 		if _, err := AssembleUnit(src + "\nhalt"); err == nil {
 			t.Errorf("%q: expected error", src)
@@ -289,4 +293,36 @@ func TestAssembleDiscardsDirectives(t *testing.T) {
 	if len(p) != 1 || p[0].Op != isa.HALT {
 		t.Fatalf("prog = %+v", p)
 	}
+}
+
+// FuzzAssembleUnit: assembly source arrives from untrusted bytes (scan
+// jobs), so the assembler must never panic, must reject with a
+// line-numbered *Error, and every unit it accepts must declare only
+// secret regions the taint shadow can label.
+func FuzzAssembleUnit(f *testing.F) {
+	for _, seed := range []string{
+		"halt",
+		".secret 0x1000, 16, key\nld x1, 0(x2)\nhalt",
+		".secret 0x100, 0x7fffffffffffffff\nhalt\n",
+		"loop: addi x1, x1, -1\nbne x1, x0, loop\nhalt",
+		"li x1, 'a'\nsd x1, 8(x2)\nj 0",
+		"bad: bad:\n.quux",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		u, err := AssembleUnit(src)
+		if err != nil {
+			var ae *Error
+			if !errors.As(err, &ae) {
+				t.Fatalf("rejection %v (%T) is not an *Error", err, err)
+			}
+			return
+		}
+		for _, s := range u.Secrets {
+			if err := (taint.Secret{Name: s.Name, Base: s.Base, Len: s.Len}).Check(); err != nil {
+				t.Fatalf("accepted unit declares an unlabelable secret: %v", err)
+			}
+		}
+	})
 }

@@ -10,14 +10,17 @@ import (
 	"pandora/internal/bsaes"
 	"pandora/internal/cache"
 	"pandora/internal/mem"
+	"pandora/internal/obs"
 	"pandora/internal/pipeline"
 	"pandora/internal/taint"
 )
 
 // This file is the orchestration layer of `pandora scan`: it builds a
 // shadowed machine for a scenario (the AES spill kernel, the eBPF
-// sandbox, or user-supplied assembly with `.secret` directives), runs it
-// once, and folds the taint recorder into a JSON-friendly report.
+// sandbox, a speculation witness, or user-supplied assembly with
+// `.secret` directives), runs it once, and folds the taint recorder
+// into a JSON-friendly report. The scenario builders take an optional
+// probe; `pandora trace` is the same run with a recording one attached.
 
 // ScanEvent is one leak event with label bits resolved to names.
 type ScanEvent struct {
@@ -100,16 +103,10 @@ func (s ScanSummary) Format() string {
 	return b.String()
 }
 
-// Summarize folds a shadow state's recorder into a report. Exported for
-// contributor packages (internal/kernels) that build their own machines
-// but want their scan output in the same shape as the built-in
-// scenarios.
+// Summarize folds a shadow state's recorder into a report. Contributor
+// packages (internal/kernels) that build their own machines use it too,
+// so every scenario's scan output has the same shape.
 func Summarize(st *taint.State, scenario, machine string) ScanSummary {
-	return summarize(st, scenario, machine)
-}
-
-// summarize folds a shadow state's recorder into a report.
-func summarize(st *taint.State, scenario, machine string) ScanSummary {
 	s := ScanSummary{
 		Scenario: scenario,
 		Machine:  machine,
@@ -136,14 +133,15 @@ func summarize(st *taint.State, scenario, machine string) ScanSummary {
 	return s
 }
 
-// ScanAES scans the bitslice-AES encryption-server kernel (Section V-A):
+// scanAES scans the bitslice-AES encryption-server kernel (Section V-A):
 // the victim's stale final-round slices sit labeled in the spill slots
 // and the attacker's un-instrumented encryption runs over them. With
 // silent stores disabled the kernel is constant-time and scans clean;
 // with them enabled every spill store's elision check reads the stale
 // key-derived bytes — the Figure 6 precondition, rediscovered by the
-// scanner without any timing measurement.
-func ScanAES(ctx context.Context, silentStores bool) (ScanSummary, error) {
+// scanner without any timing measurement. probe, when non-nil, watches
+// both runs on the shared machine.
+func scanAES(ctx context.Context, silentStores bool, probe obs.Probe) (ScanSummary, error) {
 	var victimKey, victimPlain [16]byte
 	for i := range victimKey {
 		victimKey[i] = byte(0x0f ^ i*0x11)
@@ -161,6 +159,7 @@ func ScanAES(ctx context.Context, silentStores bool) (ScanSummary, error) {
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Taint = st
+	cfg.Probe = probe
 	flag, stop := pipeline.CancelFromContext(ctx)
 	defer stop()
 	cfg.Cancel = flag
@@ -198,19 +197,21 @@ func ScanAES(ctx context.Context, silentStores bool) (ScanSummary, error) {
 	if _, err := machine.Run(attack.EncryptKernel(att, -1, false)); err != nil {
 		return ScanSummary{}, err
 	}
-	return summarize(st, scenario, ""), nil
+	return Summarize(st, scenario, ""), nil
 }
 
-// ScanEBPF scans the eBPF universal-read-gadget scenario (Section V-B):
+// scanEBPF scans the eBPF universal-read-gadget scenario (Section V-B):
 // a verified sandbox program that never architecturally touches the
 // labeled kernel region, run once on a machine whose 3-level IMP is
 // shadowed. The scanner reports the prefetcher reading labeled kernel
-// bytes and forming prefetch addresses from them.
-func ScanEBPF(ctx context.Context) (ScanSummary, error) {
+// bytes and forming prefetch addresses from them; a probe sees the
+// prefetch cascade.
+func scanEBPF(ctx context.Context, probe obs.Probe) (ScanSummary, error) {
 	secret := []byte("pandora-scan-secret-byte")
 	st := taint.NewState()
 	cfg := attack.DefaultURGConfig()
 	cfg.Taint = st
+	cfg.Probe = probe
 	u, err := attack.NewURG(cfg, secret)
 	if err != nil {
 		return ScanSummary{}, err
@@ -224,83 +225,36 @@ func ScanEBPF(ctx context.Context) (ScanSummary, error) {
 	if err := u.RunOnce(0); err != nil {
 		return ScanSummary{}, err
 	}
-	return summarize(st, "ebpf-urg", ""), nil
-}
-
-// ScanStLF scans the store-to-leak forwarding witness kernel (Schwarz et
-// al., 1905.05725). With the forwarding predictor enabled the scanner
-// reports spec-forward events: the predictor forwards a store whose
-// address derives from the labeled secret before that address resolves,
-// so both the forwarding decision and the retire-time replay depend on
-// the secret. With it disabled the same kernel scans clean.
-func ScanStLF(ctx context.Context, stlf bool) (ScanSummary, error) {
-	return scanSpecWitness(ctx, "store-to-leak forwarding", "stlf", stlf)
-}
-
-// ScanSpecVect scans the speculative-vectorization witness kernel
-// (Karuppanan & Mirbagher, 2302.01131). With wrong-path fetch enabled the
-// scanner reports a squashed lane load forming its cache address from the
-// labeled secret — the squash unwinds the ROB, not the cache, so the
-// event is recorded even though the load is architecturally dead. With
-// speculation disabled the lane never issues and the kernel scans clean.
-func ScanSpecVect(ctx context.Context, wrongPath bool) (ScanSummary, error) {
-	return scanSpecWitness(ctx, "wrong-path vector lane", "specvect", wrongPath)
+	return Summarize(st, "ebpf-urg", ""), nil
 }
 
 // scanSpecWitness runs one of the speculation timing witnesses under the
-// taint scanner: same kernel, same machines, but with the secret word
-// labeled instead of contrasted — pairing the timing evidence with
-// shadow-label evidence exactly like TestWitnessScanPairing does for
-// every witness.
-func scanSpecWitness(ctx context.Context, name, scenario string, enabled bool) (ScanSummary, error) {
-	var w witness
-	found := false
-	for _, cand := range witnesses() {
-		if cand.name == name {
-			w, found = cand, true
-			break
+// taint scanner — on its enabled machine, or on its baseline when
+// enabled is false — with the secret word labeled instead of contrasted.
+// Store-to-leak forwarding (Schwarz et al., 1905.05725): the predictor
+// forwards a store whose address derives from the secret before that
+// address resolves, so the forward and its retire-time replay depend on
+// the secret. Speculative vectorization (Karuppanan & Mirbagher,
+// 2302.01131): a squashed lane load forms its cache address from the
+// secret — the squash unwinds the ROB, not the cache, so the event is
+// recorded although the load is architecturally dead.
+func scanSpecWitness(ctx context.Context, name, scenario string, enabled bool, probe obs.Probe) (ScanSummary, error) {
+	for _, w := range witnesses() {
+		if w.name != name {
+			continue
 		}
+		cfg := w.baseline()
+		if enabled {
+			cfg = w.config()
+		}
+		cfg.Probe = probe
+		st := taint.NewState()
+		if _, err := runWitnessKernel(ctx, w, cfg, w.secrets[1], st); err != nil {
+			return ScanSummary{}, err
+		}
+		return Summarize(st, scenario, ""), nil
 	}
-	if !found {
-		return ScanSummary{}, fmt.Errorf("core: no witness %q", name)
-	}
-	mk := w.baseline
-	if enabled {
-		mk = w.config
-	} else {
-		scenario += "-baseline"
-	}
-
-	st := taint.NewState()
-	m := mem.New()
-	hier, err := cache.NewHierarchy(cache.DefaultHierConfig())
-	if err != nil {
-		return ScanSummary{}, err
-	}
-	if w.setup != nil {
-		w.setup(m, hier)
-	}
-	m.Write(witnessSecretAddr, 8, w.secrets[1])
-	if _, err := st.DefineSecret(taint.Secret{Name: "secret", Base: witnessSecretAddr, Len: 8}); err != nil {
-		return ScanSummary{}, err
-	}
-	cfg := mk()
-	cfg.Taint = st
-	flag, stop := pipeline.CancelFromContext(ctx)
-	defer stop()
-	cfg.Cancel = flag
-	machine, err := pipeline.New(cfg, m, hier)
-	if err != nil {
-		return ScanSummary{}, err
-	}
-	prog, err := asmMust(w.kernel)
-	if err != nil {
-		return ScanSummary{}, err
-	}
-	if _, err := machine.Run(prog); err != nil {
-		return ScanSummary{}, err
-	}
-	return summarize(st, scenario, ""), nil
+	return ScanSummary{}, fmt.Errorf("core: no witness %q", name)
 }
 
 // ScanSource assembles src (whose `.secret` directives declare the
@@ -347,5 +301,5 @@ func ScanSource(ctx context.Context, src, spec string, extra []taint.Secret) (Sc
 	if _, err := machine.Run(unit.Prog); err != nil {
 		return ScanSummary{}, err
 	}
-	return summarize(st, "source", spec), nil
+	return Summarize(st, "source", spec), nil
 }

@@ -9,70 +9,27 @@ import (
 	"pandora/internal/obs"
 )
 
-// Analysis names one of the front ends that can run a scenario. The
-// capability question "can scenario X be scanned/traced?" is asked in
-// three places (the scan CLI, the trace CLI, and serve's job-spec
-// validation); Scenario.Supports answers it once, so the three can
-// never drift apart the way the old nil-function checks could.
-type Analysis int
-
-const (
-	// AnalysisScan is the taint-scanner front end (`pandora scan`,
-	// serve's scan jobs).
-	AnalysisScan Analysis = iota
-	// AnalysisTrace is the cycle-accurate probe front end
-	// (`pandora trace`, serve's trace jobs).
-	AnalysisTrace
-)
-
-// String names the analysis for error messages.
-func (a Analysis) String() string {
-	switch a {
-	case AnalysisScan:
-		return "scan"
-	case AnalysisTrace:
-		return "trace"
-	}
-	return fmt.Sprintf("Analysis(%d)", int(a))
-}
-
-// Scenario is one named leakage scenario and every analysis that can
-// run it. `pandora scan`, `pandora trace` and the serve job runners all
-// resolve scenarios from this one registry, so a scenario registered
-// here is immediately reachable from every front end — the previous
-// split (a switch in cmd/pandora/scan.go, a second in RunTrace) let the
-// two lists drift apart (stlf-baseline existed for scan but not trace).
-//
-// A nil Scan or Trace entry means the scenario does not support that
-// analysis: sweep is a trace-only corpus, and the speculation baselines
-// are scan-only contrast runs. Callers should ask Supports rather than
-// testing the function fields directly.
+// Scenario is one named leakage scenario. `pandora scan`, `pandora
+// trace` and the serve job runners all resolve scenarios from this one
+// registry, and every registered scenario is reachable from all of them:
+// a trace is the scan run with a recording probe attached, so the two
+// front ends can never drift apart or disagree about what ran.
 type Scenario struct {
 	// Name is the CLI/API key, e.g. "aes" or "stlf-baseline".
 	Name string
 	// Title is a one-line description for listings.
 	Title string
-	// Scan runs the scenario under the taint scanner. ctx bounds the
-	// run: cancellation stops the machine at its next checkpoint.
-	Scan func(ctx context.Context) (ScanSummary, error)
-	// Trace runs the scenario under the cycle-accurate probe. ctx bounds
-	// the run; seed and workers only affect corpus scenarios (sweep);
-	// extra, when non-nil, receives a copy of every probe event alongside
-	// the recording trace (the serve layer's live progress bridge).
-	Trace func(ctx context.Context, seed int64, workers int, extra obs.Probe) (*TraceResult, error)
+	// Run builds the scenario's shadowed machine, runs it once and
+	// reports what the taint scanner found. ctx bounds the run:
+	// cancellation stops the machine at its next checkpoint. probe, when
+	// non-nil, receives every event the machine emits; attaching one
+	// never changes the summary.
+	Run func(ctx context.Context, probe obs.Probe) (ScanSummary, error)
 }
 
-// Supports reports whether the scenario can run under the given
-// analysis front end.
-func (s Scenario) Supports(a Analysis) bool {
-	switch a {
-	case AnalysisScan:
-		return s.Scan != nil
-	case AnalysisTrace:
-		return s.Trace != nil
-	}
-	return false
-}
+// sweepScenario names the one trace scenario outside the registry: a
+// seeded multi-machine corpus with no secret, so it has no scan verdict.
+const sweepScenario = "sweep"
 
 // registry holds every registered scenario in registration order, which
 // is the display order. Registration happens in package init functions
@@ -90,15 +47,17 @@ var scenarioReg struct {
 // to be called from package init functions: core registers its
 // built-ins, and contributor packages (internal/kernels) register
 // theirs without editing core. The display order is registration order.
-// A duplicate name, an empty name, or a scenario supporting no analysis
-// at all panics — these are programmer errors that should fail at init,
-// not surface as a half-working table at run time.
+// An empty, duplicate or reserved ("sweep") name, or a nil Run, panics —
+// these are programmer errors that should fail at init, not surface as
+// a half-working table at run time.
 func RegisterScenario(s Scenario) {
-	if s.Name == "" {
+	switch {
+	case s.Name == "":
 		panic("core: RegisterScenario with empty name")
-	}
-	if s.Scan == nil && s.Trace == nil {
-		panic(fmt.Sprintf("core: scenario %q supports no analysis", s.Name))
+	case s.Name == sweepScenario:
+		panic(fmt.Sprintf("core: scenario name %q is reserved for the trace corpus", s.Name))
+	case s.Run == nil:
+		panic(fmt.Sprintf("core: scenario %q has no Run", s.Name))
 	}
 	scenarioReg.mu.Lock()
 	defer scenarioReg.mu.Unlock()
@@ -117,57 +76,45 @@ func init() {
 	RegisterScenario(Scenario{
 		Name:  "aes",
 		Title: "bitslice-AES victim spills under silent stores (Figure 6 precondition)",
-		Scan:  func(ctx context.Context) (ScanSummary, error) { return ScanAES(ctx, true) },
-		Trace: func(ctx context.Context, _ int64, _ int, extra obs.Probe) (*TraceResult, error) {
-			return traceAES(ctx, true, extra)
-		},
+		Run:   func(ctx context.Context, p obs.Probe) (ScanSummary, error) { return scanAES(ctx, true, p) },
 	})
 	RegisterScenario(Scenario{
 		Name:  "aes-baseline",
 		Title: "the same AES kernel on a baseline machine (scans clean)",
-		Scan:  func(ctx context.Context) (ScanSummary, error) { return ScanAES(ctx, false) },
-		Trace: func(ctx context.Context, _ int64, _ int, extra obs.Probe) (*TraceResult, error) {
-			return traceAES(ctx, false, extra)
-		},
+		Run:   func(ctx context.Context, p obs.Probe) (ScanSummary, error) { return scanAES(ctx, false, p) },
 	})
 	RegisterScenario(Scenario{
 		Name:  "ebpf",
 		Title: "eBPF universal read gadget through the 3-level IMP (Section V-B)",
-		Scan:  ScanEBPF,
-		Trace: func(ctx context.Context, _ int64, _ int, extra obs.Probe) (*TraceResult, error) {
-			return traceEBPF(ctx, extra)
-		},
+		Run:   scanEBPF,
 	})
+	// The speculation witnesses run the timing-witness kernels with the
+	// secret word labeled instead of contrasted; each baseline runs the
+	// same kernel with the mechanism off and scans clean.
+	spec := func(witness, scenario string, enabled bool) func(context.Context, obs.Probe) (ScanSummary, error) {
+		return func(ctx context.Context, p obs.Probe) (ScanSummary, error) {
+			return scanSpecWitness(ctx, witness, scenario, enabled, p)
+		}
+	}
 	RegisterScenario(Scenario{
 		Name:  "stlf",
 		Title: "store-to-leak forwarding witness (arXiv:1905.05725)",
-		Scan:  func(ctx context.Context) (ScanSummary, error) { return ScanStLF(ctx, true) },
-		Trace: func(ctx context.Context, _ int64, _ int, extra obs.Probe) (*TraceResult, error) {
-			return traceSpec(ctx, "store-to-leak forwarding", "stlf", extra)
-		},
+		Run:   spec("store-to-leak forwarding", "stlf", true),
 	})
 	RegisterScenario(Scenario{
 		Name:  "stlf-baseline",
 		Title: "the same kernel with the forwarding predictor off (scans clean)",
-		Scan:  func(ctx context.Context) (ScanSummary, error) { return ScanStLF(ctx, false) },
+		Run:   spec("store-to-leak forwarding", "stlf-baseline", false),
 	})
 	RegisterScenario(Scenario{
 		Name:  "specvect",
 		Title: "wrong-path vector-lane leakage (arXiv:2302.01131)",
-		Scan:  func(ctx context.Context) (ScanSummary, error) { return ScanSpecVect(ctx, true) },
-		Trace: func(ctx context.Context, _ int64, _ int, extra obs.Probe) (*TraceResult, error) {
-			return traceSpec(ctx, "wrong-path vector lane", "specvect", extra)
-		},
+		Run:   spec("wrong-path vector lane", "specvect", true),
 	})
 	RegisterScenario(Scenario{
 		Name:  "specvect-baseline",
 		Title: "the same kernel with speculation off (scans clean)",
-		Scan:  func(ctx context.Context) (ScanSummary, error) { return ScanSpecVect(ctx, false) },
-	})
-	RegisterScenario(Scenario{
-		Name:  "sweep",
-		Title: "seeded straight-line corpus traced program by program",
-		Trace: traceSweep,
+		Run:   spec("wrong-path vector lane", "specvect-baseline", false),
 	})
 }
 
@@ -189,30 +136,22 @@ func ScenarioByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// ScenarioNames names the scenarios supporting the given analysis, in
-// display order.
-func ScenarioNames(a Analysis) []string {
+// ScanScenarios names the registered scenarios — everything the taint
+// scanner can run — in display order.
+func ScanScenarios() []string {
 	scenarioReg.mu.RLock()
 	defer scenarioReg.mu.RUnlock()
-	var out []string
-	for _, s := range scenarioReg.order {
-		if s.Supports(a) {
-			out = append(out, s.Name)
-		}
+	out := make([]string, len(scenarioReg.order))
+	for i, s := range scenarioReg.order {
+		out[i] = s.Name
 	}
 	return out
 }
 
-// ScanScenarios names the scenarios the taint scanner can run, in
-// display order.
-func ScanScenarios() []string {
-	return ScenarioNames(AnalysisScan)
-}
-
-// TraceScenarios names the scenarios the trace probe can run, in
-// display order.
+// TraceScenarios names the scenarios the trace probe can run: every
+// registered scenario, then the sweep corpus.
 func TraceScenarios() []string {
-	return ScenarioNames(AnalysisTrace)
+	return append(ScanScenarios(), sweepScenario)
 }
 
 // ScanScenario runs one registered scenario under the taint scanner.
@@ -220,30 +159,9 @@ func TraceScenarios() []string {
 // at its next cooperative checkpoint.
 func ScanScenario(ctx context.Context, name string) (ScanSummary, error) {
 	s, ok := ScenarioByName(name)
-	if !ok || !s.Supports(AnalysisScan) {
+	if !ok {
 		return ScanSummary{}, fmt.Errorf("core: unknown scan scenario %q (want %s)",
 			name, strings.Join(ScanScenarios(), ", "))
 	}
-	return s.Scan(ctx)
-}
-
-// RunTrace runs one registered scenario under the probe. ctx bounds the
-// run; workers only affects the sweep scenario's execution schedule,
-// never its output.
-func RunTrace(ctx context.Context, scenario string, seed int64, workers int) (*TraceResult, error) {
-	return RunTraceProbed(ctx, scenario, seed, workers, nil)
-}
-
-// RunTraceProbed is RunTrace with a live event bridge: extra, when
-// non-nil, receives a copy of every probe event as the scenario runs —
-// concurrently from worker goroutines for corpus scenarios, so extra
-// must be safe for concurrent Emit there. The recorded TraceResult is
-// unaffected by extra.
-func RunTraceProbed(ctx context.Context, scenario string, seed int64, workers int, extra obs.Probe) (*TraceResult, error) {
-	s, ok := ScenarioByName(scenario)
-	if !ok || !s.Supports(AnalysisTrace) {
-		return nil, fmt.Errorf("core: unknown trace scenario %q (want %s)",
-			scenario, strings.Join(TraceScenarios(), ", "))
-	}
-	return s.Trace(ctx, seed, workers, extra)
+	return s.Run(ctx, nil)
 }

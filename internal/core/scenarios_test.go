@@ -2,61 +2,34 @@ package core
 
 import (
 	"context"
+	"errors"
+	"slices"
+	"strings"
 	"testing"
+	"time"
+
+	"pandora/internal/asm"
+	"pandora/internal/obs"
+	"pandora/internal/taint"
 )
 
-// TestScenarioRegistryBuiltins pins the built-in table: the eight core
-// scenarios are present, in their historical display order, with their
-// historical capabilities — the compatibility contract the registry
-// conversion had to preserve.
+// TestScenarioRegistryBuiltins pins the built-in table: the seven core
+// scenarios are present in their historical display order, and the
+// trace list is the registry plus the sweep corpus.
 func TestScenarioRegistryBuiltins(t *testing.T) {
-	want := []struct {
-		name        string
-		scan, trace bool
-	}{
-		{"aes", true, true},
-		{"aes-baseline", true, true},
-		{"ebpf", true, true},
-		{"stlf", true, true},
-		{"stlf-baseline", true, false},
-		{"specvect", true, true},
-		{"specvect-baseline", true, false},
-		{"sweep", false, true},
-	}
-	all := Scenarios()
-	if len(all) < len(want) {
-		t.Fatalf("registry has %d scenarios, want at least %d", len(all), len(want))
+	want := []string{"aes", "aes-baseline", "ebpf", "stlf", "stlf-baseline", "specvect", "specvect-baseline"}
+	names := ScanScenarios()
+	if len(names) < len(want) {
+		t.Fatalf("registry has %d scenarios, want at least %d", len(names), len(want))
 	}
 	for i, w := range want {
-		s := all[i]
-		if s.Name != w.name {
-			t.Fatalf("display position %d is %q, want %q", i, s.Name, w.name)
-		}
-		if s.Supports(AnalysisScan) != w.scan || s.Supports(AnalysisTrace) != w.trace {
-			t.Errorf("%s: scan=%v trace=%v, want scan=%v trace=%v",
-				s.Name, s.Supports(AnalysisScan), s.Supports(AnalysisTrace), w.scan, w.trace)
+		if names[i] != w {
+			t.Fatalf("display position %d is %q, want %q", i, names[i], w)
 		}
 	}
-}
-
-// TestScenarioNamesMatchSupports: the name lists the front ends print
-// are exactly the Supports-filtered registry, and every named scenario
-// resolves.
-func TestScenarioNamesMatchSupports(t *testing.T) {
-	for _, a := range []Analysis{AnalysisScan, AnalysisTrace} {
-		names := ScenarioNames(a)
-		if len(names) == 0 {
-			t.Fatalf("no scenarios support %s", a)
-		}
-		for _, name := range names {
-			s, ok := ScenarioByName(name)
-			if !ok {
-				t.Fatalf("%s list names unknown scenario %q", a, name)
-			}
-			if !s.Supports(a) {
-				t.Fatalf("%s list includes %q which does not support %s", a, name, a)
-			}
-		}
+	trace := TraceScenarios()
+	if !slices.Equal(trace, append(names, "sweep")) {
+		t.Errorf("trace scenarios = %v, want the registry then sweep", trace)
 	}
 }
 
@@ -71,20 +44,20 @@ func TestRegisterScenarioPanics(t *testing.T) {
 		}()
 		RegisterScenario(s)
 	}
-	scan := func(ctx context.Context) (ScanSummary, error) { return ScanSummary{}, nil }
-	expectPanic("empty name", Scenario{Scan: scan})
-	expectPanic("no analysis", Scenario{Name: "no-analysis-at-all"})
-	expectPanic("duplicate", Scenario{Name: "aes", Scan: scan})
+	run := func(context.Context, obs.Probe) (ScanSummary, error) { return ScanSummary{}, nil }
+	expectPanic("empty name", Scenario{Run: run})
+	expectPanic("nil run", Scenario{Name: "no-run-at-all"})
+	expectPanic("reserved name", Scenario{Name: "sweep", Run: run})
+	expectPanic("duplicate", Scenario{Name: "aes", Run: run})
 }
 
-// TestScanScenarioRejectsTraceOnly: asking the wrong front end for a
-// scenario is an error naming the supported set, not a nil-call panic.
+// TestScanScenarioRejectsTraceOnly: the sweep corpus has no secret and
+// no scan verdict; asking the scanner for it is an error naming the
+// scannable set, not a panic.
 func TestScanScenarioRejectsTraceOnly(t *testing.T) {
-	if _, err := ScanScenario(context.Background(), "sweep"); err == nil {
-		t.Fatal("scan of trace-only scenario succeeded")
-	}
-	if _, err := RunTrace(context.Background(), "stlf-baseline", 0, 1); err == nil {
-		t.Fatal("trace of scan-only scenario succeeded")
+	_, err := ScanScenario(context.Background(), "sweep")
+	if err == nil || !strings.Contains(err.Error(), "aes-baseline") {
+		t.Fatalf("scan of the sweep corpus: err = %v, want an error naming the scan scenarios", err)
 	}
 }
 
@@ -121,6 +94,36 @@ func TestScanScenarioVerdicts(t *testing.T) {
 			if !sum.HasLeak(tc.opt, tc.label) {
 				t.Fatalf("no %s leak of %q (%d %s events): %+v",
 					tc.opt, tc.label, sum.Count(tc.opt), tc.opt, sum.ByClass)
+			}
+		})
+	}
+}
+
+// TestScanSourceRejectsOversizedSecret: a secret region too large to
+// shadow — declared by a directive or passed alongside the source — is
+// a prompt error, never an out-of-memory crash.
+func TestScanSourceRejectsOversizedSecret(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		src   string
+		extra []taint.Secret
+	}{
+		{"directive", ".secret 0x100, 0x7fffffffffffffff\nhalt\n", nil},
+		{"extra", "halt\n", []taint.Secret{{Name: "secret", Base: 0, Len: 0xffffffffffff}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			_, err := ScanSource(context.Background(), tc.src, "", tc.extra)
+			if err == nil {
+				t.Fatal("oversized secret accepted")
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("rejection took %v", d)
+			}
+			var asmErr *asm.Error
+			var secErr *taint.SecretError
+			if !errors.As(err, &asmErr) && !errors.As(err, &secErr) {
+				t.Errorf("error %v (%T) is neither an *asm.Error nor a *taint.SecretError", err, err)
 			}
 		})
 	}

@@ -3,32 +3,31 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"pandora/internal/asm"
-	"pandora/internal/attack"
-	"pandora/internal/bsaes"
 	"pandora/internal/cache"
 	"pandora/internal/mem"
 	"pandora/internal/obs"
 	"pandora/internal/parallel"
 	"pandora/internal/pipeline"
-	"pandora/internal/taint"
 )
 
 // This file is the orchestration layer of `pandora trace`: it runs a
 // scenario with the observability probe attached and returns the
 // cycle-accurate event trace for export (JSONL, Chrome trace-event, or
-// the text report). Traces are deterministic: the same scenario, seed
-// and machine configuration produce byte-identical exports at every
-// worker count.
+// the text report). A registered scenario's trace is its scan run with
+// a recording probe — the same machine, secrets and program, so the
+// trace explains exactly the run that produced the scan verdict. Traces
+// are deterministic: the same scenario, seed and machine configuration
+// produce byte-identical exports at every worker count.
 
 // TraceResult is one traced scenario run.
 type TraceResult struct {
 	Scenario string
-	Seed     int64
-	Workers  int
 	// Cycles is the scenario's total simulated cycle count — the cycle
 	// stamp of the last run-end marker on the retire track. For
 	// multi-run scenarios (aes runs the victim then the attacker on one
@@ -39,165 +38,68 @@ type TraceResult struct {
 	Trace   *obs.Trace
 }
 
-// traceAES is the ScanAES scenario with the probe attached: the victim
-// encryption warms the spill slots, the slots are labeled key-derived,
-// and the attacker encryption runs over them. With silent stores the
-// trace carries uopt silent-store activations and taint-leak events —
-// the Figure 6 precondition, visible per cycle.
-func traceAES(ctx context.Context, silentStores bool, extra obs.Probe) (*TraceResult, error) {
-	var victimKey, victimPlain [16]byte
-	for i := range victimKey {
-		victimKey[i] = byte(0x0f ^ i*0x11)
+// RunTrace runs one scenario under the probe: a registered scenario's
+// single shadowed run, or the sweep corpus. ctx bounds the run; seed and
+// workers only affect sweep — workers its execution schedule, never its
+// output. extra, when non-nil, receives a copy of every probe event as
+// the scenario runs — concurrently from worker goroutines for sweep, so
+// extra must be safe for concurrent Emit there. The recorded trace is
+// unaffected by extra.
+func RunTrace(ctx context.Context, scenario string, seed int64, workers int, extra obs.Probe) (*TraceResult, error) {
+	if scenario == sweepScenario {
+		return traceSweep(ctx, seed, workers, extra)
 	}
-	tr, err := bsaes.EncryptTrace(victimPlain[:], victimKey[:])
-	if err != nil {
-		return nil, err
+	s, ok := ScenarioByName(scenario)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown trace scenario %q (want %s)",
+			scenario, strings.Join(TraceScenarios(), ", "))
 	}
-
 	trace := obs.NewTrace()
-	st := taint.NewState()
-	hier, err := cache.NewHierarchy(cache.DefaultHierConfig())
-	if err != nil {
-		return nil, err
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Taint = st
-	cfg.Probe = obs.Fanout(trace, extra)
-	flag, stop := pipeline.CancelFromContext(ctx)
-	defer stop()
-	cfg.Cancel = flag
-	scenario := "aes-baseline"
-	if silentStores {
-		cfg.SilentStores = &pipeline.SilentStoreConfig{}
-		cfg.SQSize = 5
-		scenario = "aes"
-	}
-	machine, err := pipeline.New(cfg, mem.New(), hier)
-	if err != nil {
-		return nil, err
-	}
-
-	var retired uint64
-	res, err := machine.Run(attack.EncryptKernel(tr.FinalSlices, -1, false))
-	if err != nil {
-		return nil, err
-	}
-	retired += res.Retired
-	lbl, err := st.Names.Define("key")
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < 8; k++ {
-		st.Mem.TaintRange(attack.SpillSlotAddr(k), 2, lbl)
-	}
-	var att bsaes.State
-	for i := range att {
-		att[i] = uint16(0xA5A5 ^ i*0x0101)
-	}
-	if res, err = machine.Run(attack.EncryptKernel(att, -1, false)); err != nil {
-		return nil, err
-	}
-	retired += res.Retired
-
-	return &TraceResult{
-		Scenario: scenario,
-		Workers:  1,
-		Cycles:   machine.Cycle(),
-		Retired:  retired,
-		Trace:    trace,
-	}, nil
-}
-
-// traceEBPF is the ScanEBPF scenario with the probe attached: one run
-// of the verified sandbox program on the three-level-IMP machine. The
-// trace shows the prefetch cascade on the prefetch track and the taint
-// leaks where the IMP's addresses derive from labeled kernel bytes.
-func traceEBPF(ctx context.Context, extra obs.Probe) (*TraceResult, error) {
-	secret := []byte("pandora-scan-secret-byte")
-	trace := obs.NewTrace()
-	st := taint.NewState()
-	cfg := attack.DefaultURGConfig()
-	cfg.Taint = st
-	cfg.Probe = obs.Fanout(trace, extra)
-	u, err := attack.NewURG(cfg, secret)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := st.DefineSecret(taint.Secret{Name: "kernel", Base: u.SecretBase(), Len: uint64(len(secret))}); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := u.RunOnce(0); err != nil {
+	if _, err := s.Run(ctx, obs.Fanout(trace, extra)); err != nil {
 		return nil, err
 	}
 	return &TraceResult{
-		Scenario: "ebpf",
-		Workers:  1,
+		Scenario: scenario,
 		Cycles:   trace.MaxCycle(obs.TrackRetire),
 		Retired:  uint64(trace.CountKind(obs.KindRetire)),
 		Trace:    trace,
 	}, nil
 }
 
-// traceSpec runs a speculation timing witness under the probe on its
-// enabled machine, with the secret word labeled. The trace shows the
-// speculative activity per cycle — wrong-path fetch and the mispredict
-// squash for specvect, speculative forwards and the verify replay for
-// stlf — alongside the taint-leak events those µops emit before being
-// squashed.
-func traceSpec(ctx context.Context, name, scenario string, extra obs.Probe) (*TraceResult, error) {
-	var w witness
-	found := false
-	for _, cand := range witnesses() {
-		if cand.name == name {
-			w, found = cand, true
-			break
-		}
+// TraceFormats lists the trace export formats.
+var TraceFormats = []string{"jsonl", "chrome", "report"}
+
+// CheckTraceFormat reports whether format is one of TraceFormats.
+func CheckTraceFormat(format string) error {
+	if !slices.Contains(TraceFormats, format) {
+		return fmt.Errorf("core: unknown trace format %q (want %s)", format, strings.Join(TraceFormats, ", "))
 	}
-	if !found {
-		return nil, fmt.Errorf("core: no witness %q", name)
+	return nil
+}
+
+// Header is the one-line summary of a traced run.
+func (r *TraceResult) Header() string {
+	return fmt.Sprintf("scenario %s: %d cycles, %d retired, %d events",
+		r.Scenario, r.Cycles, r.Retired, r.Trace.Len())
+}
+
+// Export writes events — r.Trace, or a cycle window of it — to w in one
+// of TraceFormats. The report format opens with r's Header, which counts
+// the whole trace even when events is a window.
+func (r *TraceResult) Export(w io.Writer, format string, events *obs.Trace) error {
+	if err := CheckTraceFormat(format); err != nil {
+		return err
 	}
-	trace := obs.NewTrace()
-	st := taint.NewState()
-	m := mem.New()
-	hier, err := cache.NewHierarchy(cache.DefaultHierConfig())
-	if err != nil {
-		return nil, err
+	switch format {
+	case "jsonl":
+		return events.WriteJSONL(w)
+	case "chrome":
+		return events.WriteChrome(w)
 	}
-	if w.setup != nil {
-		w.setup(m, hier)
+	if _, err := fmt.Fprintln(w, r.Header()); err != nil {
+		return err
 	}
-	m.Write(witnessSecretAddr, 8, w.secrets[1])
-	if _, err := st.DefineSecret(taint.Secret{Name: "secret", Base: witnessSecretAddr, Len: 8}); err != nil {
-		return nil, err
-	}
-	cfg := w.config()
-	cfg.Taint = st
-	cfg.Probe = obs.Fanout(trace, extra)
-	flag, stop := pipeline.CancelFromContext(ctx)
-	defer stop()
-	cfg.Cancel = flag
-	machine, err := pipeline.New(cfg, m, hier)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := asmMust(w.kernel)
-	if err != nil {
-		return nil, err
-	}
-	res, err := machine.Run(prog)
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Scenario: scenario,
-		Workers:  1,
-		Cycles:   res.Cycles,
-		Retired:  res.Retired,
-		Trace:    trace,
-	}, nil
+	return events.WriteReport(w)
 }
 
 // sweepPrograms is the sweep scenario's corpus size.
@@ -255,9 +157,7 @@ func traceSweep(ctx context.Context, seed int64, workers int, extra obs.Probe) (
 	}
 	merged := obs.Merge(traces...)
 	return &TraceResult{
-		Scenario: "sweep",
-		Seed:     seed,
-		Workers:  parallel.Workers(workers),
+		Scenario: sweepScenario,
 		Cycles:   merged.MaxCycle(obs.TrackRetire),
 		Retired:  retired,
 		Trace:    merged,

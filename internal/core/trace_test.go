@@ -12,7 +12,7 @@ import (
 // sweepJSONL runs the sweep scenario and exports it as JSONL.
 func sweepJSONL(t *testing.T, seed int64, workers int) []byte {
 	t.Helper()
-	res, err := RunTrace(context.Background(), "sweep", seed, workers)
+	res, err := RunTrace(context.Background(), "sweep", seed, workers, nil)
 	if err != nil {
 		t.Fatalf("sweep workers=%d: %v", workers, err)
 	}
@@ -44,7 +44,7 @@ func TestTraceSweepDeterministicAcrossWorkers(t *testing.T) {
 // valid JSON and its retire track's maximum timestamp equals the
 // scenario's cycle count, and the text report renders.
 func TestTraceAESChromeCycles(t *testing.T) {
-	res, err := RunTrace(context.Background(), "aes", 1, 1)
+	res, err := RunTrace(context.Background(), "aes", 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,41 @@ func TestTraceAESChromeCycles(t *testing.T) {
 
 // TestTraceScenarioErrors covers the unknown-scenario path.
 func TestTraceScenarioErrors(t *testing.T) {
-	if _, err := RunTrace(context.Background(), "nope", 1, 1); err == nil {
+	if _, err := RunTrace(context.Background(), "nope", 1, 1, nil); err == nil {
 		t.Error("unknown scenario did not error")
+	}
+}
+
+// TestTraceSpeculationBaselines: a trace is the scan run with a probe
+// attached, so the speculation baselines carry no taint-leak events
+// while their enabled counterparts do, and every trace's taint-leak
+// count is exactly its scan's event total.
+func TestTraceSpeculationBaselines(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		leaks    bool
+	}{
+		{"stlf", true},
+		{"stlf-baseline", false},
+		{"specvect", true},
+		{"specvect-baseline", false},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			res, err := RunTrace(context.Background(), tc.scenario, 1, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := ScanScenario(context.Background(), tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := res.Trace.CountKind(obs.KindTaintLeak)
+			if (n > 0) != tc.leaks {
+				t.Errorf("%d taint-leak events, want leaks=%v", n, tc.leaks)
+			}
+			if uint64(n) != sum.Total {
+				t.Errorf("trace has %d taint-leak events, scan reported %d", n, sum.Total)
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"pandora/internal/mem"
 	"pandora/internal/parallel"
 	"pandora/internal/pipeline"
+	"pandora/internal/taint"
 	"pandora/internal/uopt"
 )
 
@@ -397,31 +398,48 @@ func witnesses() []witness {
 // runWitness returns the cycle counts of the two kernels under cfg.
 func runWitness(w witness, mk func() pipeline.Config) (a, b int64, err error) {
 	run := func(secret uint64) (int64, error) {
-		m := mem.New()
-		h := cache.MustNewHierarchy(cache.DefaultHierConfig())
-		if w.setup != nil {
-			w.setup(m, h)
-		}
-		m.Write(witnessSecretAddr, 8, secret)
-		mach, err := pipeline.New(mk(), m, h)
-		if err != nil {
-			return 0, err
-		}
-		prog, err := asmMust(w.kernel)
-		if err != nil {
-			return 0, err
-		}
-		res, err := mach.Run(prog)
-		if err != nil {
-			return 0, err
-		}
-		return res.Cycles, nil
+		res, err := runWitnessKernel(context.Background(), w, mk(), secret, nil)
+		return res.Cycles, err
 	}
 	if a, err = run(w.secrets[0]); err != nil {
 		return
 	}
 	b, err = run(w.secrets[1])
 	return
+}
+
+// runWitnessKernel builds w's machine from cfg, plants secret at
+// witnessSecretAddr and runs the kernel once. st, when non-nil, shadows
+// the run with the secret word labeled "secret" — the scanner's view of
+// the same kernel; the timing runs pass nil and stay taint-free.
+func runWitnessKernel(ctx context.Context, w witness, cfg pipeline.Config, secret uint64, st *taint.State) (pipeline.Result, error) {
+	m := mem.New()
+	h, err := cache.NewHierarchy(cache.DefaultHierConfig())
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	if w.setup != nil {
+		w.setup(m, h)
+	}
+	m.Write(witnessSecretAddr, 8, secret)
+	if st != nil {
+		if _, err := st.DefineSecret(taint.Secret{Name: "secret", Base: witnessSecretAddr, Len: 8}); err != nil {
+			return pipeline.Result{}, err
+		}
+		cfg.Taint = st
+	}
+	flag, stop := pipeline.CancelFromContext(ctx)
+	defer stop()
+	cfg.Cancel = flag
+	mach, err := pipeline.New(cfg, m, h)
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	prog, err := asmMust(w.kernel)
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	return mach.Run(prog)
 }
 
 // WitnessReport holds one measured witness outcome.

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
 
-	"pandora/internal/cache"
-	"pandora/internal/mem"
 	"pandora/internal/pipeline"
 	"pandora/internal/taint"
 )
@@ -23,27 +22,8 @@ func TestWitnessScanPairing(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			scan := func(mk func() pipeline.Config, secret uint64) *taint.State {
 				t.Helper()
-				m := mem.New()
-				h := cache.MustNewHierarchy(cache.DefaultHierConfig())
-				if w.setup != nil {
-					w.setup(m, h)
-				}
-				m.Write(witnessSecretAddr, 8, secret)
 				st := taint.NewState()
-				if _, err := st.DefineSecret(taint.Secret{Name: "secret", Base: witnessSecretAddr, Len: 8}); err != nil {
-					t.Fatal(err)
-				}
-				cfg := mk()
-				cfg.Taint = st
-				mach, err := pipeline.New(cfg, m, h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prog, err := asmMust(w.kernel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := mach.Run(prog); err != nil {
+				if _, err := runWitnessKernel(context.Background(), w, mk(), secret, st); err != nil {
 					t.Fatal(err)
 				}
 				return st

@@ -1,16 +1,17 @@
-package emu
+package emu_test
 
 import (
 	"testing"
 
 	"pandora/internal/asm"
+	"pandora/internal/emu"
 	"pandora/internal/isa"
 	"pandora/internal/mem"
 )
 
-func runSrc(t *testing.T, src string) *Machine {
+func runSrc(t *testing.T, src string) *emu.Machine {
 	t.Helper()
-	m := New(nil)
+	m := emu.New(nil)
 	if err := m.Run(asm.MustAssemble(src), 1_000_000); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -95,15 +96,15 @@ func TestRDCYCLEReadsRetired(t *testing.T) {
 }
 
 func TestStepBudget(t *testing.T) {
-	m := New(nil)
+	m := emu.New(nil)
 	err := m.Run(asm.MustAssemble("loop: jal x0, loop\nhalt"), 100)
-	if err != ErrNoHalt {
+	if err != emu.ErrNoHalt {
 		t.Errorf("err = %v, want ErrNoHalt", err)
 	}
 }
 
 func TestPCOutOfRange(t *testing.T) {
-	m := New(nil)
+	m := emu.New(nil)
 	// Branch beyond the program end.
 	prog := isa.Program{
 		{Op: isa.JAL, Rd: 0, Imm: 99},
@@ -115,7 +116,7 @@ func TestPCOutOfRange(t *testing.T) {
 }
 
 func TestResetPreservesMemory(t *testing.T) {
-	m := New(mem.New())
+	m := emu.New(mem.New())
 	m.Mem.Write(0x10, 8, 42)
 	m.Regs[5] = 7
 	m.PC = 3
@@ -129,7 +130,7 @@ func TestResetPreservesMemory(t *testing.T) {
 }
 
 func TestTraceHook(t *testing.T) {
-	m := New(nil)
+	m := emu.New(nil)
 	var pcs []int64
 	m.Trace = func(pc int64, in isa.Inst) { pcs = append(pcs, pc) }
 	if err := m.Run(asm.MustAssemble("addi x1, x0, 1\naddi x2, x0, 2\nhalt"), 100); err != nil {

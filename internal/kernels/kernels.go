@@ -169,60 +169,6 @@ func baselineHier() cache.HierConfig {
 	return h
 }
 
-// scanKernel is the scenario Scan entry: the kernel on the baseline
-// machine (mask 0, default cache) under the base contract. Constant-time
-// kernels report zero events here; aes-ttable reports its cache-addr
-// leaks.
-func scanKernel(ctx context.Context, k Kernel) (core.ScanSummary, error) {
-	return Run(ctx, k, diffcheck.PipeConfig(0), baselineHier(), false, "")
-}
-
-// traceKernel is the scenario Trace entry: one cycle-accurate run of the
-// kernel on the baseline machine with the probe attached.
-func traceKernel(ctx context.Context, k Kernel, extra obs.Probe) (*core.TraceResult, error) {
-	unit, err := k.assemble()
-	if err != nil {
-		return nil, err
-	}
-	st := taint.NewState()
-	st.ObserveAddrs = true
-	trace := obs.NewTrace()
-	cfg := diffcheck.PipeConfig(0)
-	cfg.Taint = st
-	cfg.Probe = obs.Fanout(trace, extra)
-	flag, stop := pipeline.CancelFromContext(ctx)
-	defer stop()
-	cfg.Cancel = flag
-
-	m := mem.New()
-	if k.Setup != nil {
-		k.Setup(m)
-	}
-	hier, err := cache.NewHierarchy(baselineHier())
-	if err != nil {
-		return nil, err
-	}
-	machineImpl, err := pipeline.New(cfg, m, hier)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range unit.Secrets {
-		if _, err := st.DefineSecret(taint.Secret{Name: s.Name, Base: s.Base, Len: s.Len}); err != nil {
-			return nil, err
-		}
-	}
-	res, err := machineImpl.Run(unit.Prog)
-	if err != nil {
-		return nil, err
-	}
-	return &core.TraceResult{
-		Scenario: k.Name,
-		Cycles:   res.Cycles,
-		Retired:  res.Retired,
-		Trace:    trace,
-	}, nil
-}
-
 // init builds the library in its fixed display order — the clean
 // implementations first, the deliberately contract-violating table
 // lookup last among the AES pair's contrasts — and registers every
@@ -242,14 +188,21 @@ func init() {
 		core.RegisterScenario(core.Scenario{
 			Name:  k.Name,
 			Title: fmt.Sprintf("%s (%s)", k.Title, verdict),
-			Scan: func(ctx context.Context) (core.ScanSummary, error) {
-				return scanKernel(ctx, k)
-			},
-			Trace: func(ctx context.Context, _ int64, _ int, extra obs.Probe) (*core.TraceResult, error) {
-				return traceKernel(ctx, k, extra)
+			Run: func(ctx context.Context, probe obs.Probe) (core.ScanSummary, error) {
+				return runScenario(ctx, k, probe)
 			},
 		})
 	}
+}
+
+// runScenario is the kernel's registered scenario: one run on the
+// baseline machine (mask 0, default cache) under the base contract,
+// watched by probe when non-nil. Constant-time kernels report zero
+// events here; aes-ttable reports its cache-addr leaks.
+func runScenario(ctx context.Context, k Kernel, probe obs.Probe) (core.ScanSummary, error) {
+	cfg := diffcheck.PipeConfig(0)
+	cfg.Probe = probe
+	return Run(ctx, k, cfg, baselineHier(), false, "")
 }
 
 // ValidateNames checks a kernel-name list against the library, returning

@@ -44,7 +44,7 @@ func TestKernelBaselineVerdicts(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			sum, err := scanKernel(context.Background(), k)
+			sum, err := runScenario(context.Background(), k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -113,6 +113,44 @@ func TestDeterministicFailureCachedNotRetried(t *testing.T) {
 	}
 }
 
+// TestOversizedSecretFailsAndServerSurvives: a scan declaring a secret
+// region too large to shadow is a visible job failure, not a fatal
+// out-of-memory that takes the process down with it — and neither the
+// server that ran it nor a restart replaying it from the journal stops
+// serving.
+func TestOversizedSecretFailsAndServerSurvives(t *testing.T) {
+	huge := JobSpec{Kind: KindScan, Source: ".secret 0x100, 0x7fffffffffffffff\nhalt\n"}
+	base, _ := startServerWith(t, Options{})
+	v, _ := post(t, base, huge)
+	if final := wait(t, base, v.ID); final.State != string(stateFailed) || !strings.Contains(final.Error, "secret") {
+		t.Fatalf("state=%s error=%q, want a failed job naming the secret", final.State, final.Error)
+	}
+	next, _ := post(t, base, smallCheck)
+	if final := wait(t, base, next.ID); final.State != string(stateDone) {
+		t.Fatalf("next job after the failure: state=%s error=%q", final.State, final.Error)
+	}
+
+	// The crash-loop shape: the job was journaled and the process died
+	// before it settled, so the restart replays it.
+	dir := t.TempDir()
+	simulateCrashedJob(t, dir, huge)
+	base2, srv2 := startServerWith(t, Options{CacheDir: dir})
+	if got := srv2.stats.WALReplayed.Load(); got != 1 {
+		t.Fatalf("wal_replayed = %d, want 1", got)
+	}
+	after, _ := post(t, base2, smallCheck)
+	if final := wait(t, base2, after.ID); final.State != string(stateDone) {
+		t.Fatalf("job after the replay: state=%s error=%q", final.State, final.Error)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv2.journalPending() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("replayed job never settled in the journal")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestJobDeadlineCancelsRun: a deadline far shorter than the job's
 // runtime terminates it mid-simulation through the cooperative
 // cancellation checkpoint, as a visible journaled failure.

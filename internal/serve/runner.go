@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"pandora/internal/core"
 	"pandora/internal/diffcheck"
@@ -174,7 +175,7 @@ func (scanRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	case spec.Scenario != "" && spec.Source != "":
 		return JobSpec{}, fmt.Errorf("serve: scan job: scenario and source are mutually exclusive")
 	case spec.Scenario != "":
-		if s, ok := core.ScenarioByName(spec.Scenario); !ok || !s.Supports(core.AnalysisScan) {
+		if _, ok := core.ScenarioByName(spec.Scenario); !ok {
 			return JobSpec{}, fmt.Errorf("serve: unknown scan scenario %q (want one of %v)", spec.Scenario, core.ScanScenarios())
 		}
 		return JobSpec{Scenario: spec.Scenario}, nil
@@ -321,16 +322,15 @@ func (traceRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Scenario == "" {
 		return JobSpec{}, fmt.Errorf("serve: trace job needs a scenario (one of %v)", core.TraceScenarios())
 	}
-	if s, ok := core.ScenarioByName(spec.Scenario); !ok || !s.Supports(core.AnalysisTrace) {
+	if !slices.Contains(core.TraceScenarios(), spec.Scenario) {
 		return JobSpec{}, fmt.Errorf("serve: unknown trace scenario %q (want one of %v)", spec.Scenario, core.TraceScenarios())
 	}
 	norm := JobSpec{Scenario: spec.Scenario, Format: spec.Format}
-	switch norm.Format {
-	case "":
+	if norm.Format == "" {
 		norm.Format = "report"
-	case "jsonl", "chrome", "report":
-	default:
-		return JobSpec{}, fmt.Errorf("serve: trace job: unknown format %q (want jsonl, chrome or report)", spec.Format)
+	}
+	if err := core.CheckTraceFormat(norm.Format); err != nil {
+		return JobSpec{}, fmt.Errorf("serve: trace job: %w", err)
 	}
 	// Only the sweep scenario consumes the seed; zeroing it elsewhere
 	// keeps equivalent jobs on one cache key.
@@ -421,30 +421,18 @@ func (contractRunner) Run(ctx context.Context, spec JobSpec, opts RunOpts) (*Job
 }
 
 func (traceRunner) Run(ctx context.Context, spec JobSpec, opts RunOpts) (*JobResult, error) {
-	res, err := core.RunTraceProbed(ctx, spec.Scenario, spec.Seed, opts.Workers, opts.Probe)
+	res, err := core.RunTrace(ctx, spec.Scenario, spec.Seed, opts.Workers, opts.Probe)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	switch spec.Format {
-	case "jsonl":
-		err = res.Trace.WriteJSONL(&buf)
-	case "chrome":
-		err = res.Trace.WriteChrome(&buf)
-	case "report":
-		fmt.Fprintf(&buf, "scenario %s: %d cycles, %d retired, %d events\n",
-			res.Scenario, res.Cycles, res.Retired, res.Trace.Len())
-		err = res.Trace.WriteReport(&buf)
-	default:
-		err = fmt.Errorf("serve: trace job: unknown format %q", spec.Format)
-	}
-	if err != nil {
+	if err := res.Export(&buf, spec.Format, res.Trace); err != nil {
 		return nil, err
 	}
 	return &JobResult{
 		Kind:   KindTrace,
 		Pass:   true,
-		Text:   fmt.Sprintf("scenario %s: %d cycles, %d retired, %d events", res.Scenario, res.Cycles, res.Retired, res.Trace.Len()),
+		Text:   res.Header(),
 		Export: buf.String(),
 		Metrics: map[string]float64{
 			"cycles":  float64(res.Cycles),

@@ -377,6 +377,7 @@ func TestSubmitValidation(t *testing.T) {
 	for _, tc := range []JobSpec{
 		{Kind: "juggle"},
 		{Kind: KindScan},
+		{Kind: KindScan, Source: "halt\n", Secrets: []string{"0:0xffffffffffff"}},
 		{Kind: KindBench, Experiment: "no-such-figure"},
 		{Kind: KindTrace, Scenario: "stlf", Format: "yaml"},
 		{Kind: KindFault, Sites: []string{"bogus-site"}},

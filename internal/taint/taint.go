@@ -100,27 +100,74 @@ type Secret struct {
 	Len  uint64
 }
 
+// MaxSecretLen bounds one secret region's length. Shadow memory keeps
+// an entry per labeled byte, so an unbounded region is an unbounded
+// allocation; 64 KiB is far above the largest region any built-in
+// scenario or kernel declares (a few hundred bytes).
+const MaxSecretLen = 64 << 10
+
+// SecretError reports a secret region that cannot be parsed or labeled.
+type SecretError struct {
+	// Secret is the offending region: as written when it does not
+	// parse, in Secret.String form when it parses but fails Check.
+	Secret string
+	Reason string
+}
+
+func (e *SecretError) Error() string {
+	return fmt.Sprintf("taint: bad secret %q: %s", e.Secret, e.Reason)
+}
+
+// String renders the region in ParseSecret's "base:len:name" form.
+func (s Secret) String() string { return fmt.Sprintf("%#x:%d:%s", s.Base, s.Len, s.Name) }
+
+// Check reports whether the region can be labeled: at least one byte,
+// at most MaxSecretLen bytes, and not wrapping past the top of the
+// address space.
+func (s Secret) Check() error {
+	var reason string
+	switch {
+	case s.Len == 0:
+		reason = "empty region"
+	case s.Len > MaxSecretLen:
+		reason = fmt.Sprintf("length %d exceeds the %d-byte limit", s.Len, MaxSecretLen)
+	case s.Base+(s.Len-1) < s.Base:
+		reason = "region wraps past the top of the address space"
+	default:
+		return nil
+	}
+	return &SecretError{Secret: s.String(), Reason: reason}
+}
+
 // ParseSecret parses the textual secret-region form "base:len[:name]"
 // (numbers in any Go literal base) shared by the `pandora scan -secret`
-// flag and the serve job API. The name defaults to "secret".
+// flag and the serve job API. The name defaults to "secret". Every
+// error is a *SecretError.
 func ParseSecret(s string) (Secret, error) {
+	bad := func(format string, args ...any) (Secret, error) {
+		return Secret{}, &SecretError{Secret: s, Reason: fmt.Sprintf(format, args...)}
+	}
 	parts := strings.Split(s, ":")
 	if len(parts) != 2 && len(parts) != 3 {
-		return Secret{}, fmt.Errorf("taint: bad secret %q: want base:len[:name]", s)
+		return bad("want base:len[:name]")
 	}
 	base, err := strconv.ParseUint(parts[0], 0, 64)
 	if err != nil {
-		return Secret{}, fmt.Errorf("taint: bad secret base %q: %v", parts[0], err)
+		return bad("base %q: %v", parts[0], err)
 	}
 	n, err := strconv.ParseUint(parts[1], 0, 64)
-	if err != nil || n == 0 {
-		return Secret{}, fmt.Errorf("taint: bad secret length %q", parts[1])
+	if err != nil {
+		return bad("length %q: %v", parts[1], err)
 	}
 	name := "secret"
 	if len(parts) == 3 {
 		name = parts[2]
 	}
-	return Secret{Name: name, Base: base, Len: n}, nil
+	sec := Secret{Name: name, Base: base, Len: n}
+	if err := sec.Check(); err != nil {
+		return Secret{}, err
+	}
+	return sec, nil
 }
 
 // State is the full shadow of one machine: register labels, per-byte
@@ -176,8 +223,12 @@ func NewState() *State {
 }
 
 // DefineSecret allocates a label named s.Name and applies it to the
-// region's shadow bytes.
+// region's shadow bytes. A region failing Secret.Check is rejected with
+// a *SecretError before any label is allocated.
 func (st *State) DefineSecret(s Secret) (LabelSet, error) {
+	if err := s.Check(); err != nil {
+		return 0, err
+	}
 	l, err := st.Names.Define(s.Name)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"errors"
 	"testing"
 
 	"pandora/internal/emu"
@@ -198,5 +199,55 @@ func TestSelfTest(t *testing.T) {
 	}
 	if err := SelfTest(true); err != nil {
 		t.Fatalf("broken rule: %v", err)
+	}
+}
+
+// TestSecretBounds: a region must be non-empty, at most MaxSecretLen
+// bytes and must not wrap past the top of the address space; parsing
+// and labeling both reject the rest with a *SecretError, and a rejected
+// region allocates no label.
+func TestSecretBounds(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"0x1000:8", true},
+		{"0:65536", true},
+		{"0xfffffffffffffff0:16", true},
+		{"0:65537", false},
+		{"0:0xffffffffffff", false},
+		{"0xfffffffffffffff0:17", false},
+		{"0x1000:0", false},
+		{"0x1000", false},
+		{"zz:8", false},
+		{"0x1000:-1", false},
+	} {
+		sec, err := ParseSecret(tc.in)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.in, err)
+			} else if err := sec.Check(); err != nil {
+				t.Errorf("%s: parsed but Check = %v", tc.in, err)
+			}
+			continue
+		}
+		var se *SecretError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: err = %v (%T), want *SecretError", tc.in, err, err)
+		}
+	}
+	st := NewState()
+	for _, s := range []Secret{
+		{Name: "huge", Base: 0, Len: 0xffffffffffff},
+		{Name: "wrap", Base: ^uint64(0), Len: 2},
+		{Name: "empty", Base: 0x1000},
+	} {
+		var se *SecretError
+		if _, err := st.DefineSecret(s); !errors.As(err, &se) {
+			t.Errorf("DefineSecret(%v) = %v, want *SecretError", s, err)
+		}
+	}
+	if names := st.Names.Names(^LabelSet(0)); len(names) != 0 || st.Mem.Labeled() != 0 {
+		t.Errorf("rejected regions left labels %v and %d labeled bytes", names, st.Mem.Labeled())
 	}
 }
