@@ -13,6 +13,7 @@
 set -eux
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race -short ./...
 

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"pandora/internal/obs"
@@ -86,8 +87,8 @@ type line struct {
 type Cache struct {
 	cfg   Config
 	sets  [][]line
-	plru  [][]bool // tree bits per set, len ways-1 (TreePLRU)
-	rng   *rand.Rand
+	plru  [][]bool   // tree bits per set, len ways-1 (TreePLRU)
+	rng   *rand.Rand // Random policy only
 	tick  uint64
 	stats Stats
 
@@ -97,6 +98,13 @@ type Cache struct {
 
 	lineShift uint
 	setMask   uint64
+
+	// dirty has bit s set when set s was mutated since the last passing
+	// incremental check (Hierarchy.CheckChanged). Every path that writes
+	// a line or replacement bit marks its set — touch, Evict, FlushAll,
+	// nthValidLine and CorruptReplacementState — so a set whose bit is
+	// clear is unchanged since it last checked clean.
+	dirty []uint64
 }
 
 // Stats returns a copy of the counters.
@@ -149,11 +157,16 @@ func New(cfg Config) (*Cache, error) {
 			c.plru[i] = make([]bool, maxInt(cfg.Ways-1, 1))
 		}
 	}
-	c.rng = rand.New(rand.NewSource(cfg.Seed))
+	if cfg.Policy == Random {
+		// Only random replacement draws; seeding a source is most of
+		// what building a small cache costs.
+		c.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		c.lineShift++
 	}
 	c.setMask = uint64(cfg.Sets - 1)
+	c.dirty = make([]uint64, (cfg.Sets+63)/64)
 	return c, nil
 }
 
@@ -290,6 +303,7 @@ func (c *Cache) Evict(addr uint64) bool {
 	for i := range c.sets[set] {
 		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
 			c.sets[set][i] = line{}
+			c.mark(set)
 			c.emit(obs.KindCacheEvict, c.LineAddr(addr), "invalidate")
 			return true
 		}
@@ -303,7 +317,13 @@ func (c *Cache) FlushAll() {
 		for w := range c.sets[s] {
 			c.sets[s][w] = line{}
 		}
+		c.mark(s)
 	}
+}
+
+// mark records that set was mutated, for the incremental check.
+func (c *Cache) mark(set int) {
+	c.dirty[set>>6] |= 1 << (uint(set) & 63)
 }
 
 // addrOf reconstructs the line address for (set, tag).
@@ -324,6 +344,7 @@ func (c *Cache) SetContents(set int) []uint64 {
 }
 
 func (c *Cache) touch(set, way int) {
+	c.mark(set)
 	switch c.cfg.Policy {
 	case LRU, Random:
 		c.sets[set][way].lastUse = c.tick
@@ -366,44 +387,71 @@ func (c *Cache) touch(set, way int) {
 // It is a pure probe used by the invariant-checking harness.
 func (c *Cache) CheckReplacementState() error {
 	for s := range c.sets {
-		seen := make(map[uint64]int, c.cfg.Ways)
-		for w, ln := range c.sets[s] {
-			if !ln.valid {
-				continue
+		if err := c.checkSet(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkDirtySets is CheckReplacementState over the marked sets only, in
+// the same ascending order, so it reports the same first violation as
+// the full sweep whenever every unmarked set last checked clean.
+func (c *Cache) checkDirtySets() error {
+	for wi, word := range c.dirty {
+		for word != 0 {
+			s := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if err := c.checkSet(s); err != nil {
+				return err
 			}
-			if prev, dup := seen[ln.tag]; dup {
+		}
+	}
+	return nil
+}
+
+// checkSet runs CheckReplacementState's checks on one set. The duplicate
+// scan compares each valid way against the earlier ones — at most Ways
+// lines, no allocation — and names the earliest matching way first.
+func (c *Cache) checkSet(s int) error {
+	lines := c.sets[s]
+	for w, ln := range lines {
+		if !ln.valid {
+			continue
+		}
+		for prev := 0; prev < w; prev++ {
+			if lines[prev].valid && lines[prev].tag == ln.tag {
 				return fmt.Errorf("cache %s: set %d ways %d and %d both hold tag %#x",
 					c.cfg.Name, s, prev, w, ln.tag)
 			}
-			seen[ln.tag] = w
-			if ln.lastUse > c.tick {
-				return fmt.Errorf("cache %s: set %d way %d lastUse %d ahead of tick %d",
-					c.cfg.Name, s, w, ln.lastUse, c.tick)
+		}
+		if ln.lastUse > c.tick {
+			return fmt.Errorf("cache %s: set %d way %d lastUse %d ahead of tick %d",
+				c.cfg.Name, s, w, ln.lastUse, c.tick)
+		}
+	}
+	if c.cfg.Policy == TreePLRU {
+		bits := c.plru[s]
+		n := c.cfg.Ways
+		node, lo := 0, 0
+		for n > 1 {
+			if node < 0 || node >= len(bits) {
+				return fmt.Errorf("cache %s: set %d tree-plru walk node %d outside [0,%d)",
+					c.cfg.Name, s, node, len(bits))
+			}
+			half := n / 2
+			if bits[node] {
+				node += half
+				lo += half
+				n -= half
+			} else {
+				node++
+				n = half
 			}
 		}
-		if c.cfg.Policy == TreePLRU {
-			bits := c.plru[s]
-			n := c.cfg.Ways
-			node, lo := 0, 0
-			for n > 1 {
-				if node < 0 || node >= len(bits) {
-					return fmt.Errorf("cache %s: set %d tree-plru walk node %d outside [0,%d)",
-						c.cfg.Name, s, node, len(bits))
-				}
-				half := n / 2
-				if bits[node] {
-					node += half
-					lo += half
-					n -= half
-				} else {
-					node++
-					n = half
-				}
-			}
-			if lo < 0 || lo >= c.cfg.Ways {
-				return fmt.Errorf("cache %s: set %d tree-plru victim way %d outside [0,%d)",
-					c.cfg.Name, s, lo, c.cfg.Ways)
-			}
+		if lo < 0 || lo >= c.cfg.Ways {
+			return fmt.Errorf("cache %s: set %d tree-plru victim way %d outside [0,%d)",
+				c.cfg.Name, s, lo, c.cfg.Ways)
 		}
 	}
 	return nil
@@ -434,9 +482,11 @@ func (c *Cache) CorruptLineTag(seed int64) bool {
 // false when there is nothing to corrupt yet.
 func (c *Cache) CorruptReplacementState(seed int64) bool {
 	if c.cfg.Policy == TreePLRU {
-		bits := c.plru[int(uint64(seed)%uint64(len(c.plru)))]
+		set := int(uint64(seed) % uint64(len(c.plru)))
+		bits := c.plru[set]
 		bit := int(uint64(seed) >> 16 % uint64(len(bits)))
 		bits[bit] = !bits[bit]
+		c.mark(set)
 		return true
 	}
 	target := c.nthValidLine(seed)
@@ -447,7 +497,8 @@ func (c *Cache) CorruptReplacementState(seed int64) bool {
 	return true
 }
 
-// nthValidLine returns the seed-selected valid line, or nil if none.
+// nthValidLine returns the seed-selected valid line, or nil if none. The
+// caller is about to corrupt it, so its set is marked.
 func (c *Cache) nthValidLine(seed int64) *line {
 	valid := 0
 	for s := range c.sets {
@@ -465,6 +516,7 @@ func (c *Cache) nthValidLine(seed int64) *line {
 		for w := range c.sets[s] {
 			if c.sets[s][w].valid {
 				if n == 0 {
+					c.mark(s)
 					return &c.sets[s][w]
 				}
 				n--

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pandora/internal/obs"
 )
@@ -22,11 +23,10 @@ type HierConfig struct {
 
 	// SelfCheck makes the hierarchy verify its structural invariants —
 	// L2 ⊇ L1 inclusivity (prefetch-buffer entries included) and per-level
-	// replacement-state sanity — after every mutating operation. The first
-	// violation is latched and reported by InvariantError; the pipeline's
-	// invariant harness polls it and attaches the violating cycle. Off by
-	// default: the checks walk both caches and cost far more than the
-	// operations they guard.
+	// replacement-state sanity — after every mutating operation, through
+	// the incremental CheckChanged. The first violation is latched and
+	// reported by InvariantError; the pipeline's invariant harness polls
+	// it and attaches the violating cycle. Off by default.
 	SelfCheck bool
 }
 
@@ -64,6 +64,10 @@ type Hierarchy struct {
 
 	// invErr latches the first invariant violation found by SelfCheck.
 	invErr error
+
+	// incl is CheckChanged's scratch bitmap of the L1 sets whose
+	// inclusivity it must re-check; sized once, reused every call.
+	incl []uint64
 
 	probe obs.Probe
 	clock func() int64
@@ -124,7 +128,7 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	if cfg.PrefetchBuffer && cfg.PrefetchBufferSize == 0 {
 		cfg.PrefetchBufferSize = 8
 	}
-	return &Hierarchy{cfg: cfg, L1: l1, L2: l2}, nil
+	return &Hierarchy{cfg: cfg, L1: l1, L2: l2, incl: make([]uint64, len(l1.dirty))}, nil
 }
 
 // MustNewHierarchy is NewHierarchy that panics on config error.
@@ -259,14 +263,29 @@ func (h *Hierarchy) Latency(addr uint64) int {
 // CheckInclusive verifies L2 ⊇ L1: every valid L1 line, and every line
 // parked in the prefetch buffer, must be present in L2. A pure probe.
 func (h *Hierarchy) CheckInclusive() error {
-	l1 := h.L1.Config()
-	for s := 0; s < l1.Sets; s++ {
-		for _, la := range h.L1.SetContents(s) {
-			if !h.L2.Contains(la) {
-				return fmt.Errorf("cache: inclusivity broken: L1 line %#x absent from L2", la)
-			}
+	for s := range h.L1.sets {
+		if err := h.checkInclusiveSet(s); err != nil {
+			return err
 		}
 	}
+	return h.checkPrefetchBuffer()
+}
+
+// checkInclusiveSet verifies that every valid line of L1 set s is in L2.
+func (h *Hierarchy) checkInclusiveSet(s int) error {
+	for _, ln := range h.L1.sets[s] {
+		if !ln.valid {
+			continue
+		}
+		if la := h.L1.addrOf(s, ln.tag); !h.L2.Contains(la) {
+			return fmt.Errorf("cache: inclusivity broken: L1 line %#x absent from L2", la)
+		}
+	}
+	return nil
+}
+
+// checkPrefetchBuffer verifies every prefetch-buffer line is in L2.
+func (h *Hierarchy) checkPrefetchBuffer() error {
 	for _, la := range h.pbuf {
 		if !h.L2.Contains(la) {
 			return fmt.Errorf("cache: inclusivity broken: prefetch-buffer line %#x absent from L2", la)
@@ -275,8 +294,9 @@ func (h *Hierarchy) CheckInclusive() error {
 	return nil
 }
 
-// CheckInvariants runs every structural check: inclusivity plus both
-// levels' replacement-state sanity. A pure probe.
+// CheckInvariants runs every structural check over every set:
+// inclusivity plus both levels' replacement-state sanity. A pure probe;
+// it neither reads nor clears the marks CheckChanged keeps.
 func (h *Hierarchy) CheckInvariants() error {
 	if err := h.CheckInclusive(); err != nil {
 		return err
@@ -285,6 +305,50 @@ func (h *Hierarchy) CheckInvariants() error {
 		return err
 	}
 	return h.L2.CheckReplacementState()
+}
+
+// CheckChanged is CheckInvariants restricted to the sets mutated since
+// the last time it passed. It re-checks inclusivity for every marked L1
+// set and for every L1 set sharing index bits with a marked L2 set (an
+// L2-side removal can orphan an L1 line without touching L1), always
+// checks the prefetch buffer, and runs the replacement-state checks on
+// the marked sets of each level, all in CheckInvariants' order. When
+// every unmarked set last checked clean it therefore returns exactly
+// what CheckInvariants would. A pass clears the marks; a failure keeps
+// them, so the violation is reported again until it is gone.
+func (h *Hierarchy) CheckChanged() error {
+	copy(h.incl, h.L1.dirty)
+	n1, n2 := len(h.L1.sets), len(h.L2.sets)
+	for wi, word := range h.L2.dirty {
+		for word != 0 {
+			s2 := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			for s := s2 & (n1 - 1); s < n1; s += n2 {
+				h.incl[s>>6] |= 1 << (uint(s) & 63)
+			}
+		}
+	}
+	for wi, word := range h.incl {
+		for word != 0 {
+			s := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if err := h.checkInclusiveSet(s); err != nil {
+				return err
+			}
+		}
+	}
+	if err := h.checkPrefetchBuffer(); err != nil {
+		return err
+	}
+	if err := h.L1.checkDirtySets(); err != nil {
+		return err
+	}
+	if err := h.L2.checkDirtySets(); err != nil {
+		return err
+	}
+	clear(h.L1.dirty)
+	clear(h.L2.dirty)
+	return nil
 }
 
 // InvariantError returns the first violation latched by SelfCheck mode,
@@ -297,7 +361,7 @@ func (h *Hierarchy) selfCheck(op string, addr uint64) {
 	if h.invErr != nil {
 		return
 	}
-	if err := h.CheckInvariants(); err != nil {
+	if err := h.CheckChanged(); err != nil {
 		h.invErr = fmt.Errorf("after %s of %#x: %w", op, addr, err)
 	}
 }

@@ -120,6 +120,9 @@ func Summarize(st *taint.State, scenario, machine string) ScanSummary {
 			s.ByClass = append(s.ByClass, ScanClassCount{Opt: c.String(), MLDRef: c.MLDRef(), Count: n})
 		}
 	}
+	if n := len(st.Rec.Events); n > 0 {
+		s.Events = make([]ScanEvent, 0, n)
+	}
 	for _, ev := range st.Rec.Events {
 		s.Events = append(s.Events, ScanEvent{
 			Cycle:  ev.Cycle,

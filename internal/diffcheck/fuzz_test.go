@@ -89,13 +89,24 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// FuzzCacheHierarchy drives a tiny self-checking hierarchy through
-// byte-directed access/prefetch/evict sequences; the per-operation
-// self-check plus a final probe must stay clean for every geometry,
-// including non-power-of-two TreePLRU way counts.
+// FuzzCacheHierarchy drives a tiny hierarchy, self-checking or not,
+// through byte-directed access/prefetch/evict sequences interleaved with
+// seeded corruption — an L1 tag flip, L1 replacement-state damage, and a
+// line dropped from L2 alone. After every operation the incremental
+// CheckChanged must return exactly what the full-sweep CheckInvariants
+// returns, and until the first corruption both must stay clean for every
+// geometry, including non-power-of-two TreePLRU way counts.
 func FuzzCacheHierarchy(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{5, 3, 255, 254, 253, 10, 11, 12, 13, 14, 15, 16})
+	// Seeds over the policies (data[0]%3 picks L1's, data[1]%3 L2's) and
+	// the corruptions: byte pairs are (op, address), op 5 an access, 4 an
+	// L2-only evict, 3 replacement damage, 2 a tag flip, 1 an EvictAll.
+	f.Add([]byte{3, 6, 5, 1, 5, 2, 3, 7, 5, 3, 1, 2, 5, 4})
+	f.Add([]byte{4, 7, 5, 1, 5, 2, 4, 1, 5, 3, 1, 1, 5, 4, 3, 6, 5, 5})
+	f.Add([]byte{0x45, 5, 5, 1, 5, 2, 2, 3, 5, 3, 3, 9, 5, 4})
+	f.Add([]byte{2, 2, 5, 1, 3, 5, 5, 2, 4, 2, 5, 6})
+	f.Add([]byte{1, 2, 6, 4, 7, 12, 8, 20, 4, 4, 3, 8, 5, 4, 5, 12, 2, 0, 5, 20, 20, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -107,28 +118,47 @@ func FuzzCacheHierarchy(f *testing.F) {
 			L2: cache.Config{Name: "L2", Sets: 4, Ways: 1 + int(data[1]%8), LineSize: 64,
 				HitLatency: 4, Policy: policies[data[1]%3], Seed: 11},
 			MemLatency: 20,
-			SelfCheck:  true,
+			SelfCheck:  data[0]&0x40 == 0,
 		}
 		h, err := cache.NewHierarchy(cfg)
 		if err != nil {
 			t.Skip() // geometry rejected by construction-time validation
 		}
+		corrupted := false
 		for i := 2; i+1 < len(data) && i < 2+2*256; i += 2 {
 			addr := uint64(data[i+1]) << 6
-			switch data[i] % 8 {
+			seed := int64(data[i+1]) * 0x9e3779b9
+			switch data[i] % 16 {
 			case 0:
 				h.Prefetch(addr)
 			case 1:
 				h.EvictAll(addr)
+			case 2:
+				corrupted = h.CorruptL1Line(seed) || corrupted
+			case 3:
+				corrupted = h.CorruptL1Replacement(seed) || corrupted
+			case 4:
+				corrupted = h.L2.Evict(addr) || corrupted
 			default:
 				h.Access(addr, uint64(i), data[i]%2 == 0)
 			}
-			if err := h.InvariantError(); err != nil {
+			if err := h.InvariantError(); err != nil && !corrupted {
 				t.Fatalf("op %d: %v", i, err)
 			}
-		}
-		if err := h.CheckInvariants(); err != nil {
-			t.Fatalf("final state: %v", err)
+			full := h.CheckInvariants()
+			if !corrupted && full != nil {
+				t.Fatalf("op %d: uncorrupted hierarchy: %v", i, full)
+			}
+			if inc := h.CheckChanged(); errText(inc) != errText(full) {
+				t.Fatalf("op %d: incremental check %q, full sweep %q", i, errText(inc), errText(full))
+			}
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
 }

@@ -87,15 +87,15 @@ const (
 )
 
 var siteNames = [numSites]string{
-	SiteNone:        "none",
-	SitePRF:         "prf",
-	SiteLSQ:         "lsq",
-	SiteForward:     "forward",
-	SiteIssueDrop:   "issue-drop",
-	SiteFenceStuck:  "fence-stuck",
-	SiteCacheLine:   "cache-line",
-	SiteReplacement: "replacement",
-	SiteFillDelay:   "fill-delay",
+	SiteNone:            "none",
+	SitePRF:             "prf",
+	SiteLSQ:             "lsq",
+	SiteForward:         "forward",
+	SiteIssueDrop:       "issue-drop",
+	SiteFenceStuck:      "fence-stuck",
+	SiteCacheLine:       "cache-line",
+	SiteReplacement:     "replacement",
+	SiteFillDelay:       "fill-delay",
 	SiteMiscompile:      "miscompile",
 	SiteTaintALU:        "taint-alu",
 	SiteMispredictStorm: "mispredict-storm",

@@ -57,6 +57,10 @@ type Kernel struct {
 	// Check verifies the kernel's outputs in post-run memory against a
 	// Go reference implementation of the primitive.
 	Check func(m *mem.Memory) error
+
+	// unit is Source assembled once by registerKernel and shared,
+	// read-only, by every run of the kernel.
+	unit asm.Unit
 }
 
 // kernelTable is built by this file's init calling each per-kernel
@@ -70,6 +74,11 @@ func registerKernel(k Kernel) {
 			panic(fmt.Sprintf("kernels: duplicate kernel %q", k.Name))
 		}
 	}
+	unit, err := k.assemble()
+	if err != nil {
+		panic(err)
+	}
+	k.unit = unit
 	kernelTable = append(kernelTable, k)
 }
 
@@ -98,8 +107,7 @@ func Names() []string {
 	return out
 }
 
-// assemble caches nothing: kernels are small and the enumeration's cost
-// is the pipeline run, not the assembler.
+// assemble translates the kernel's source and requires a .secret region.
 func (k Kernel) assemble() (asm.Unit, error) {
 	unit, err := asm.AssembleUnit(k.Source)
 	if err != nil {
@@ -118,12 +126,28 @@ func (k Kernel) assemble() (asm.Unit, error) {
 // diffcheck "stride-pbuf" variant). machine is the spec string recorded
 // in the summary.
 func Run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, machine string) (core.ScanSummary, error) {
-	unit, err := k.assemble()
+	st, err := run(ctx, k, cfg, hcfg, stride, taint.DefaultEventLimit)
 	if err != nil {
 		return core.ScanSummary{}, err
 	}
+	return core.Summarize(st, k.Name, machine), nil
+}
+
+// run is Run without the summary: it returns the taint state, whose
+// recorder retains at most eventLimit events verbatim (its counts and
+// first events per class are exact at any limit).
+func run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, eventLimit int) (*taint.State, error) {
+	unit := k.unit
+	if unit.Prog == nil {
+		// A Kernel value built outside the registry has no unit yet.
+		var err error
+		if unit, err = k.assemble(); err != nil {
+			return nil, err
+		}
+	}
 	st := taint.NewState()
 	st.ObserveAddrs = true
+	st.Rec.Limit = eventLimit
 	cfg.Taint = st
 	flag, stop := pipeline.CancelFromContext(ctx)
 	defer stop()
@@ -135,29 +159,29 @@ func Run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConf
 	}
 	hier, err := cache.NewHierarchy(hcfg)
 	if err != nil {
-		return core.ScanSummary{}, err
+		return nil, err
 	}
 	if stride {
 		hier.AddListener(dmp.NewStride(hier))
 	}
 	machineImpl, err := pipeline.New(cfg, m, hier)
 	if err != nil {
-		return core.ScanSummary{}, err
+		return nil, err
 	}
 	for _, s := range unit.Secrets {
 		if _, err := st.DefineSecret(taint.Secret{Name: s.Name, Base: s.Base, Len: s.Len}); err != nil {
-			return core.ScanSummary{}, err
+			return nil, err
 		}
 	}
 	if _, err := machineImpl.Run(unit.Prog); err != nil {
-		return core.ScanSummary{}, err
+		return nil, err
 	}
 	if k.Check != nil {
 		if err := k.Check(m); err != nil {
-			return core.ScanSummary{}, fmt.Errorf("kernels: %s: wrong output: %w", k.Name, err)
+			return nil, fmt.Errorf("kernels: %s: wrong output: %w", k.Name, err)
 		}
 	}
-	return core.Summarize(st, k.Name, machine), nil
+	return st, nil
 }
 
 // baselineHier is the cache hierarchy the scan/trace scenarios use: the

@@ -3,12 +3,16 @@ package kernels
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pandora/internal/asm"
+	"pandora/internal/core"
 	"pandora/internal/diffcheck"
 	"pandora/internal/emu"
 	"pandora/internal/mem"
+	"pandora/internal/taint"
 )
 
 // TestKernelReferenceOutputs runs every kernel on the functional
@@ -213,4 +217,61 @@ func TestKnownOptimizationLeaks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCellMatchesSummary checks the contract cell's lean path — a run
+// retaining no events, classes and first events read off the recorder —
+// against the summary path it replaced: each class present in Run's
+// ScanSummary and its first retained event (or the dropped-events
+// placeholder at cycle and pc -1), in class order. Every kernel × cache
+// variant at masks 0, AllMasks-1 and two seeded masks.
+func TestCellMatchesSummary(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	masks := []diffcheck.ToggleMask{0, diffcheck.AllMasks - 1,
+		diffcheck.ToggleMask(rng.Intn(diffcheck.AllMasks)), diffcheck.ToggleMask(rng.Intn(diffcheck.AllMasks))}
+	ctx := context.Background()
+	leaking := 0
+	for _, k := range Kernels() {
+		for _, v := range diffcheck.CacheVariants() {
+			for _, mask := range masks {
+				got, err := runCell(ctx, k, v, mask)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := Run(ctx, k, diffcheck.PipeConfig(mask), v.Config, v.Stride, mask.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := summaryCell(sum); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s/mask %v: lean cell %+v, summary cell %+v", k.Name, v.Name, mask, got, want)
+				}
+				if got.classes != 0 {
+					leaking++
+				}
+			}
+		}
+	}
+	if leaking == 0 {
+		t.Fatal("no leaking cell: the first-event comparison was never exercised")
+	}
+}
+
+// summaryCell derives a cell from a scan summary.
+func summaryCell(sum core.ScanSummary) cellResult {
+	var res cellResult
+	for c := taint.OptClass(0); int(c) < taint.NumOptClasses; c++ {
+		if sum.Count(c.String()) == 0 {
+			continue
+		}
+		res.classes |= 1 << c
+		ev := cellEvent{Cycle: -1, PC: -1}
+		for _, se := range sum.Events {
+			if se.Opt == c.String() {
+				ev = cellEvent{Cycle: se.Cycle, PC: se.PC, Labels: se.Labels, Detail: se.Detail}
+				break
+			}
+		}
+		res.first = append(res.first, ev)
+	}
+	return res
 }

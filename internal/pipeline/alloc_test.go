@@ -187,6 +187,45 @@ func TestSteadyStateAllocsLinearScheduler(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocsCheckInvariants pins the per-cycle structural
+// checks at zero allocations: one ROB walk, the store queue, and the
+// cache sets changed since the last pass, plus the closing full sweep.
+func TestSteadyStateAllocsCheckInvariants(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CheckInvariants = true
+	if avg := steadyStateAllocs(t, cfg); avg != 0 {
+		t.Errorf("checked steady-state Run allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestHierarchyChecksAllocFree pins both cache-hierarchy checks at zero
+// allocations on a warmed default hierarchy: the full sweep, and the
+// incremental check after an access has marked sets in both levels.
+func TestHierarchyChecksAllocFree(t *testing.T) {
+	h := cache.MustNewHierarchy(cache.DefaultHierConfig())
+	for a := uint64(0); a < 64<<10; a += 64 {
+		h.Access(a, 0, false)
+	}
+	var err error
+	if avg := testing.AllocsPerRun(100, func() { err = h.CheckInvariants() }); avg != 0 {
+		t.Errorf("CheckInvariants allocates %.1f times, want 0", avg)
+	}
+	if err != nil {
+		t.Fatalf("CheckInvariants: %v", err)
+	}
+	a := uint64(0)
+	if avg := testing.AllocsPerRun(100, func() {
+		a += 4096 + 64
+		h.Access(a, 0, false)
+		err = h.CheckChanged()
+	}); avg != 0 {
+		t.Errorf("CheckChanged allocates %.1f times, want 0", avg)
+	}
+	if err != nil {
+		t.Fatalf("CheckChanged: %v", err)
+	}
+}
+
 // TestPoolReclaimAcrossRuns checks that repeated Runs do not leak pooled
 // µops: the free lists reach a fixed point bounded by the in-flight
 // window, not by the dynamic instruction count.

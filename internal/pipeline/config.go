@@ -199,9 +199,10 @@ type Config struct {
 	// discipline, store-to-load forwarding recomputed by an independent
 	// algorithm, and the cache hierarchy's inclusivity and replacement-
 	// state sanity. A violation aborts the run with a cycle-stamped error.
-	// Off by default — the checks walk the ROB, SQ and both cache levels
-	// every cycle; they exist for the differential-testing harness
-	// (internal/diffcheck), not for production sweeps.
+	// Off by default — the checks walk the ROB and SQ every cycle, plus
+	// the cache sets changed since the last pass and one full cache sweep
+	// at the end of the run; they exist for the differential-testing
+	// harness (internal/diffcheck) and the contract enumeration.
 	CheckInvariants bool
 
 	// LinearScheduler selects the reference candidate-gathering path for

@@ -14,6 +14,12 @@ import (
 // machines diverged, not *when*.
 
 // checkInvariants runs once per cycle, after every stage has ticked.
+//
+// One walk over the ROB gathers what three groups of checks need: the
+// ROB-structure checks fail on the spot, since they are reported first;
+// the speculation checks keep the slot of their first violation and the
+// wrong-path count, and are reported after the store queue's, so every
+// message and the cycle it fires on match a walk per group.
 func (m *Machine) checkInvariants() {
 	if m.err != nil {
 		return
@@ -23,9 +29,17 @@ func (m *Machine) checkInvariants() {
 	// no retired µop lingering (retire removes entries as it marks them),
 	// and each occupant's scheduler-mask bits mirroring its stage and slot
 	// exactly (the bitset path's candidate sets equal the linear scan's).
+	//
+	// Speculation discipline: wrong-path µops are exactly the ROB suffix
+	// younger than the outstanding mispredicted branch, their count
+	// matches the fetch-side counter (wrong-path µops never retire, so
+	// every one fetched is still in the ROB), and none may be queued for
+	// replay (wrong-path victims are discarded, not replayed).
 	prev := uint64(0)
-	for i := 0; i < m.robN; i++ {
-		u := m.robAt(i)
+	inWindow, wrongN, specBad := 0, 0, -1
+	rob, dispW, execW := m.robBuf, m.dispW, m.execW
+	for i, slot := 0, m.robHead; i < m.robN; i, slot = i+1, (slot+1)&(len(rob)-1) {
+		u := rob[slot]
 		if i > 0 && u.seq <= prev {
 			m.fail("invariant: ROB out of order: µop #%d at slot %d follows #%d",
 				u.seq, i, prev)
@@ -36,19 +50,27 @@ func (m *Machine) checkInvariants() {
 			m.fail("invariant: retired µop #%d (pc=%d) still in ROB slot %d", u.seq, u.pc, i)
 			return
 		}
-		slot := (m.robHead + i) & (len(m.robBuf) - 1)
 		if u.slot != slot {
 			m.fail("invariant: µop #%d records slot %d but occupies slot %d", u.seq, u.slot, slot)
 			return
 		}
 		w, b := slot>>6, uint64(1)<<(uint(slot)&63)
-		if got, want := m.dispW[w]&b != 0, u.stage == stDispatched; got != want {
+		if got, want := dispW[w]&b != 0, u.stage == stDispatched; got != want {
 			m.fail("invariant: µop #%d (stage %d) dispW bit=%v at slot %d", u.seq, u.stage, got, slot)
 			return
 		}
-		if got, want := m.execW[w]&b != 0, u.stage == stExecuting; got != want {
+		if got, want := execW[w]&b != 0, u.stage == stExecuting; got != want {
 			m.fail("invariant: µop #%d (stage %d) execW bit=%v at slot %d", u.seq, u.stage, got, slot)
 			return
+		}
+		if u.stage == stDispatched || u.stage == stExecuting {
+			inWindow++
+		}
+		if u.wrongPath {
+			wrongN++
+		}
+		if specBad < 0 && m.specViolation(u) {
+			specBad = i
 		}
 	}
 	if m.robN > 0 && m.robBuf[m.robHead].seq <= m.lastRetiredSeq {
@@ -60,12 +82,6 @@ func (m *Machine) checkInvariants() {
 	pop := 0
 	for w := range m.dispW {
 		pop += bits.OnesCount64(m.dispW[w]) + bits.OnesCount64(m.execW[w])
-	}
-	inWindow := 0
-	for i := 0; i < m.robN; i++ {
-		if st := m.robAt(i).stage; st == stDispatched || st == stExecuting {
-			inWindow++
-		}
 	}
 	if pop != inWindow {
 		m.fail("invariant: %d scheduler-mask bits set for %d dispatched/executing µops", pop, inWindow)
@@ -101,25 +117,15 @@ func (m *Machine) checkInvariants() {
 		}
 	}
 
-	// Speculation discipline: wrong-path µops are exactly the ROB suffix
-	// younger than the outstanding mispredicted branch, their count
-	// matches the fetch-side counter (wrong-path µops never retire, so
-	// every one fetched is still in the ROB), and none may be queued for
-	// replay (wrong-path victims are discarded, not replayed).
-	wrongN := 0
-	for i := 0; i < m.robN; i++ {
-		u := m.robAt(i)
+	if specBad >= 0 {
+		u := m.robAt(specBad)
 		if u.wrongPath {
-			wrongN++
-			if m.specBranch == nil || u.seq <= m.specBranch.seq {
-				m.fail("invariant: wrong-path µop #%d with no unresolved mispredicted branch older than it", u.seq)
-				return
-			}
-		} else if m.specBranch != nil && u.seq > m.specBranch.seq {
+			m.fail("invariant: wrong-path µop #%d with no unresolved mispredicted branch older than it", u.seq)
+		} else {
 			m.fail("invariant: correct-path µop #%d younger than unresolved mispredicted branch #%d",
 				u.seq, m.specBranch.seq)
-			return
 		}
+		return
 	}
 	if wrongN != m.wrongPathN {
 		m.fail("invariant: %d wrong-path µops in ROB but counter says %d", wrongN, m.wrongPathN)
@@ -132,16 +138,27 @@ func (m *Machine) checkInvariants() {
 		}
 	}
 
-	// Cache hierarchy: inclusivity and replacement-state sanity. A latched
-	// SelfCheck violation names the operation that exposed it; otherwise
-	// probe directly.
+	// Cache hierarchy: inclusivity and replacement-state sanity over the
+	// sets changed since the last passing check (Run closes with a full
+	// sweep). A latched SelfCheck violation names the operation that
+	// exposed it; otherwise probe directly.
 	if err := m.hier.InvariantError(); err != nil {
 		m.fail("invariant: %v", err)
 		return
 	}
-	if err := m.hier.CheckInvariants(); err != nil {
+	if err := m.hier.CheckChanged(); err != nil {
 		m.fail("invariant: %v", err)
 	}
+}
+
+// specViolation reports whether ROB occupant u breaks the speculation
+// discipline: a wrong-path µop with no older outstanding mispredicted
+// branch, or a correct-path µop younger than one.
+func (m *Machine) specViolation(u *uop) bool {
+	if u.wrongPath {
+		return m.specBranch == nil || u.seq <= m.specBranch.seq
+	}
+	return m.specBranch != nil && u.seq > m.specBranch.seq
 }
 
 // checkForwardConsistency recomputes a store-to-load forwarding result

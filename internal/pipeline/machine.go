@@ -359,6 +359,14 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 			return m.finishRun(startCycle), m.supervised(ReasonMaxCycles, err)
 		}
 	}
+	if m.cfg.CheckInvariants {
+		// The per-cycle cache check covers the sets changed since it
+		// last passed; close the run with a sweep of every set.
+		if err := m.hier.CheckInvariants(); err != nil {
+			m.fail("invariant: %v", err)
+			return m.finishRun(startCycle), m.supervised(ReasonPipelineError, m.err)
+		}
+	}
 	return m.finishRun(startCycle), nil
 }
 

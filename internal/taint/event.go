@@ -131,12 +131,16 @@ type LeakEvent struct {
 }
 
 // Recorder accumulates leak events with a storage cap: counts are always
-// exact, but at most Limit events are retained verbatim.
+// exact, but at most Limit events are retained verbatim. First keeps
+// each class's first event whatever the cap, so a caller that needs only
+// the classes present and their first occurrences can set Limit to 0.
 type Recorder struct {
 	Limit   int
 	Events  []LeakEvent
 	Counts  [numOptClasses]uint64
 	Dropped uint64
+	// First[c] is class c's first recorded event; valid when Counts[c] > 0.
+	First [numOptClasses]LeakEvent
 }
 
 // DefaultEventLimit bounds retained events per scan.
@@ -151,6 +155,9 @@ func (r *Recorder) Record(ev LeakEvent) {
 		return
 	}
 	if int(ev.Opt) < len(r.Counts) {
+		if r.Counts[ev.Opt] == 0 {
+			r.First[ev.Opt] = ev
+		}
 		r.Counts[ev.Opt]++
 	}
 	if len(r.Events) < r.Limit {

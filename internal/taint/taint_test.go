@@ -90,6 +90,36 @@ func TestRecorderCap(t *testing.T) {
 	}
 }
 
+// TestRecorderFirst checks that First[c] is class c's first event at
+// any cap: with no events retained, with one, and once the cap has
+// started dropping.
+func TestRecorderFirst(t *testing.T) {
+	evs := []LeakEvent{
+		{Cycle: 1, Opt: OptSilentStore, Detail: "a"},
+		{Cycle: 2, Opt: OptCacheAddr, Detail: "b"},
+		{Cycle: 3, Opt: OptSilentStore, Detail: "c"},
+		{Cycle: 4, Opt: OptCompSimp, Detail: "d"},
+		{Cycle: 5, Opt: OptCacheAddr, Detail: "e"},
+	}
+	for _, limit := range []int{0, 1, DefaultEventLimit} {
+		r := &Recorder{Limit: limit}
+		for _, ev := range evs {
+			r.Record(ev)
+		}
+		for _, want := range []LeakEvent{evs[0], evs[1], evs[3]} {
+			if got := r.First[want.Opt]; got != want {
+				t.Errorf("limit %d: First[%v] = %+v, want %+v", limit, want.Opt, got, want)
+			}
+		}
+		if r.CountOf(OptPrefetcher) != 0 || r.First[OptPrefetcher] != (LeakEvent{}) {
+			t.Errorf("limit %d: absent class has a first event", limit)
+		}
+		if kept := min(limit, len(evs)); len(r.Events) != kept || r.Dropped != uint64(len(evs)-kept) {
+			t.Errorf("limit %d: retained=%d dropped=%d", limit, len(r.Events), r.Dropped)
+		}
+	}
+}
+
 // TestStepEmuRules drives each propagation rule through the emulator
 // hook on a hand-written program.
 func TestStepEmuRules(t *testing.T) {
@@ -104,16 +134,16 @@ func TestStepEmuRules(t *testing.T) {
 	st.Attach(mc)
 
 	prog := isa.Program{
-		{Op: isa.ADDI, Rd: 1, Imm: 0x1000},     // x1 = &secret (unlabeled)
-		{Op: isa.LD, Rd: 2, Rs1: 1},            // x2 <- secret       (load rule)
-		{Op: isa.ADD, Rd: 3, Rs1: 2, Rs2: 0},   // x3 <- x2           (ALU rule)
-		{Op: isa.ADDI, Rd: 4, Rs1: 0, Imm: 7},  // x4 clean
-		{Op: isa.SD, Rs1: 1, Rs2: 3, Imm: 8},   // mem[0x1008] <- x3  (store rule)
-		{Op: isa.SD, Rs1: 1, Rs2: 4, Imm: 16},  // clean store
-		{Op: isa.BEQ, Rs1: 2, Rs2: 2, Imm: 8},  // predicate labeled  (control rule)
-		{Op: isa.ADDI, Rd: 5, Rs1: 0, Imm: 1},  // skipped
-		{Op: isa.ADDI, Rd: 6, Rs1: 0, Imm: 2},  // x6 <- Control
-		{Op: isa.RDCYCLE, Rd: 7},               // x7 <- Control      (CSR rule)
+		{Op: isa.ADDI, Rd: 1, Imm: 0x1000},    // x1 = &secret (unlabeled)
+		{Op: isa.LD, Rd: 2, Rs1: 1},           // x2 <- secret       (load rule)
+		{Op: isa.ADD, Rd: 3, Rs1: 2, Rs2: 0},  // x3 <- x2           (ALU rule)
+		{Op: isa.ADDI, Rd: 4, Rs1: 0, Imm: 7}, // x4 clean
+		{Op: isa.SD, Rs1: 1, Rs2: 3, Imm: 8},  // mem[0x1008] <- x3  (store rule)
+		{Op: isa.SD, Rs1: 1, Rs2: 4, Imm: 16}, // clean store
+		{Op: isa.BEQ, Rs1: 2, Rs2: 2, Imm: 8}, // predicate labeled  (control rule)
+		{Op: isa.ADDI, Rd: 5, Rs1: 0, Imm: 1}, // skipped
+		{Op: isa.ADDI, Rd: 6, Rs1: 0, Imm: 2}, // x6 <- Control
+		{Op: isa.RDCYCLE, Rd: 7},              // x7 <- Control      (CSR rule)
 		{Op: isa.HALT},
 	}
 	if err := mc.Run(prog, 1000); err != nil {
