@@ -90,23 +90,28 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // FuzzCacheHierarchy drives a tiny hierarchy, self-checking or not,
-// through byte-directed access/prefetch/evict sequences interleaved with
-// seeded corruption — an L1 tag flip, L1 replacement-state damage, and a
-// line dropped from L2 alone. After every operation the incremental
-// CheckChanged must return exactly what the full-sweep CheckInvariants
-// returns, and until the first corruption both must stay clean for every
-// geometry, including non-power-of-two TreePLRU way counts.
+// through byte-directed access/prefetch/evict sequences. When the high
+// bit of data[0] is clear the run is benign, exactly the original menu,
+// and both checks must stay clean over the whole sequence for every
+// geometry, including non-power-of-two TreePLRU way counts. When it is
+// set, seeded corruption is interleaved — an L1 tag flip, L1
+// replacement-state damage, and a line dropped from L2 alone — and the
+// checks must stay clean until an operation really breaks an invariant.
+// In both modes the incremental CheckChanged must return exactly what
+// the full-sweep CheckInvariants returns after every operation.
 func FuzzCacheHierarchy(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{5, 3, 255, 254, 253, 10, 11, 12, 13, 14, 15, 16})
-	// Seeds over the policies (data[0]%3 picks L1's, data[1]%3 L2's) and
-	// the corruptions: byte pairs are (op, address), op 5 an access, 4 an
-	// L2-only evict, 3 replacement damage, 2 a tag flip, 1 an EvictAll.
-	f.Add([]byte{3, 6, 5, 1, 5, 2, 3, 7, 5, 3, 1, 2, 5, 4})
-	f.Add([]byte{4, 7, 5, 1, 5, 2, 4, 1, 5, 3, 1, 1, 5, 4, 3, 6, 5, 5})
-	f.Add([]byte{0x45, 5, 5, 1, 5, 2, 2, 3, 5, 3, 3, 9, 5, 4})
-	f.Add([]byte{2, 2, 5, 1, 3, 5, 5, 2, 4, 2, 5, 6})
-	f.Add([]byte{1, 2, 6, 4, 7, 12, 8, 20, 4, 4, 3, 8, 5, 4, 5, 12, 2, 0, 5, 20, 20, 1})
+	// Byte pairs after the two config bytes are (op, address). data[0]%3
+	// picks L1's policy and data[1]%3 L2's; 0x80 in data[0] enables the
+	// corruptions and 0x40 turns SelfCheck off. Ops (mod 16): 0 and 8
+	// prefetch, 1 and 9 EvictAll, 10 a tag flip, 11 replacement damage,
+	// 12 an L2-only evict; everything else is an access.
+	f.Add([]byte{1, 4, 5, 1, 0, 2, 5, 3, 9, 1, 5, 5, 8, 6, 5, 1, 6, 7, 1, 3})
+	f.Add([]byte{0x81, 7, 5, 1, 5, 2, 10, 7, 5, 3, 12, 2, 5, 4, 11, 9})
+	f.Add([]byte{0x82, 5, 5, 1, 5, 2, 11, 1, 5, 3, 12, 1, 5, 4, 10, 6, 5, 5})
+	f.Add([]byte{0xc2, 3, 5, 1, 5, 2, 11, 3, 5, 3, 10, 9, 5, 4})
+	f.Add([]byte{0x80, 2, 6, 4, 7, 12, 8, 20, 12, 4, 11, 8, 5, 4, 5, 12, 10, 0, 5, 20, 20, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -124,21 +129,30 @@ func FuzzCacheHierarchy(f *testing.F) {
 		if err != nil {
 			t.Skip() // geometry rejected by construction-time validation
 		}
+		corrupting := data[0]&0x80 != 0
 		corrupted := false
 		for i := 2; i+1 < len(data) && i < 2+2*256; i += 2 {
 			addr := uint64(data[i+1]) << 6
 			seed := int64(data[i+1]) * 0x9e3779b9
-			switch data[i] % 16 {
-			case 0:
+			switch op := data[i] % 16; {
+			case op%8 == 0:
 				h.Prefetch(addr)
-			case 1:
+			case op%8 == 1:
 				h.EvictAll(addr)
-			case 2:
+			case op == 10 && corrupting:
+				// The flipped tag bit is far above any address here, so
+				// the line is no longer backed by L2.
 				corrupted = h.CorruptL1Line(seed) || corrupted
-			case 3:
-				corrupted = h.CorruptL1Replacement(seed) || corrupted
-			case 4:
-				corrupted = h.L2.Evict(addr) || corrupted
+			case op == 11 && corrupting:
+				// A TreePLRU bit flip leaves legal state; a pushed-ahead
+				// LRU/Random timestamp does not.
+				broke := h.CorruptL1Replacement(seed) && cfg.L1.Policy != cache.TreePLRU
+				corrupted = broke || corrupted
+			case op == 12 && corrupting:
+				// Dropping a line from L2 alone orphans it only if L1
+				// still holds it.
+				broke := h.L2.Evict(addr) && h.L1.Contains(addr)
+				corrupted = broke || corrupted
 			default:
 				h.Access(addr, uint64(i), data[i]%2 == 0)
 			}

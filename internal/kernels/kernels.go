@@ -74,9 +74,12 @@ func registerKernel(k Kernel) {
 			panic(fmt.Sprintf("kernels: duplicate kernel %q", k.Name))
 		}
 	}
-	unit, err := k.assemble()
+	unit, err := asm.AssembleUnit(k.Source)
 	if err != nil {
-		panic(err)
+		panic(fmt.Errorf("kernels: %s: %w", k.Name, err))
+	}
+	if len(unit.Secrets) == 0 {
+		panic(fmt.Errorf("kernels: %s declares no .secret region", k.Name))
 	}
 	k.unit = unit
 	kernelTable = append(kernelTable, k)
@@ -107,24 +110,13 @@ func Names() []string {
 	return out
 }
 
-// assemble translates the kernel's source and requires a .secret region.
-func (k Kernel) assemble() (asm.Unit, error) {
-	unit, err := asm.AssembleUnit(k.Source)
-	if err != nil {
-		return asm.Unit{}, fmt.Errorf("kernels: %s: %w", k.Name, err)
-	}
-	if len(unit.Secrets) == 0 {
-		return asm.Unit{}, fmt.Errorf("kernels: %s declares no .secret region", k.Name)
-	}
-	return unit, nil
-}
-
 // Run executes the kernel once on the pipeline under the taint scanner
 // with the cache-address observer armed — the constant-time contract
 // run. cfg chooses the optimizations under test; hcfg and stride choose
 // the cache hierarchy (stride attaches the stride prefetcher, the
 // diffcheck "stride-pbuf" variant). machine is the spec string recorded
-// in the summary.
+// in the summary. k must come from Kernels or KernelByName; only the
+// registry assembles a kernel.
 func Run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, machine string) (core.ScanSummary, error) {
 	st, err := run(ctx, k, cfg, hcfg, stride, taint.DefaultEventLimit)
 	if err != nil {
@@ -139,11 +131,7 @@ func Run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConf
 func run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, eventLimit int) (*taint.State, error) {
 	unit := k.unit
 	if unit.Prog == nil {
-		// A Kernel value built outside the registry has no unit yet.
-		var err error
-		if unit, err = k.assemble(); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("kernels: %s is not registered", k.Name)
 	}
 	st := taint.NewState()
 	st.ObserveAddrs = true

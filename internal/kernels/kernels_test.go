@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pandora/internal/asm"
@@ -23,14 +24,10 @@ func TestKernelReferenceOutputs(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			unit, err := k.assemble()
-			if err != nil {
-				t.Fatal(err)
-			}
 			m := mem.New()
 			k.Setup(m)
 			mc := emu.New(m)
-			if err := mc.Run(unit.Prog, 1_000_000); err != nil {
+			if err := mc.Run(k.unit.Prog, 1_000_000); err != nil {
 				t.Fatalf("emulator: %v", err)
 			}
 			if err := k.Check(m); err != nil {
@@ -180,6 +177,18 @@ func TestValidateNames(t *testing.T) {
 	}
 	if _, err := ValidateNames([]string{"no-such-kernel"}); err == nil {
 		t.Fatal("unknown kernel accepted")
+	}
+}
+
+// TestRunRejectsUnregisteredKernel checks that a Kernel built outside
+// the registry, which has no assembled program, is an error rather than
+// an empty run.
+func TestRunRejectsUnregisteredKernel(t *testing.T) {
+	k, _ := KernelByName("chacha20-qr")
+	bare := Kernel{Name: k.Name, Source: k.Source, Setup: k.Setup, Check: k.Check}
+	_, err := Run(context.Background(), bare, diffcheck.PipeConfig(0), baselineHier(), false, "none")
+	if err == nil || !strings.Contains(err.Error(), "is not registered") {
+		t.Fatalf("unregistered kernel: got %v", err)
 	}
 }
 
