@@ -73,14 +73,17 @@ rm -f "$prog" "$out"
 (cd bench && GOWORK=off GOPROXY=off GOFLAGS= go test ./...)
 
 # Fuzz smoke: a few seconds per target. The simulator targets share the
-# sweep's oracle; the last three cover the formats read from untrusted
-# bytes — the journal reader (no panic, typed errors, every returned
-# record re-verifies), the machine-spec parser (typed *SpecError
-# rejections, FormatMachineSpec round trip) and the assembler (typed
-# *asm.Error rejections, every accepted secret region labelable).
+# sweep's oracle; the last four cover bytes the program reads back —
+# the journal reader (no panic, typed errors, every returned record
+# re-verifies), the machine-spec parser (typed *SpecError rejections,
+# FormatMachineSpec round trip), the assembler (typed *asm.Error
+# rejections, every accepted secret region labelable) and serve's
+# cached-failure reader (no panic, agrees with a full decode on every
+# stored result body).
 go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -run '^$'
 go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'
 go test ./internal/core -fuzz FuzzParseMachineSpec -fuzztime 5s -run '^$'
 go test ./internal/asm -fuzz FuzzAssembleUnit -fuzztime 5s -run '^$'
+go test ./internal/serve -fuzz FuzzCachedError -fuzztime 5s -run '^$'

@@ -107,14 +107,19 @@ func TestStoreRejectsTamperedHeader(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	// Rewrite the identity header's MAC (body untouched): the entry now
-	// claims an identity it cannot prove.
+	// claims an identity it cannot prove. Flipping the first hex digit
+	// changes the MAC whatever its value.
 	tamper(t, s, key, func(raw []byte) []byte {
 		nl := bytes.IndexByte(raw, '\n')
 		var hdr entryHeader
 		if err := json.Unmarshal(raw[:nl], &hdr); err != nil {
 			t.Fatalf("parse header: %v", err)
 		}
-		hdr.MAC = "00" + hdr.MAC[2:]
+		flipped := "0"
+		if hdr.MAC[0] == '0' {
+			flipped = "1"
+		}
+		hdr.MAC = flipped + hdr.MAC[1:]
 		out, _ := json.Marshal(hdr)
 		return append(append(out, '\n'), raw[nl+1:]...)
 	})

@@ -32,31 +32,48 @@ const (
 	PhaseFailed   = "failed"
 )
 
+// maxJobEvents caps one job's event log, so a settled job's record
+// stays small however much its analysis logged. The last slot is kept
+// for the terminal event; events past the cap are counted rather than
+// recorded, so seq stays gapless in the replay and in live streams.
+const maxJobEvents = 256
+
 // eventLog is a job's append-only progress stream: an in-memory replay
-// buffer plus live fan-out to subscribers. Closing it (on job
+// buffer plus live fan-out to subscribers. Finishing it (on job
 // completion) ends every subscriber's stream after the buffered events
 // drain.
 type eventLog struct {
-	mu     sync.Mutex
-	events []JobEvent
-	subs   map[chan JobEvent]struct{}
-	closed bool
+	mu      sync.Mutex
+	events  []JobEvent
+	dropped int // events refused by the maxJobEvents cap
+	subs    map[chan JobEvent]struct{}
+	closed  bool
 }
 
-func newEventLog() *eventLog {
-	return &eventLog{subs: make(map[chan JobEvent]struct{})}
-}
-
-// append records an event and delivers it to live subscribers. Slow
-// subscribers do not block the job: a subscriber whose channel is full
-// is dropped (its stream ends early; the replay buffer still holds the
-// history for a reconnect).
+// append records an event and delivers it to live subscribers, unless
+// the log is full. Slow subscribers do not block the job: a subscriber
+// whose channel is full is dropped (its stream ends early; the replay
+// buffer still holds the history for a reconnect).
 func (l *eventLog) append(phase, text string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
+	if len(l.events) >= maxJobEvents-1 {
+		l.dropped++
+		return
+	}
+	l.record(phase, text)
+}
+
+func (l *eventLog) appendf(phase, format string, args ...any) {
+	l.append(phase, fmt.Sprintf(format, args...))
+}
+
+// record appends ev with the next seq and fans it out; the caller holds
+// l.mu.
+func (l *eventLog) record(phase, text string) {
 	ev := JobEvent{Seq: len(l.events), Phase: phase, Text: text}
 	l.events = append(l.events, ev)
 	for ch := range l.subs {
@@ -69,8 +86,19 @@ func (l *eventLog) append(phase, text string) {
 	}
 }
 
-func (l *eventLog) appendf(phase, format string, args ...any) {
-	l.append(phase, fmt.Sprintf(format, args...))
+// finish records the terminal event, saying how many events the cap
+// dropped, and closes the stream.
+func (l *eventLog) finish(phase, text string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
+	if l.dropped > 0 {
+		text = fmt.Sprintf("%s (%d events dropped)", text, l.dropped)
+	}
+	l.record(phase, text)
+	l.closeLocked()
 }
 
 // close ends the stream: subscribers' channels are closed after the
@@ -78,6 +106,10 @@ func (l *eventLog) appendf(phase, format string, args ...any) {
 func (l *eventLog) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.closeLocked()
+}
+
+func (l *eventLog) closeLocked() {
 	if l.closed {
 		return
 	}
@@ -98,7 +130,12 @@ func (l *eventLog) subscribe() (replay []JobEvent, live <-chan JobEvent, cancel 
 	if l.closed {
 		return replay, nil, func() {}
 	}
-	ch := make(chan JobEvent, 256)
+	if l.subs == nil {
+		l.subs = make(map[chan JobEvent]struct{})
+	}
+	// A log holds at most maxJobEvents events, so this buffer has room
+	// for every event still to come.
+	ch := make(chan JobEvent, maxJobEvents)
 	l.subs[ch] = struct{}{}
 	return replay, ch, func() {
 		l.mu.Lock()

@@ -258,7 +258,7 @@ func TestRestartRecoversCrashedJob(t *testing.T) {
 			if got := srv.stats.Retries.Load(); got != wantRetries {
 				t.Fatalf("retries = %d, want %d", got, wantRetries)
 			}
-			// The HTTP view re-indents; compare the compact forms byte for byte.
+			// Compare the compact forms byte for byte.
 			var gotC bytes.Buffer
 			if err := json.Compact(&gotC, bytes.TrimRight(body, "\n")); err != nil {
 				t.Fatalf("compact replayed result: %v", err)

@@ -470,6 +470,10 @@ func TestRunnersCoverEveryKindDeterministically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: marshal: %v", kind, err)
 			}
+			var full JobResult
+			if err := json.Unmarshal(b, &full); err != nil || cachedError(b) != full.Error {
+				t.Fatalf("%s: cachedError = %q, full decode = %q (%v)", kind, cachedError(b), full.Error, err)
+			}
 			return b
 		}
 		if a, b := run(), run(); !bytes.Equal(a, b) {

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,10 +129,13 @@ const (
 
 // Job is one tracked submission. Identical submissions share one Job
 // while it is in flight (singleflight) and share its cache entry after.
+// A settled Job is a compact record: it keeps neither its spec nor its
+// result body, only whether a body was stored under its key, and a GET
+// re-reads that body through the store.
 type Job struct {
 	id      string
 	key     string
-	spec    JobSpec
+	kind    JobKind
 	timeout time.Duration
 	log     *eventLog
 	done    chan struct{}
@@ -139,18 +145,20 @@ type Job struct {
 	executing bool
 
 	mu     sync.Mutex
+	spec   *JobSpec // the canonical spec, needed only to execute; nil once settled
 	state  jobState
 	cached bool
-	body   []byte
+	stored bool // settled with a result body stored under key
 	errMsg string
 }
 
-// JobView is the client-facing rendering of a Job.
+// JobView is the client-facing rendering of a Job. Spec is shown while
+// the job is in flight; Result is the stored body of a settled job.
 type JobView struct {
 	ID      string          `json:"id"`
 	Key     string          `json:"key"`
 	Kind    JobKind         `json:"kind"`
-	Spec    JobSpec         `json:"spec"`
+	Spec    *JobSpec        `json:"spec,omitempty"`
 	State   string          `json:"state"`
 	Cached  bool            `json:"cached,omitempty"`
 	Deduped bool            `json:"deduped,omitempty"`
@@ -158,26 +166,22 @@ type JobView struct {
 	Result  json.RawMessage `json:"result,omitempty"`
 }
 
-func (j *Job) view(deduped bool) JobView {
+// view renders the job without a result. stored reports that the job
+// settled with a body under its key (a success, or a cached
+// deterministic failure recording the error and any attempt history).
+func (j *Job) view(deduped bool) (v JobView, stored bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{
+	return JobView{
 		ID:      j.id,
 		Key:     j.key,
-		Kind:    j.spec.Kind,
+		Kind:    j.kind,
 		Spec:    j.spec,
 		State:   string(j.state),
 		Cached:  j.cached,
 		Deduped: deduped,
 		Error:   j.errMsg,
-	}
-	// Failed jobs carry a body too when the failure was cached (a
-	// deterministic failure's result records the error and any attempt
-	// history).
-	if len(j.body) > 0 {
-		v.Result = json.RawMessage(j.body)
-	}
-	return v
+	}, j.stored
 }
 
 // Server is the `pandora serve` service: HTTP job API in front of the
@@ -202,10 +206,18 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	settled  []string        // ids of the settled jobs in jobs, oldest first
 	flights  map[string]*Job // cache key → in-flight job
 	inflight map[JobKind]int // executing jobs per kind
 	seq      int
+	// maxSettled bounds the settled records in jobs (maxSettledJobs;
+	// tests shrink it). In-flight jobs are never evicted.
+	maxSettled int
 }
+
+// maxSettledJobs is how many settled job records a server keeps, at
+// about 1.5 KB each; the oldest is evicted first.
+const maxSettledJobs = 16384
 
 // New builds a Server: opens (or creates) the store and the job
 // journal, starts the worker pool, and replays any jobs a previous
@@ -256,6 +268,7 @@ func New(opts Options) (*Server, error) {
 		jobs:       make(map[string]*Job),
 		flights:    make(map[string]*Job),
 		inflight:   make(map[JobKind]int),
+		maxSettled: maxSettledJobs,
 	}
 	for _, kind := range Kinds() {
 		s.breakers[kind] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
@@ -293,12 +306,12 @@ func (s *Server) replay(pending []walPending) error {
 			// Completed before the crash; only the done marker was lost.
 			s.stats.CacheHits.Add(1)
 			s.walDone(j.key)
-			s.settleFromBody(j, body, true)
+			s.settleFromBody(j, body)
 			continue
 		}
 		s.mu.Lock()
 		j.executing = true
-		s.inflight[j.spec.Kind]++
+		s.inflight[j.kind]++
 		s.mu.Unlock()
 		if err := s.pool.Submit(keyShard(p.Key), func() { s.run(j) }); err != nil {
 			return fmt.Errorf("serve: replay %s: %w", p.Key, err)
@@ -312,17 +325,20 @@ func (s *Server) replay(pending []walPending) error {
 func (s *Server) newJobLocked(key string, spec JobSpec, timeout time.Duration) *Job {
 	s.seq++
 	j := &Job{
-		id:      fmt.Sprintf("j%06d", s.seq),
+		id:      jobID(s.seq),
 		key:     key,
-		spec:    spec,
+		kind:    spec.Kind,
+		spec:    &spec,
 		timeout: timeout,
-		log:     newEventLog(),
+		log:     new(eventLog),
 		done:    make(chan struct{}),
 		state:   stateQueued,
 	}
 	s.jobs[j.id] = j
 	return j
 }
+
+func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
 
 // effectiveTimeout resolves a job's deadline from its requested
 // TimeoutMS and the server's default/max policy.
@@ -444,6 +460,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// writeView writes a job view as compact JSON with body, a stored result
+// the store has just authenticated, spliced in verbatim as its "result"
+// member. body is MarshalResult output, compact JSON plus a newline, so
+// it needs no second validation or indentation pass; only the newline
+// is dropped. An empty body writes the view alone.
+func writeView(w http.ResponseWriter, code int, v JobView, body []byte) {
+	v.Result = nil
+	head, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "render job %s: %v", v.ID, err)
+		return
+	}
+	body = bytes.TrimSuffix(body, []byte("\n"))
+	tail := "\n"
+	if len(body) > 0 {
+		head = append(head[:len(head)-1], `,"result":`...)
+		tail = "}\n"
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
+	w.WriteHeader(code)
+	w.Write(head)
+	w.Write(body)
+	io.WriteString(w, tail)
+}
+
 // shed refuses a submission with 503 + Retry-After and counts it.
 func (s *Server) shed(w http.ResponseWriter, retryAfter time.Duration, format string, args ...any) {
 	s.stats.Shed.Add(1)
@@ -481,7 +523,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if leader, ok := s.flights[key]; ok {
 			s.mu.Unlock()
 			s.stats.Deduped.Add(1)
-			writeJSON(w, http.StatusOK, leader.view(true))
+			s.writeJob(w, http.StatusOK, leader, true)
 			return
 		}
 	}
@@ -501,8 +543,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch outcome {
 	case Hit:
 		s.stats.CacheHits.Add(1)
-		s.settleFromBody(j, body, true)
-		writeJSON(w, http.StatusOK, j.view(false))
+		s.settleFromBody(j, body)
+		v, _ := j.view(false)
+		writeView(w, http.StatusOK, v, body)
 		return
 	case Rejected:
 		s.stats.CacheRejected.Add(1)
@@ -558,7 +601,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.view(false))
+	s.writeJob(w, http.StatusAccepted, j, false)
 }
 
 func (s *Server) breakerFor(kind JobKind) *breaker {
@@ -590,9 +633,10 @@ func (s *Server) walDone(key string) {
 func (s *Server) run(j *Job) {
 	j.mu.Lock()
 	j.state = stateRunning
+	spec := *j.spec
 	j.mu.Unlock()
 	s.stats.Executed.Add(1)
-	j.log.appendf(PhaseStarted, "executing %s job (workers=%d)", j.spec.Kind, parallel.Workers(s.opts.Workers))
+	j.log.appendf(PhaseStarted, "executing %s job (workers=%d)", j.kind, parallel.Workers(s.opts.Workers))
 
 	ctx := s.lifeCtx
 	if j.timeout > 0 {
@@ -607,7 +651,7 @@ func (s *Server) run(j *Job) {
 		if att > 0 {
 			s.stats.Retries.Add(1)
 		}
-		res, err := s.attempt(ctx, j, att)
+		res, err := s.attempt(ctx, j, spec, att)
 		if err == nil {
 			res.Key = j.key
 			res.Attempts = attempts
@@ -616,15 +660,16 @@ func (s *Server) run(j *Job) {
 				s.failTerminal(j, merr, true)
 				return
 			}
+			// A settled job serves its result from the store alone, so a
+			// result the store refused is a failure, not cached.
 			if perr := s.store.Put(j.key, body); perr != nil {
-				// The result still serves from memory; only later
-				// submissions lose the cache.
-				s.logf("%v", perr)
+				s.failTerminal(j, fmt.Errorf("result not stored: %w", perr), true)
+				return
 			}
 			s.stats.Completed.Add(1)
 			s.walDone(j.key)
-			s.breakerFor(j.spec.Kind).record(true, time.Now())
-			s.settle(j, body, false, "")
+			s.breakerFor(j.kind).record(true, time.Now())
+			s.settle(j, true, false, "")
 			return
 		}
 
@@ -636,7 +681,7 @@ func (s *Server) run(j *Job) {
 				// accepted job is not silently lost.
 				s.logf("serve: job %s cancelled by shutdown (will replay)", j.id)
 				s.stats.Failed.Add(1)
-				s.settle(j, nil, false, "server shutting down; job will resume on restart")
+				s.settle(j, false, false, "server shutting down; job will resume on restart")
 				return
 			}
 			// The job's own deadline: a terminal, client-visible failure.
@@ -665,20 +710,23 @@ func (s *Server) run(j *Job) {
 			s.failTerminal(j, fmt.Errorf("%d attempts exhausted, last: %w", policy.MaxAttempts, err), true)
 			return
 		default: // deterministic: cache the failure, never retry
-			res := &JobResult{Kind: j.spec.Kind, Key: j.key, Error: err.Error(), Attempts: attempts}
+			// cachedError reads this shape: error is the fourth member.
+			res := &JobResult{Kind: j.kind, Key: j.key, Error: err.Error(), Attempts: attempts}
 			body, merr := MarshalResult(res)
 			if merr != nil {
 				s.failTerminal(j, err, true)
 				return
 			}
+			stored := true
 			if perr := s.store.Put(j.key, body); perr != nil {
 				s.logf("%v", perr)
+				stored = false
 			}
 			s.stats.Failed.Add(1)
 			s.walDone(j.key)
-			s.breakerFor(j.spec.Kind).record(false, time.Now())
-			s.logf("serve: job %s failed deterministically (cached): %v", j.id, err)
-			s.settle(j, body, false, err.Error())
+			s.breakerFor(j.kind).record(false, time.Now())
+			s.logf("serve: job %s failed deterministically (stored %v): %v", j.id, stored, err)
+			s.settle(j, stored, false, err.Error())
 			return
 		}
 	}
@@ -688,7 +736,7 @@ func (s *Server) run(j *Job) {
 // the runner under the attempt context, with panics recovered into
 // parallel.PanicError — a pool shard must survive a buggy (or
 // chaos-poisoned) runner.
-func (s *Server) attempt(ctx context.Context, j *Job, att int) (res *JobResult, err error) {
+func (s *Server) attempt(ctx context.Context, j *Job, spec JobSpec, att int) (res *JobResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			if ce, ok := v.(*faults.ChaosError); ok {
@@ -717,12 +765,12 @@ func (s *Server) attempt(ctx context.Context, j *Job, att int) (res *JobResult, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	runner, ok := Runner(j.spec.Kind)
+	runner, ok := Runner(spec.Kind)
 	if !ok { // unreachable: Key validated the kind
-		return nil, fmt.Errorf("serve: no runner for kind %q", j.spec.Kind)
+		return nil, fmt.Errorf("serve: no runner for kind %q", spec.Kind)
 	}
 	bridge := &probeBridge{log: j.log}
-	res, err = runner.Run(ctx, j.spec, RunOpts{
+	res, err = runner.Run(ctx, spec, RunOpts{
 		Workers: s.opts.Workers,
 		Log:     func(format string, args ...any) { j.log.appendf(PhaseLog, format, args...) },
 		Probe:   bridge,
@@ -743,26 +791,56 @@ func (s *Server) failTerminal(j *Job, err error, walDone bool) {
 	if walDone {
 		s.walDone(j.key)
 	}
-	s.breakerFor(j.spec.Kind).record(false, time.Now())
+	s.breakerFor(j.kind).record(false, time.Now())
 	s.logf("serve: job %s failed: %v", j.id, err)
-	s.settle(j, nil, false, err.Error())
+	s.settle(j, false, false, err.Error())
 }
 
-// settleFromBody finishes a job from stored result bytes, surfacing
-// cached deterministic failures as failed jobs.
-func (s *Server) settleFromBody(j *Job, body []byte, cached bool) {
-	var probe struct {
-		Error string `json:"error"`
+// settleFromBody finishes a job from a result body read from the store,
+// surfacing cached deterministic failures as failed jobs.
+func (s *Server) settleFromBody(j *Job, body []byte) {
+	s.settle(j, true, true, cachedError(body))
+}
+
+// cachedError returns the error a stored result body records, or "" for
+// a success. run builds a failure result only in its deterministic
+// branch, from kind, key, pass, error and attempts, so error is the
+// fourth member of every failure body. The walk reads only the first
+// four member names and never scans a success body's large members.
+func cachedError(body []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return ""
 	}
-	_ = json.Unmarshal(body, &probe)
-	s.settle(j, body, cached, probe.Error)
+	for i := 0; i < 4 && dec.More(); i++ {
+		switch name, err := dec.Token(); {
+		case err != nil:
+			return ""
+		case name == "error":
+			var msg string
+			if dec.Decode(&msg) != nil {
+				return ""
+			}
+			return msg
+		case i == 3: // a success: stop before its fourth value
+			return ""
+		}
+		var skip json.RawMessage
+		if dec.Decode(&skip) != nil {
+			return ""
+		}
+	}
+	return ""
 }
 
-// settle moves a job to its terminal state, emits the terminal event,
-// releases the flight and execution slot, and closes the stream.
-func (s *Server) settle(j *Job, body []byte, cached bool, errMsg string) {
+// settle moves a job to its terminal state as a compact record, emits
+// the terminal event, releases the flight and execution slot, closes
+// the stream and, past the table's capacity, evicts the oldest settled
+// record.
+func (s *Server) settle(j *Job, stored, cached bool, errMsg string) {
 	j.mu.Lock()
-	j.body = body
+	j.spec = nil
+	j.stored = stored
 	j.cached = cached
 	j.errMsg = errMsg
 	switch {
@@ -778,37 +856,77 @@ func (s *Server) settle(j *Job, body []byte, cached bool, errMsg string) {
 		delete(s.flights, j.key)
 	}
 	if j.executing {
-		s.inflight[j.spec.Kind]--
+		s.inflight[j.kind]--
 		j.executing = false
+	}
+	s.settled = append(s.settled, j.id)
+	for len(s.settled) > s.maxSettled {
+		delete(s.jobs, s.settled[0])
+		s.settled = s.settled[1:]
 	}
 	s.mu.Unlock()
 
 	switch {
 	case errMsg != "":
-		j.log.appendf(PhaseFailed, "%s", errMsg)
+		j.log.finish(PhaseFailed, errMsg)
 	case cached:
-		j.log.appendf(PhaseCached, "served from cache entry %s", j.key)
+		j.log.finish(PhaseCached, "served from cache entry "+j.key)
 	default:
-		j.log.appendf(PhaseDone, "result stored under %s", j.key)
+		j.log.finish(PhaseDone, "result stored under "+j.key)
 	}
 	close(j.done)
-	j.log.close()
 }
 
-func (s *Server) job(id string) (*Job, bool) {
+// job looks up a tracked job, or answers the request itself: 410 for an
+// id this server issued but no longer tracks (its settled record was
+// evicted), 404 for any other.
+func (s *Server) job(w http.ResponseWriter, id string) (*Job, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	return j, ok
+	seq := s.seq
+	s.mu.Unlock()
+	if ok {
+		return j, true
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > 0 && n <= seq && jobID(n) == id {
+		httpError(w, http.StatusGone, "job %s expired: its record left the job table; resubmit its spec", id)
+	} else {
+		httpError(w, http.StatusNotFound, "no job %q", id)
+	}
+	return nil, false
+}
+
+// writeJob writes j's view. A settled job that stored a body carries it,
+// re-read through the store, which authenticates it again; if the entry
+// is now missing or rejected the answer is 410, never a view without
+// its result or with a wrong one.
+func (s *Server) writeJob(w http.ResponseWriter, code int, j *Job, deduped bool) {
+	v, stored := j.view(deduped)
+	if !stored {
+		writeView(w, code, v, nil)
+		return
+	}
+	body, outcome, err := s.store.Get(j.key)
+	if outcome == Hit {
+		writeView(w, code, v, body)
+		return
+	}
+	why := "its cache entry is gone"
+	if outcome == Rejected {
+		s.stats.CacheRejected.Add(1)
+	}
+	if err != nil {
+		why = err.Error()
+	}
+	httpError(w, http.StatusGone, "job %s result expired: %s; resubmit its spec", j.id, why)
 }
 
 // handleJob is GET /v1/jobs/{id}, with ?wait=<duration> blocking until
 // the job settles (or the wait/request expires — the job view then
 // reports whatever state it reached).
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.job(w, r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
@@ -826,7 +944,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, j.view(false))
+	s.writeJob(w, http.StatusOK, j, false)
 }
 
 // handleList is GET /v1/jobs: every tracked job, id-ordered, without
@@ -835,8 +953,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	views := make([]JobView, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		v := j.view(false)
-		v.Result = nil
+		v, _ := j.view(false)
 		views = append(views, v)
 	}
 	s.mu.Unlock()
@@ -894,9 +1011,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // as JSON Lines otherwise. The stream replays history, follows live
 // events, and ends when the job settles.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.job(w, r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
