@@ -73,7 +73,9 @@ rm -f "$prog" "$out"
 (cd bench && GOWORK=off GOPROXY=off GOFLAGS= go test ./...)
 
 # Fuzz smoke: a few seconds per target. The simulator targets share the
-# sweep's oracle; the last four cover bytes the program reads back —
+# sweep's oracle; FuzzSchedulerEquivalence runs each decoded program under
+# the linear reference scheduler and the event-driven one and requires an
+# identical Result; the last four cover bytes the program reads back —
 # the journal reader (no panic, typed errors, every returned record
 # re-verifies), the machine-spec parser (typed *SpecError rejections,
 # FormatMachineSpec round trip), the assembler (typed *asm.Error
@@ -81,6 +83,7 @@ rm -f "$prog" "$out"
 # cached-failure reader (no panic, agrees with a full decode on every
 # stored result body).
 go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
+go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -run '^$'
 go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'

@@ -76,11 +76,13 @@ type Stats struct {
 	PrefetchHits  uint64 // demand accesses satisfied by a prefetched line
 }
 
+// line is one cache way. The two flags follow the words so the struct
+// packs into 24 bytes.
 type line struct {
-	valid      bool
 	tag        uint64
 	lastUse    uint64 // LRU timestamp
-	prefetched bool   // filled by a prefetch, not yet demand-touched
+	valid      bool
+	prefetched bool // filled by a prefetch, not yet demand-touched
 }
 
 // Cache is a single set-associative cache level.
@@ -147,14 +149,19 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{cfg: cfg}
+	// Every set is a window of one slab, capped so no set can grow into
+	// its neighbour.
+	lines := make([]line, cfg.Sets*cfg.Ways)
 	c.sets = make([][]line, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	if cfg.Policy == TreePLRU {
+		n := maxInt(cfg.Ways-1, 1)
+		tree := make([]bool, cfg.Sets*n)
 		c.plru = make([][]bool, cfg.Sets)
 		for i := range c.plru {
-			c.plru[i] = make([]bool, maxInt(cfg.Ways-1, 1))
+			c.plru[i] = tree[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
 	if cfg.Policy == Random {

@@ -4,10 +4,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallCfg() Config {
 	return Config{Name: "t", Sets: 4, Ways: 2, LineSize: 64, HitLatency: 2, Policy: LRU}
+}
+
+// TestLineSize pins the packed way layout: the two flags follow the two
+// words, so a line is 24 bytes, not the 32 a flag-first order pads to.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 24 {
+		t.Fatalf("sizeof(line) = %d, want 24", got)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

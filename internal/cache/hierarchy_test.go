@@ -211,3 +211,19 @@ func TestBackInvalidationKeepsInclusivity(t *testing.T) {
 		t.Fatalf("final state: %v", err)
 	}
 }
+
+// TestNewHierarchyAllocs pins the set-up cost of the default hierarchy,
+// which every fresh machine pays: each level's lines come from one slab
+// (with one more for TreePLRU's tree bits), not one slice per set — the
+// per-set layout cost about 290 objects.
+func TestNewHierarchyAllocs(t *testing.T) {
+	cfg := DefaultHierConfig()
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := NewHierarchy(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 10 {
+		t.Fatalf("NewHierarchy(DefaultHierConfig()) allocates %v objects, want 10", avg)
+	}
+}

@@ -5,6 +5,8 @@ import (
 
 	"pandora/internal/cache"
 	"pandora/internal/isa"
+	"pandora/internal/mem"
+	"pandora/internal/pipeline"
 )
 
 // decodeProgram turns arbitrary fuzz bytes into a terminating program that
@@ -85,6 +87,42 @@ func FuzzDifferential(f *testing.F) {
 		v := variants[int(sel)%len(variants)]
 		if d := RunCase(c, mask, v, nil); d != nil {
 			t.Fatalf("divergence under toggles=%v cache=%s: %v\nprogram: %v", mask, v.Name, d, c.Prog)
+		}
+	})
+}
+
+// FuzzSchedulerEquivalence runs each decoded program on a fresh machine
+// under the reference linear scheduler and under the event-driven readyW
+// scheduler, invariant checks on, and requires the same Result — cycle
+// count, retired count and every Stats counter — and the same error, if
+// any. TestSchedulerEquivalence diffs the full event stream over a fixed
+// corpus; this target lets the fuzzer pick the instruction mixes.
+func FuzzSchedulerEquivalence(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{8, 3, 1, 8, 5, 2, 0, 1, 2, 5, 0, 0}, uint16(TogFuse))
+	f.Add([]byte{5, 2, 0, 0, 3, 1, 6, 1, 1, 7, 3, 9, 1, 6, 6}, uint16(TogPredictor))
+	f.Add([]byte{0, 1, 2, 4, 10, 20, 5, 3, 7, 6, 9, 1, 7, 40, 40}, uint16(TogSpec|TogStLF))
+	f.Add([]byte{0, 1, 2, 4, 10, 20, 5, 3, 7, 6, 9, 1, 7, 40, 40, 8, 1, 1}, uint16(AllMasks-1))
+	f.Fuzz(func(t *testing.T, data []byte, sel uint16) {
+		prog := decodeProgram(data)
+		mask := ToggleMask(sel % AllMasks)
+		var res [2]pipeline.Result
+		var errs [2]string
+		for i, linear := range []bool{true, false} {
+			cfg := PipeConfig(mask)
+			cfg.LinearScheduler = linear
+			mm := mem.New()
+			InitMemory(mm)
+			m, err := pipeline.New(cfg, mm, cache.MustNewHierarchy(cache.DefaultHierConfig()))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			res[i], err = m.Run(prog)
+			errs[i] = errText(err)
+		}
+		if res[0] != res[1] || errs[0] != errs[1] {
+			t.Fatalf("toggles=%v: schedulers diverge\nlinear: %+v err=%s\nreadyW: %+v err=%s\nprogram: %v",
+				mask, res[0], errs[0], res[1], errs[1], prog)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 
 	"pandora/internal/asm"
@@ -77,36 +78,51 @@ func BenchmarkFetchDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkIssueWakeup compares one candidate-gather pass over a
-// half-drained ROB: the bitset iteration against the linear stage scan it
-// replaced. The ROB holds 8 dispatched µops out of 64 slots — the shape
-// the cycle loop sees most (a mostly-empty window with a few waiters).
+// BenchmarkIssueWakeup times one issue pass's candidate selection over a
+// full IQ: the event-driven readyW walk against the reference linear scan
+// that re-tests srcReady for every dispatched µop. The 64-slot ROB holds
+// 32 dispatched µops, 7 of them ready — about the shape the cycle loop
+// sees (a full IQ, a handful of issuable µops). The ready µops are stuck,
+// so issueOne returns at once and both variants time selection alone.
 func BenchmarkIssueWakeup(b *testing.B) {
 	setup := func(b *testing.B) *Machine {
 		b.Helper()
 		m := benchMachine(b, DefaultConfig())
 		m.prepareProgram(asm.MustAssemble(allocKernel))
+		var producer *uop
 		for i := 0; i < m.cfg.ROBSize; i++ {
 			u := m.allocUop()
 			u.t = &m.tmpl[0]
 			u.seq = uint64(i + 1)
 			m.robPush(u)
-			if i%8 == 0 {
-				u.stage = stDispatched
-				m.markDispatched(u)
-			} else {
+			switch {
+			case i%2 == 1:
 				u.stage = stExecuting
+				u.doneC = math.MaxInt64
 				m.markExecuting(u)
+				if producer == nil {
+					producer = u
+				}
+			case i%10 == 0:
+				u.stage = stDispatched
+				u.stuck = true
+				m.markDispatched(u)
+				m.subscribe(u)
+			default:
+				u.stage = stDispatched
+				u.prod[0] = producer // executing: not ready
+				m.markDispatched(u)
+				m.subscribe(u)
 			}
 		}
 		return m
 	}
-	b.Run("bitset", func(b *testing.B) {
+	b.Run("readyW", func(b *testing.B) {
 		m := setup(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.issueScratch = m.gatherMasked(m.dispW, m.issueScratch[:0])
+			m.issueReady(&issuePass{})
 		}
 	})
 	b.Run("linear", func(b *testing.B) {
@@ -114,7 +130,7 @@ func BenchmarkIssueWakeup(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.issueScratch = m.gatherStage(stDispatched, m.issueScratch[:0])
+			m.issueLinear(&issuePass{})
 		}
 	})
 }

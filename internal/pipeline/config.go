@@ -207,8 +207,9 @@ type Config struct {
 
 	// LinearScheduler selects the reference candidate-gathering path for
 	// issue and complete: a full program-order ROB scan testing each
-	// occupant's stage, exactly the walk the dispW/execW bitset iteration
-	// replaced. Timing, stats, events and leak reports are identical by
+	// occupant's stage and, at issue, re-testing srcReady — the walk the
+	// event-driven readyW/execW bitsets replaced. Timing, stats, events
+	// and leak reports are identical by
 	// construction (the equivalence tests in internal/diffcheck diff the
 	// two paths cycle-for-cycle); the linear path exists as the oracle for
 	// those tests, not for production use.

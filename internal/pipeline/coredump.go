@@ -263,7 +263,7 @@ func (m *Machine) waitReason(u *uop) string {
 			}
 		}
 	}
-	if u.class == isa.ClassLoad && !m.olderStoresResolved(u.seq) {
+	if u.class == isa.ClassLoad && m.firstUnresolvedStore() < u.seq {
 		return "memory disambiguation: waiting for an older store's address"
 	}
 	return "ready, waiting for an execution port"

@@ -254,4 +254,7 @@ func (m *Machine) dispatch(u *uop) {
 		m.markDispatched(u)
 		m.iqCount++
 	}
+	if u.stage == stDispatched {
+		m.subscribe(u)
+	}
 }

@@ -78,10 +78,16 @@ func (m *Machine) checkInvariants() {
 			m.robBuf[m.robHead].seq, m.lastRetiredSeq)
 		return
 	}
-	// No mask bit may survive outside the occupied window.
+	// No mask bit may survive outside the occupied window, and only a
+	// dispatched µop may be an issue candidate.
 	pop := 0
 	for w := range m.dispW {
 		pop += bits.OnesCount64(m.dispW[w]) + bits.OnesCount64(m.execW[w])
+		if extra := m.readyW[w] &^ m.dispW[w]; extra != 0 {
+			m.fail("invariant: readyW bit set at slot %d, which holds no dispatched µop",
+				w<<6+bits.TrailingZeros64(extra))
+			return
+		}
 	}
 	if pop != inWindow {
 		m.fail("invariant: %d scheduler-mask bits set for %d dispatched/executing µops", pop, inWindow)
@@ -148,6 +154,30 @@ func (m *Machine) checkInvariants() {
 	}
 	if err := m.hier.CheckChanged(); err != nil {
 		m.fail("invariant: %v", err)
+	}
+}
+
+// checkReady runs at the start of issue: every dispatched µop's readyW
+// bit must equal srcReady(0) && srcReady(1) at this cycle, so the wake
+// points (dispatch, completion, fused issue) neither miss a µop whose
+// operands became available nor offer one whose operands are not.
+func (m *Machine) checkReady() {
+	if m.err != nil {
+		return
+	}
+	for wi, word := range m.dispW {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			slot := wi<<6 + b
+			u := m.robBuf[slot]
+			want := u.srcReady(0, m.cycle) && u.srcReady(1, m.cycle)
+			if got := m.readyW[wi]&(1<<uint(b)) != 0; got != want {
+				m.fail("invariant: µop #%d (pc=%d) readyW bit=%v at slot %d, operands ready=%v",
+					u.seq, u.pc, got, slot, want)
+				return
+			}
+		}
 	}
 }
 

@@ -35,14 +35,20 @@ type Machine struct {
 	lastRetiredSeq uint64
 
 	// The ROB is a power-of-two ring (see ring.go): robBuf[robHead] is the
-	// oldest in-flight µop, robN the occupancy. dispW/execW are the
+	// oldest in-flight µop, robN the occupancy. dispW/readyW/execW are the
 	// per-slot scheduler bitsets issue and complete iterate instead of
-	// walking the whole buffer.
+	// walking the whole buffer; consW holds one consumer mask per slot
+	// (len(dispW) words each), the edges completion wakes along.
 	robBuf  []*uop
 	robHead int
 	robN    int
 	dispW   []uint64
+	readyW  []uint64
 	execW   []uint64
+	consW   []uint64
+	// minDoneC is a lower bound on the doneC of every executing µop:
+	// complete has nothing to do while the cycle is below it.
+	minDoneC int64
 
 	sq      []*sqEntry
 	lqCount int
@@ -466,6 +472,9 @@ func (m *Machine) readWithForward(addr uint64, width int, seq uint64) (val uint6
 			break
 		}
 		sa, sw := e.u.addr, e.u.memWidth
+		if disjoint(addr, width, sa, sw) {
+			continue
+		}
 		for i := 0; i < width; i++ {
 			a := addr + uint64(i)
 			if a >= sa && a < sa+uint64(sw) {
@@ -511,6 +520,15 @@ func (m *Machine) readWithForward(addr uint64, width int, seq uint64) (val uint6
 		m.checkForwardConsistency(addr, width, seq, val, full && any, any)
 	}
 	return val, full && any, any, tainted, spec, labels
+}
+
+// disjoint reports that no byte of the access [a, a+aw) can fall in the
+// store [s, s+sw) under the per-byte forwarding rule. It decides only
+// the case where neither range wraps past 2^64; an access that does is
+// left to the per-byte rule.
+func disjoint(a uint64, aw int, s uint64, sw int) bool {
+	aEnd, sEnd := a+uint64(aw), s+uint64(sw)
+	return aEnd > a && sEnd > s && (aEnd <= s || sEnd <= a)
 }
 
 // RegTainted reports whether r's committed value derives from RDCYCLE.

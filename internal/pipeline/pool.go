@@ -161,10 +161,9 @@ func (m *Machine) reclaimInFlight() {
 		}
 	}
 	m.robHead, m.robN = 0, 0
-	for i := range m.dispW {
-		m.dispW[i] = 0
-		m.execW[i] = 0
-	}
+	clear(m.dispW)
+	clear(m.readyW)
+	clear(m.execW)
 	for i, e := range m.sq {
 		m.sq[i] = nil
 		if e.u != nil && !e.u.pooled {

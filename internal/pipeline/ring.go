@@ -1,21 +1,43 @@
 package pipeline
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
-// The ROB is a power-of-two ring of µop pointers plus two multi-word
+// The ROB is a power-of-two ring of µop pointers plus three multi-word
 // scheduler bitsets indexed by physical slot: dispW (stage ==
-// stDispatched, the issue-wakeup candidates) and execW (stage ==
-// stExecuting, the writeback candidates). The per-cycle stages used to
-// range over every ROB entry; now issue and complete iterate only the set
-// bits of their mask, in program order, via bits.TrailingZeros64 — a
-// mostly-drained 64-entry ROB costs a couple of word tests instead of 64
-// pointer chases. Config.LinearScheduler keeps the old full-scan candidate
-// gathering alive as the reference implementation the equivalence tests
-// diff against.
+// stDispatched), readyW (dispatched and both operands pass srcReady: the
+// issue candidates) and execW (stage == stExecuting, the writeback
+// candidates). Issue and complete iterate only the set bits of their
+// mask, in program order, via bits.TrailingZeros64.
 //
-// Invariants (checked per cycle under Config.CheckInvariants): a slot's
-// dispW/execW bits mirror its occupant's stage exactly, and no bit is set
-// outside the occupied window.
+// readyW is event-driven. Each slot keeps a consumer mask (consW), filled
+// at dispatch with the slots of µops still waiting on the occupant's
+// result. A µop's ready bit is set at exactly three wake points:
+//
+//   - dispatch, when every operand is already available at the next
+//     issue: no in-flight producer, a completed one, or a value-predicted
+//     load (whose consumers may proceed one cycle after it dispatched);
+//   - complete, when a producer reaches stDone: its consumer mask is
+//     walked and each consumer whose operands now all pass srcReady wakes.
+//     complete runs before issue, matching srcReady's doneC <= cycle rule;
+//   - startExec of a fused ADDI, which wakes its load in the same cycle;
+//     the load sits in the next slot, so the issue walk, which re-reads
+//     each word as it goes, reaches it later in the same pass.
+//
+// A set bit stays set until the µop issues or leaves the ROB: once true,
+// srcReady cannot turn false for a µop that is not squashed. Stuck µops
+// (a dropped wakeup) and loads waiting on older unresolved stores stay in
+// readyW and are skipped by the issue body, so fault draws keep their
+// order. Config.LinearScheduler keeps the full-scan walk that re-tests
+// srcReady for every dispatched µop as the reference implementation the
+// equivalence tests diff against.
+//
+// Invariants (checked under Config.CheckInvariants): a slot's dispW/execW
+// bits mirror its occupant's stage exactly, readyW is a subset of dispW,
+// no bit is set outside the occupied window, and at the start of every
+// issue a dispatched µop's readyW bit equals srcReady(0) && srcReady(1).
 
 // initROB sizes the ring and masks for the configured ROB capacity.
 func (m *Machine) initROB() {
@@ -26,7 +48,10 @@ func (m *Machine) initROB() {
 	m.robBuf = make([]*uop, size)
 	words := (size + 63) / 64
 	m.dispW = make([]uint64, words)
+	m.readyW = make([]uint64, words)
 	m.execW = make([]uint64, words)
+	m.consW = make([]uint64, size*words)
+	m.minDoneC = math.MaxInt64
 }
 
 // robLen returns the ROB occupancy.
@@ -43,6 +68,14 @@ func (m *Machine) robPush(u *uop) {
 	m.robBuf[slot] = u
 	u.slot = slot
 	m.robN++
+	clear(m.consumers(slot))
+}
+
+// consumers returns the consumer mask of the µop in slot: the slots of
+// µops that were waiting on its result when they dispatched.
+func (m *Machine) consumers(slot int) []uint64 {
+	n := len(m.dispW)
+	return m.consW[slot*n : slot*n+n]
 }
 
 // robPopHead removes the oldest entry (retire).
@@ -73,14 +106,59 @@ func (m *Machine) markDispatched(u *uop) {
 // (HALT enters the ROB already "executing").
 func (m *Machine) markExecuting(u *uop) {
 	m.execW[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+	if u.doneC < m.minDoneC {
+		m.minDoneC = u.doneC
+	}
 }
 
-// schedToExec moves u's bit from the wakeup mask to the writeback mask
+// subscribe is the dispatch wake point for a just-dispatched u: it joins
+// the consumer mask of every producer that has not completed, and is
+// marked ready if its operands are all available at the next issue.
+func (m *Machine) subscribe(u *uop) {
+	for _, p := range u.prod {
+		if p != nil && (p.stage == stDispatched || p.stage == stExecuting) {
+			m.consumers(p.slot)[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+		}
+	}
+	if u.srcReady(0, m.cycle+1) && u.srcReady(1, m.cycle+1) {
+		m.readyW[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+	}
+}
+
+// wake is the completion wake point: p just reached stDone, so every
+// still-dispatched consumer whose operands now all pass srcReady becomes
+// an issue candidate. A consumer bit may be stale — the consumer issued
+// early or its slot was squashed and refilled — so each occupant is
+// re-tested rather than trusted.
+func (m *Machine) wake(p *uop) {
+	for wi, word := range m.consumers(p.slot) {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			m.wakeSlot(wi<<6 + b)
+		}
+	}
+}
+
+// wakeSlot marks the occupant of slot ready if it is dispatched and both
+// of its operands pass srcReady this cycle.
+func (m *Machine) wakeSlot(slot int) {
+	v := m.robBuf[slot]
+	if v != nil && v.stage == stDispatched && v.srcReady(0, m.cycle) && v.srcReady(1, m.cycle) {
+		m.readyW[slot>>6] |= 1 << (uint(slot) & 63)
+	}
+}
+
+// schedToExec moves u's bit from the wakeup masks to the writeback mask
 // (issue).
 func (m *Machine) schedToExec(u *uop) {
 	w, b := u.slot>>6, uint(u.slot)&63
 	m.dispW[w] &^= 1 << b
+	m.readyW[w] &^= 1 << b
 	m.execW[w] |= 1 << b
+	if u.doneC < m.minDoneC {
+		m.minDoneC = u.doneC
+	}
 }
 
 // execDone clears u's writeback bit (completion).
@@ -88,10 +166,11 @@ func (m *Machine) execDone(u *uop) {
 	m.execW[u.slot>>6] &^= 1 << (uint(u.slot) & 63)
 }
 
-// clearSched clears both mask bits for a vacated slot.
+// clearSched clears every mask bit for a vacated slot.
 func (m *Machine) clearSched(slot int) {
 	w, b := slot>>6, uint(slot)&63
 	m.dispW[w] &^= 1 << b
+	m.readyW[w] &^= 1 << b
 	m.execW[w] &^= 1 << b
 }
 
@@ -134,6 +213,61 @@ func (m *Machine) gatherRange(w []uint64, lo, hi int, out []*uop) []*uop {
 		}
 	}
 	return out
+}
+
+// issueReady offers every readyW candidate to issueOne in program order.
+// The occupied window [head, head+n) is at most two contiguous slot
+// ranges (one wrap).
+func (m *Machine) issueReady(ps *issuePass) {
+	if m.robN == 0 {
+		return
+	}
+	size := len(m.robBuf)
+	end := m.robHead + m.robN
+	if end <= size {
+		m.issueRange(m.robHead, end, ps)
+		return
+	}
+	m.issueRange(m.robHead, size, ps)
+	m.issueRange(0, end-size, ps)
+}
+
+// issueRange walks readyW over slots [lo, hi) in ascending order. Each
+// word is re-read after every candidate, so a bit set during the pass —
+// the fused load a just-issued ADDI woke — is still visited, while the
+// bits already passed are masked off.
+func (m *Machine) issueRange(lo, hi int, ps *issuePass) {
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		base := wi << 6
+		todo := ^uint64(0)
+		if base < lo {
+			todo <<= uint(lo - base)
+		}
+		if base+64 > hi {
+			todo &= ^uint64(0) >> uint(base+64-hi)
+		}
+		for {
+			word := m.readyW[wi] & todo
+			if word == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(word)
+			todo &^= 2<<uint(b) - 1 // bits 0..b
+			m.issueOne(m.robBuf[base+b], ps)
+		}
+	}
+}
+
+// issueLinear is the reference issue walk (Config.LinearScheduler): every
+// dispatched µop, in program order, re-tested through srcReady.
+func (m *Machine) issueLinear(ps *issuePass) {
+	cands := m.gatherStage(stDispatched, m.issueScratch[:0])
+	m.issueScratch = cands
+	for _, u := range cands {
+		if u.srcReady(0, m.cycle) && u.srcReady(1, m.cycle) {
+			m.issueOne(u, ps)
+		}
+	}
 }
 
 // gatherStage is the reference candidate gatherer (Config.LinearScheduler):

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"pandora/internal/faults"
 	"pandora/internal/isa"
 	"pandora/internal/obs"
@@ -135,27 +137,35 @@ func (m *Machine) retireShadow(st *taint.State, u *uop) {
 // complete applies writeback effects for µops whose execution finishes at
 // or before this cycle: result availability, RFC early register release,
 // reuse-buffer update, value-prediction verification (and squash), and
-// store-queue address resolution. Candidates come from the executing
-// bitset (or a reference linear scan), in program order.
+// store-queue address resolution. A register writer wakes its waiting
+// consumers (readyW's completion wake point). Candidates come from the
+// executing bitset (or a reference linear scan), in program order; the
+// bitset path returns at once while the cycle is below minDoneC.
 func (m *Machine) complete() {
 	cands := m.completeScratch[:0]
 	if m.cfg.LinearScheduler {
 		cands = m.gatherStage(stExecuting, cands)
 	} else {
+		if m.cycle < m.minDoneC {
+			return
+		}
 		cands = m.gatherMasked(m.execW, cands)
 	}
 	m.completeScratch = cands
 
 	var squashAfter *uop
 	var mispredictDone *uop
+	next := int64(math.MaxInt64)
 	for _, u := range cands {
 		if u.doneC > m.cycle {
+			next = min(next, u.doneC)
 			continue
 		}
 		u.stage = stDone
 		m.execDone(u)
 
 		if u.t.writesReg {
+			m.wake(u)
 			u.wroteback = true
 			if m.cfg.RFC != uopt.RFCOff {
 				// The compressor tests the (possibly secret) result value
@@ -221,6 +231,7 @@ func (m *Machine) complete() {
 			}
 		}
 	}
+	m.minDoneC = next
 	// A value squash at an older load subsumes mispredict recovery: the
 	// branch itself is squashed for replay (mispredicted preserved) and
 	// squashTail clears wrong-path mode. squashAfter is always older —
@@ -474,29 +485,44 @@ type aluSlot struct {
 	packed bool
 }
 
-// fenceBlocks reports whether a memory µop with sequence number seq must
-// hold back behind an older in-flight fence. Completed fences are drained
-// from the queue head at the top of issue; a stuck fence (dropped wakeup)
-// deliberately does not block younger memory ops, matching the walk-order
-// semantics this queue replaced.
-func (m *Machine) fenceBlocks(seq uint64) bool {
+// liveFenceSeq returns the sequence number of the oldest fence that
+// blocks younger memory µops, or math.MaxUint64 if none does. Completed
+// fences are drained from the queue head at the top of issue; a stuck
+// fence (dropped wakeup) deliberately does not block younger memory ops,
+// matching the walk-order semantics this queue replaced.
+func (m *Machine) liveFenceSeq() uint64 {
 	for _, f := range m.fenceQ {
-		if f.seq >= seq {
-			return false
-		}
 		if !f.stuck {
-			return true
+			return f.seq
 		}
 	}
-	return false
+	return math.MaxUint64
+}
+
+// issuePass is the state of one issue call shared across its candidates:
+// the free ports, the ALU µops already issued (operand-packing hosts),
+// and the two memory-ordering bounds, each computed once per call
+// instead of once per candidate.
+type issuePass struct {
+	alu, md, ld, st int
+	coOps           int
+	aluIssued       []aluSlot
+	// fenceSeq is liveFenceSeq(): a memory µop younger than it waits.
+	fenceSeq uint64
+	// unresolvedSeq is firstUnresolvedStore(): a load younger than it
+	// may not read memory yet.
+	unresolvedSeq uint64
 }
 
 // issue selects ready µops oldest-first subject to port availability and
 // runs the optimization hooks: computation reuse, computation
 // simplification, operand packing, and silent-store read-port stealing.
-// Candidates come from the dispatched bitset (or a reference linear
-// scan), in program order.
+// Candidates come from the readyW bitset (or the reference linear scan
+// of every dispatched µop), in program order.
 func (m *Machine) issue() {
+	if m.cfg.CheckInvariants {
+		m.checkReady()
+	}
 	// Drain completed fences; the queue then holds only blocking ones.
 	for len(m.fenceQ) > 0 {
 		f := m.fenceQ[0]
@@ -510,257 +536,39 @@ func (m *Machine) issue() {
 		m.unref(f)
 	}
 
-	alu := m.cfg.ALUPorts
-	md := m.cfg.MulDivUnits
-	ld := m.cfg.LoadPorts
-	st := m.cfg.StorePorts
+	ps := issuePass{
+		alu:           m.cfg.ALUPorts,
+		md:            m.cfg.MulDivUnits,
+		ld:            m.cfg.LoadPorts,
+		st:            m.cfg.StorePorts,
+		aluIssued:     m.aluScratch[:0],
+		fenceSeq:      m.liveFenceSeq(),
+		unresolvedSeq: m.firstUnresolvedStore(),
+	}
 
 	// The SMT sibling's ready ops claim ALU ports first; a sibling op can
 	// later release its claim by packing with a victim op (the paper's
 	// active packing attack).
-	coOps := 0
 	if ct := m.cfg.CoTenant; ct != nil {
-		coOps = ct.OpsPerCycle
-		if coOps <= 0 {
-			coOps = 1
+		ps.coOps = ct.OpsPerCycle
+		if ps.coOps <= 0 {
+			ps.coOps = 1
 		}
 		// The issue arbiter never lets one thread claim every port
 		// (round-robin fairness), so the sibling takes at most all but
 		// one.
-		if coOps > m.cfg.ALUPorts-1 {
-			coOps = m.cfg.ALUPorts - 1
+		if ps.coOps > m.cfg.ALUPorts-1 {
+			ps.coOps = m.cfg.ALUPorts - 1
 		}
-		alu -= coOps
+		ps.alu -= ps.coOps
 	}
 
-	// ALU µops issued this cycle, for operand packing: each entry may
-	// host one packed partner.
-	aluIssued := m.aluScratch[:0]
-
-	cands := m.issueScratch[:0]
 	if m.cfg.LinearScheduler {
-		cands = m.gatherStage(stDispatched, cands)
+		m.issueLinear(&ps)
 	} else {
-		cands = m.gatherMasked(m.dispW, cands)
+		m.issueReady(&ps)
 	}
-	m.issueScratch = cands
-
-	ts := m.cfg.Taint
-	for _, u := range cands {
-		// A µop whose issue wakeup was dropped (fault injection) is never
-		// scheduled again; once oldest it livelocks the machine.
-		if u.stuck {
-			continue
-		}
-		// Memory operations may not issue past a FENCE that has not
-		// completed.
-		if (u.class == isa.ClassLoad || u.class == isa.ClassStore) && m.fenceBlocks(u.seq) {
-			continue
-		}
-		if !u.srcReady(0, m.cycle) || !u.srcReady(1, m.cycle) {
-			continue
-		}
-		// Fault site: drop this ready µop's issue wakeup, permanently.
-		if m.cfg.Faults.DropWakeup(m.cycle) {
-			u.stuck = true
-			continue
-		}
-
-		switch u.class {
-		case isa.ClassFence:
-			// Issue when oldest and every OLDER store has drained. SQ slots
-			// are allocated at rename, so younger stores fetched in the same
-			// window already occupy entries — requiring a fully empty queue
-			// deadlocks against them (they cannot issue past the fence).
-			// The SQ is in program order: checking the head suffices.
-			//
-			// Fault site: re-introduce the pre-fix rule (wait for a fully
-			// empty queue), which deadlocks against those younger slots.
-			if m.cfg.Faults.FenceRequiresEmptySQ(m.cycle, len(m.sq)) {
-				if m.robBuf[m.robHead] == u && len(m.sq) == 0 {
-					m.startExec(u, 1)
-				}
-				break
-			}
-			if m.robBuf[m.robHead] == u && (len(m.sq) == 0 || m.sq[0].u.seq > u.seq) {
-				m.startExec(u, 1)
-			}
-
-		case isa.ClassCSR:
-			if alu > 0 {
-				alu--
-				m.startExec(u, 1)
-				u.result = uint64(m.cycle)
-				u.tainted = true
-			}
-
-		case isa.ClassALU:
-			m.readSources(u)
-			if m.tryReuse(u) {
-				m.startExec(u, 1)
-				u.result = m.aluResult(u)
-				break
-			}
-			lat := m.cfg.ALULat
-			simplified := false
-			if m.cfg.Simplifier != nil {
-				lat, simplified = m.cfg.Simplifier.SimplifiedLatency(uopt.KindSimple, u.srcVals[0], u.srcVals[1], lat)
-				if ts != nil && u.obsMask&obsSimplify == 0 {
-					u.obsMask |= obsSimplify
-					ts.ObserveSimplify(m.cycle, u.pc, "trivial_alu", u.labels)
-				}
-			}
-			if alu > 0 {
-				alu--
-				m.startExec(u, lat)
-				if simplified {
-					m.emit(obs.KindUopt, obs.TrackUopt, u, int64(lat), "simplify")
-				}
-				u.result = m.aluResult(u)
-				aluIssued = append(aluIssued, aluSlot{u: u})
-				break
-			}
-			// Operand packing: share a port with an already-issued
-			// narrow-operand ALU µop (pipeline compression), or with one
-			// of the SMT sibling's ops — whose operands the attacker set
-			// to be narrow precisely so that packing keys on the victim's.
-			if m.cfg.Packer != nil {
-				packed := false
-				for i := range aluIssued {
-					s := &aluIssued[i]
-					if s.packed || s.u.class != isa.ClassALU {
-						continue
-					}
-					// The narrowness test reads both µops' operands; if
-					// either side is secret, co-issue (and thus both
-					// µops' timing) depends on it.
-					if ts != nil && u.obsMask&obsPack == 0 {
-						u.obsMask |= obsPack
-						ts.ObservePack(m.cycle, u.pc, s.u.labels|u.labels)
-					}
-					if m.cfg.Packer.CanPack(s.u.srcVals[0], s.u.srcVals[1], u.srcVals[0], u.srcVals[1]) {
-						s.packed = true
-						packed = true
-						break
-					}
-				}
-				if !packed && coOps > 0 {
-					ct := m.cfg.CoTenant
-					if ts != nil && u.obsMask&obsPack == 0 {
-						u.obsMask |= obsPack
-						ts.ObservePack(m.cycle, u.pc, u.labels)
-					}
-					if m.cfg.Packer.CanPack(ct.OperandA, ct.OperandB, u.srcVals[0], u.srcVals[1]) {
-						coOps--
-						packed = true
-					}
-				}
-				if packed {
-					u.packed = true
-					m.cfg.Packer.NotePacked()
-					m.stats.Packed++
-					m.emit(obs.KindUopt, obs.TrackUopt, u, 0, "pack")
-					m.startExec(u, lat)
-					if simplified {
-						m.emit(obs.KindUopt, obs.TrackUopt, u, int64(lat), "simplify")
-					}
-					u.result = m.aluResult(u)
-				}
-			}
-
-		case isa.ClassMul, isa.ClassDiv:
-			m.readSources(u)
-			if m.tryReuse(u) {
-				m.startExec(u, 1)
-				u.result = m.aluResult(u)
-				break
-			}
-			if md > 0 {
-				lat := m.cfg.MulLat
-				kind := uopt.KindMul
-				if u.class == isa.ClassDiv {
-					lat = m.cfg.DivLat
-					kind = uopt.KindDiv
-				}
-				if m.cfg.Simplifier != nil {
-					var simplified bool
-					lat, simplified = m.cfg.Simplifier.SimplifiedLatency(kind, u.srcVals[0], u.srcVals[1], lat)
-					if simplified {
-						m.emit(obs.KindUopt, obs.TrackUopt, u, int64(lat), "simplify")
-					}
-					if ts != nil && u.obsMask&obsSimplify == 0 {
-						u.obsMask |= obsSimplify
-						ref := "zero_skip_mul"
-						if kind == uopt.KindDiv {
-							ref = "early_exit_div"
-						}
-						ts.ObserveSimplify(m.cycle, u.pc, ref, u.labels)
-					}
-				}
-				md--
-				m.startExec(u, lat)
-				u.result = m.aluResult(u)
-			}
-
-		case isa.ClassJump:
-			if alu > 0 {
-				alu--
-				m.readSources(u)
-				if u.inst.Op == isa.JALR && u.tainted {
-					m.fail("indirect jump target derives from RDCYCLE at pc=%d", u.pc)
-				}
-				m.startExec(u, 1)
-				u.result = uint64(u.pc + 1)
-				u.tainted = false // the link value is architectural
-			}
-
-		case isa.ClassBranch:
-			if alu > 0 {
-				alu--
-				m.readSources(u)
-				// A wrong-path predicate is never architecturally resolved,
-				// so the RDCYCLE check only applies on the correct path.
-				if u.tainted && !u.wrongPath {
-					m.fail("branch predicate derives from RDCYCLE at pc=%d", u.pc)
-				}
-				m.startExec(u, 1)
-			}
-
-		case isa.ClassLoad:
-			if ld == 0 {
-				continue
-			}
-			if !m.olderStoresResolved(u.seq) {
-				// The forwarding predictor's bet: consume an unresolved
-				// older store's data now, verify at retire.
-				if m.trySpecForward(u) {
-					ld--
-				}
-				continue
-			}
-			if m.lqReadyLoad(u) {
-				ld--
-			}
-
-		case isa.ClassStore:
-			if st > 0 {
-				st--
-				m.readSources(u)
-				u.addr = u.inst.EffectiveAddr(u.srcVals[0])
-				u.storeVal = u.srcVals[1]
-				if ts := m.cfg.Taint; ts != nil {
-					// Address-formation labels only (srcLabels(0)): a
-					// constant-time kernel may store secret data to a
-					// public slot, and u.labels would drag the data
-					// labels in. No-op unless the scan armed
-					// ObserveAddrs.
-					ts.ObserveCacheAddr(m.cycle, u.pc, u.addr, u.srcLabels(0, ts))
-				}
-				m.startExec(u, m.storeAddrLat()) // AGU
-			}
-		}
-	}
-	m.aluScratch = aluIssued
+	m.aluScratch = ps.aluIssued
 
 	// Silent stores: SS-Loads steal leftover load ports (read-port
 	// stealing). Demand loads had priority above. An SS-Load that finds
@@ -773,10 +581,10 @@ func (m *Machine) issue() {
 			}
 			// The SS-Load reads memory, so it must not run ahead of older
 			// stores with unresolved addresses.
-			if !m.olderStoresResolved(e.u.seq) {
+			if ps.unresolvedSeq < e.u.seq {
 				continue
 			}
-			if ld == 0 {
+			if ps.ld == 0 {
 				if !m.cfg.SilentStores.Retry {
 					e.ss = ssFailed
 					m.stats.SSLoadNoPort++
@@ -784,7 +592,7 @@ func (m *Machine) issue() {
 				}
 				continue
 			}
-			ld--
+			ps.ld--
 			lat := m.hier.AccessSilent(e.u.addr).Latency
 			val, _, _, _, _, lbl := m.readWithForward(e.u.addr, e.u.memWidth, e.u.seq)
 			e.ss = ssPending
@@ -793,6 +601,225 @@ func (m *Machine) issue() {
 			e.ssLabels = lbl
 			m.stats.SSLoadsIssued++
 			m.emit(obs.KindUopt, obs.TrackUopt, e.u, int64(lat), "ss-load")
+		}
+	}
+}
+
+// issueOne tries to issue one candidate whose operands pass srcReady,
+// consuming ports from ps. Both schedulers call it in program order.
+func (m *Machine) issueOne(u *uop, ps *issuePass) {
+	// A µop whose issue wakeup was dropped (fault injection) is never
+	// scheduled again; once oldest it livelocks the machine.
+	if u.stuck {
+		return
+	}
+	// Memory operations may not issue past a FENCE that has not
+	// completed.
+	if (u.class == isa.ClassLoad || u.class == isa.ClassStore) && ps.fenceSeq < u.seq {
+		return
+	}
+	// Fault site: drop this ready µop's issue wakeup, permanently.
+	if m.cfg.Faults.DropWakeup(m.cycle) {
+		u.stuck = true
+		if u.class == isa.ClassFence {
+			// A stuck fence no longer blocks younger memory µops.
+			ps.fenceSeq = m.liveFenceSeq()
+		}
+		return
+	}
+	ts := m.cfg.Taint
+
+	switch u.class {
+	case isa.ClassFence:
+		// Issue when oldest and every OLDER store has drained. SQ slots
+		// are allocated at rename, so younger stores fetched in the same
+		// window already occupy entries — requiring a fully empty queue
+		// deadlocks against them (they cannot issue past the fence).
+		// The SQ is in program order: checking the head suffices.
+		//
+		// Fault site: re-introduce the pre-fix rule (wait for a fully
+		// empty queue), which deadlocks against those younger slots.
+		if m.cfg.Faults.FenceRequiresEmptySQ(m.cycle, len(m.sq)) {
+			if m.robBuf[m.robHead] == u && len(m.sq) == 0 {
+				m.startExec(u, 1)
+			}
+			break
+		}
+		if m.robBuf[m.robHead] == u && (len(m.sq) == 0 || m.sq[0].u.seq > u.seq) {
+			m.startExec(u, 1)
+		}
+
+	case isa.ClassCSR:
+		if ps.alu > 0 {
+			ps.alu--
+			m.startExec(u, 1)
+			u.result = uint64(m.cycle)
+			u.tainted = true
+		}
+
+	case isa.ClassALU:
+		m.readSources(u)
+		if m.tryReuse(u) {
+			m.startExec(u, 1)
+			u.result = m.aluResult(u)
+			break
+		}
+		lat := m.cfg.ALULat
+		simplified := false
+		if m.cfg.Simplifier != nil {
+			lat, simplified = m.cfg.Simplifier.SimplifiedLatency(uopt.KindSimple, u.srcVals[0], u.srcVals[1], lat)
+			if ts != nil && u.obsMask&obsSimplify == 0 {
+				u.obsMask |= obsSimplify
+				ts.ObserveSimplify(m.cycle, u.pc, "trivial_alu", u.labels)
+			}
+		}
+		if ps.alu > 0 {
+			ps.alu--
+			m.startExec(u, lat)
+			if simplified {
+				m.emit(obs.KindUopt, obs.TrackUopt, u, int64(lat), "simplify")
+			}
+			u.result = m.aluResult(u)
+			ps.aluIssued = append(ps.aluIssued, aluSlot{u: u})
+			break
+		}
+		// Operand packing: share a port with an already-issued
+		// narrow-operand ALU µop (pipeline compression), or with one
+		// of the SMT sibling's ops — whose operands the attacker set
+		// to be narrow precisely so that packing keys on the victim's.
+		if m.cfg.Packer != nil {
+			packed := false
+			for i := range ps.aluIssued {
+				s := &ps.aluIssued[i]
+				if s.packed || s.u.class != isa.ClassALU {
+					continue
+				}
+				// The narrowness test reads both µops' operands; if
+				// either side is secret, co-issue (and thus both
+				// µops' timing) depends on it.
+				if ts != nil && u.obsMask&obsPack == 0 {
+					u.obsMask |= obsPack
+					ts.ObservePack(m.cycle, u.pc, s.u.labels|u.labels)
+				}
+				if m.cfg.Packer.CanPack(s.u.srcVals[0], s.u.srcVals[1], u.srcVals[0], u.srcVals[1]) {
+					s.packed = true
+					packed = true
+					break
+				}
+			}
+			if !packed && ps.coOps > 0 {
+				ct := m.cfg.CoTenant
+				if ts != nil && u.obsMask&obsPack == 0 {
+					u.obsMask |= obsPack
+					ts.ObservePack(m.cycle, u.pc, u.labels)
+				}
+				if m.cfg.Packer.CanPack(ct.OperandA, ct.OperandB, u.srcVals[0], u.srcVals[1]) {
+					ps.coOps--
+					packed = true
+				}
+			}
+			if packed {
+				u.packed = true
+				m.cfg.Packer.NotePacked()
+				m.stats.Packed++
+				m.emit(obs.KindUopt, obs.TrackUopt, u, 0, "pack")
+				m.startExec(u, lat)
+				if simplified {
+					m.emit(obs.KindUopt, obs.TrackUopt, u, int64(lat), "simplify")
+				}
+				u.result = m.aluResult(u)
+			}
+		}
+
+	case isa.ClassMul, isa.ClassDiv:
+		m.readSources(u)
+		if m.tryReuse(u) {
+			m.startExec(u, 1)
+			u.result = m.aluResult(u)
+			break
+		}
+		if ps.md > 0 {
+			lat := m.cfg.MulLat
+			kind := uopt.KindMul
+			if u.class == isa.ClassDiv {
+				lat = m.cfg.DivLat
+				kind = uopt.KindDiv
+			}
+			if m.cfg.Simplifier != nil {
+				var simplified bool
+				lat, simplified = m.cfg.Simplifier.SimplifiedLatency(kind, u.srcVals[0], u.srcVals[1], lat)
+				if simplified {
+					m.emit(obs.KindUopt, obs.TrackUopt, u, int64(lat), "simplify")
+				}
+				if ts != nil && u.obsMask&obsSimplify == 0 {
+					u.obsMask |= obsSimplify
+					ref := "zero_skip_mul"
+					if kind == uopt.KindDiv {
+						ref = "early_exit_div"
+					}
+					ts.ObserveSimplify(m.cycle, u.pc, ref, u.labels)
+				}
+			}
+			ps.md--
+			m.startExec(u, lat)
+			u.result = m.aluResult(u)
+		}
+
+	case isa.ClassJump:
+		if ps.alu > 0 {
+			ps.alu--
+			m.readSources(u)
+			if u.inst.Op == isa.JALR && u.tainted {
+				m.fail("indirect jump target derives from RDCYCLE at pc=%d", u.pc)
+			}
+			m.startExec(u, 1)
+			u.result = uint64(u.pc + 1)
+			u.tainted = false // the link value is architectural
+		}
+
+	case isa.ClassBranch:
+		if ps.alu > 0 {
+			ps.alu--
+			m.readSources(u)
+			// A wrong-path predicate is never architecturally resolved,
+			// so the RDCYCLE check only applies on the correct path.
+			if u.tainted && !u.wrongPath {
+				m.fail("branch predicate derives from RDCYCLE at pc=%d", u.pc)
+			}
+			m.startExec(u, 1)
+		}
+
+	case isa.ClassLoad:
+		if ps.ld == 0 {
+			return
+		}
+		if ps.unresolvedSeq < u.seq {
+			// The forwarding predictor's bet: consume an unresolved
+			// older store's data now, verify at retire.
+			if m.trySpecForward(u) {
+				ps.ld--
+			}
+			return
+		}
+		if m.lqReadyLoad(u) {
+			ps.ld--
+		}
+
+	case isa.ClassStore:
+		if ps.st > 0 {
+			ps.st--
+			m.readSources(u)
+			u.addr = u.inst.EffectiveAddr(u.srcVals[0])
+			u.storeVal = u.srcVals[1]
+			if ts := m.cfg.Taint; ts != nil {
+				// Address-formation labels only (srcLabels(0)): a
+				// constant-time kernel may store secret data to a
+				// public slot, and u.labels would drag the data
+				// labels in. No-op unless the scan armed
+				// ObserveAddrs.
+				ts.ObserveCacheAddr(m.cycle, u.pc, u.addr, u.srcLabels(0, ts))
+			}
+			m.startExec(u, m.storeAddrLat()) // AGU
 		}
 	}
 }
@@ -915,22 +942,28 @@ func (m *Machine) startExec(u *uop, latency int) {
 	u.doneC = m.cycle + int64(latency)
 	m.iqCount--
 	m.schedToExec(u)
+	// The fused-pair wake point: a load fused with this ADDI sits in the
+	// next slot and may issue later in this same pass.
+	if m.cfg.FuseAddiLoad && u.inst.Op == isa.ADDI {
+		if v := m.robBuf[(u.slot+1)&(len(m.robBuf)-1)]; v != nil && v.fusedProd == u {
+			m.wakeSlot(v.slot)
+		}
+	}
 	// Operands were latched (readSources) or are not needed; the producer
 	// references drop here so retired producers can recycle.
 	m.releaseProds(u)
 	m.emit(obs.KindIssue, obs.TrackIssue, u, int64(latency), "")
 }
 
-// olderStoresResolved reports whether every store older than seq has a
-// known address (conservative memory disambiguation).
-func (m *Machine) olderStoresResolved(seq uint64) bool {
+// firstUnresolvedStore returns the sequence number of the oldest store
+// whose address is still unknown, or math.MaxUint64 if every queued store
+// has resolved. A memory read by a µop younger than it must wait
+// (conservative memory disambiguation).
+func (m *Machine) firstUnresolvedStore() uint64 {
 	for _, e := range m.sq {
-		if e.u.seq >= seq {
-			return true
-		}
 		if !e.addrReady {
-			return false
+			return e.u.seq
 		}
 	}
-	return true
+	return math.MaxUint64
 }
