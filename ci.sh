@@ -75,17 +75,23 @@ rm -f "$prog" "$out"
 # Fuzz smoke: a few seconds per target. The simulator targets share the
 # sweep's oracle; FuzzSchedulerEquivalence runs each decoded program under
 # the linear reference scheduler and the event-driven one and requires an
-# identical Result; the last four cover bytes the program reads back —
-# the journal reader (no panic, typed errors, every returned record
-# re-verifies), the machine-spec parser (typed *SpecError rejections,
-# FormatMachineSpec round trip), the assembler (typed *asm.Error
-# rejections, every accepted secret region labelable) and serve's
-# cached-failure reader (no panic, agrees with a full decode on every
-# stored result body).
+# identical Result; FuzzIncrementalInvariants runs a generated program
+# under any toggle mask with the incremental ROB and readiness checks
+# cross-checked against the full walk every cycle; the last five cover
+# bytes the program reads back — the secret-region parser (typed
+# *SecretError rejections, accepted regions round-trip and label at most
+# MaxSecretLen bytes), the journal reader (no panic, typed errors, every
+# returned record re-verifies), the machine-spec parser (typed *SpecError
+# rejections, FormatMachineSpec round trip), the assembler (typed
+# *asm.Error rejections, every accepted secret region labelable) and
+# serve's cached-failure reader (no panic, agrees with a full decode on
+# every stored result body).
 go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
+go test ./internal/pipeline -fuzz FuzzIncrementalInvariants -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -run '^$'
+go test ./internal/taint -fuzz FuzzParseSecret -fuzztime 5s -run '^$'
 go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'
 go test ./internal/core -fuzz FuzzParseMachineSpec -fuzztime 5s -run '^$'
 go test ./internal/asm -fuzz FuzzAssembleUnit -fuzztime 5s -run '^$'

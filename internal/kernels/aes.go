@@ -38,6 +38,15 @@ var aesInput = [16]byte{
 	0xf6, 0x30, 0x98, 0x07, 0xa8, 0x8d, 0xa2, 0x34,
 }
 
+// aesSBoxTable is the 256-byte S-box aes-ttable looks up, computed once:
+// each entry is a GF(2⁸) inversion, too dear to redo in every cell.
+var aesSBoxTable = func() (t [256]byte) {
+	for i := range t {
+		t[i] = bsaes.SBox(byte(i))
+	}
+	return t
+}()
+
 func tableAESSubBytes() Kernel {
 	src := fmt.Sprintf(`.secret %#x, %d, state
 	li   x5, %#x        # in
@@ -62,9 +71,7 @@ loop:
 		ConstantTime: false,
 		Source:       src,
 		Setup: func(m *mem.Memory) {
-			for i := 0; i < 256; i++ {
-				m.StoreByte(aesTableAddr+uint64(i), bsaes.SBox(byte(i)))
-			}
+			m.StoreBytes(aesTableAddr, aesSBoxTable[:])
 			m.StoreBytes(aesInAddr, aesInput[:aesTTBytes])
 		},
 		Check: func(m *mem.Memory) error {

@@ -188,13 +188,32 @@ func TestSteadyStateAllocsLinearScheduler(t *testing.T) {
 }
 
 // TestSteadyStateAllocsCheckInvariants pins the per-cycle structural
-// checks at zero allocations: one ROB walk, the store queue, and the
-// cache sets changed since the last pass, plus the closing full sweep.
+// checks at zero allocations: the ROB slots and cache sets changed since
+// the last pass, the readiness re-tests, and the store queue, plus the
+// closing full cache sweep.
 func TestSteadyStateAllocsCheckInvariants(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckInvariants = true
 	if avg := steadyStateAllocs(t, cfg); avg != 0 {
 		t.Errorf("checked steady-state Run allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestNewAllocs pins the cost of building a machine, which every
+// contract cell and fault trial pays: the counter registry is built only
+// by Metrics, and every per-slot bitmap shares one slab.
+func TestNewAllocs(t *testing.T) {
+	pm, hier := mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig())
+	for _, checked := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.CheckInvariants = checked
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg, pm, hier); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 6 {
+			t.Errorf("New (CheckInvariants=%v) allocates %v times, want at most 6", checked, allocs)
+		}
 	}
 }
 

@@ -208,6 +208,9 @@ func (m *Machine) dispatch(u *uop) {
 	}
 
 	m.robPush(u)
+	if m.cfg.CheckInvariants {
+		m.chk.rename(u)
+	}
 	switch u.class {
 	case isa.ClassHalt:
 		// HALT needs no execution resources; it is complete on arrival

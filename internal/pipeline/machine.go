@@ -49,6 +49,8 @@ type Machine struct {
 	// minDoneC is a lower bound on the doneC of every executing µop:
 	// complete has nothing to do while the cycle is below it.
 	minDoneC int64
+	// chk is the incremental invariant checkers' state (invariant.go).
+	chk invChecker
 
 	sq      []*sqEntry
 	lqCount int
@@ -118,11 +120,9 @@ type Machine struct {
 	stats Stats
 	// probe is Config.Probe, cached for the per-event nil check.
 	probe obs.Probe
-	// reg names every counter (pipeline, cache hierarchy); Run diffs it
-	// via the three reusable scratch snapshots below instead of copying
-	// stats fields by hand.
-	reg                       *obs.Registry
-	runStart, runEnd, runDiff obs.Snapshot
+	// reg names every counter (pipeline, cache hierarchy). It is built by
+	// the first Metrics call: Run reads its two numbers from the fields.
+	reg *obs.Registry
 
 	err error
 }
@@ -134,8 +134,13 @@ func (m *Machine) Stats() Stats { return m.stats }
 
 // Metrics returns the machine's counter registry: every pipeline.* field
 // plus the attached hierarchy's l1.*/l2.*/hier.* counters, behind
-// Snapshot/Delta.
-func (m *Machine) Metrics() *obs.Registry { return m.reg }
+// Snapshot/Delta. The registry is built on the first call.
+func (m *Machine) Metrics() *obs.Registry {
+	if m.reg == nil {
+		m.registerMetrics()
+	}
+	return m.reg
+}
 
 // Cycle returns the current simulated cycle (monotone across Runs).
 func (m *Machine) Cycle() int64 { return m.cycle }
@@ -204,7 +209,6 @@ func New(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) (*Machine, error
 		probe:      cfg.Probe,
 		taintedMem: make(map[uint64]bool),
 	}
-	m.registerMetrics()
 	m.initROB()
 	if sp := cfg.Speculation; sp != nil {
 		m.btable = make([]uint8, 1<<uint(sp.bimodalBits()))
@@ -285,6 +289,7 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 	m.haltFetched = false
 	m.haltRetired = false
 	m.reclaimInFlight()
+	m.chk.restart()
 	m.prepareProgram(prog)
 	m.lqCount, m.iqCount = 0, 0
 	m.fetchResumeC = 0
@@ -312,11 +317,7 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 	}
 	m.err = nil
 
-	startCycle := m.cycle
-	// Per-run deltas come from the registry: snapshot every counter here,
-	// diff at the end. The scratch snapshots are reused across Runs, so
-	// steady-state sweeps allocate nothing for this.
-	m.reg.SnapshotInto(&m.runStart)
+	startCycle, startRetired := m.cycle, m.stats.Retired
 	m.emit(obs.KindRunStart, obs.TrackRetire, nil, 0, "")
 	wd := m.cfg.Watchdog
 	wdMark := m.stats.Retired
@@ -333,7 +334,7 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 	for {
 		m.cycle++
 		if cancel != nil && m.cycle&(cancelCheckInterval-1) == 0 && cancel.Cancelled() {
-			return m.finishRun(startCycle), ErrCancelled
+			return m.finishRun(startCycle, startRetired), ErrCancelled
 		}
 		if m.cfg.Faults != nil {
 			m.faultTick()
@@ -347,7 +348,7 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 			m.checkInvariants()
 		}
 		if m.err != nil {
-			return m.finishRun(startCycle), m.supervised(ReasonPipelineError, m.err)
+			return m.finishRun(startCycle, startRetired), m.supervised(ReasonPipelineError, m.err)
 		}
 		if m.haltRetired && len(m.sq) == 0 {
 			break
@@ -357,12 +358,12 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 				wdMark = m.stats.Retired
 				wdNext = m.cycle + wd.window()
 			} else if m.cycle >= wdNext {
-				return m.finishRun(startCycle), &StallError{Reason: ReasonWatchdog, Dump: m.coreDump(ReasonWatchdog)}
+				return m.finishRun(startCycle, startRetired), &StallError{Reason: ReasonWatchdog, Dump: m.coreDump(ReasonWatchdog)}
 			}
 		}
 		if m.cycle-startCycle > m.cfg.MaxCycles {
 			err := fmt.Errorf("pipeline: exceeded MaxCycles=%d (livelock?)", m.cfg.MaxCycles)
-			return m.finishRun(startCycle), m.supervised(ReasonMaxCycles, err)
+			return m.finishRun(startCycle, startRetired), m.supervised(ReasonMaxCycles, err)
 		}
 	}
 	if m.cfg.CheckInvariants {
@@ -370,25 +371,23 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 		// last passed; close the run with a sweep of every set.
 		if err := m.hier.CheckInvariants(); err != nil {
 			m.fail("invariant: %v", err)
-			return m.finishRun(startCycle), m.supervised(ReasonPipelineError, m.err)
+			return m.finishRun(startCycle, startRetired), m.supervised(ReasonPipelineError, m.err)
 		}
 	}
-	return m.finishRun(startCycle), nil
+	return m.finishRun(startCycle, startRetired), nil
 }
 
-// finishRun closes out one Run: fold the elapsed cycles into the stats,
-// diff the counter registry, and build the Result. Error paths return the
+// finishRun closes out one Run: fold the elapsed cycles into the stats
+// and build the Result from the counters' growth. Error paths return the
 // partial Result alongside the error: cycle count and stats are exactly
 // what a post-mortem needs, and discarding them on MaxCycles was hiding
 // how far a livelocked run got. (A method, not a closure in Run — the
 // closure captured the receiver and allocated once per Run.)
-func (m *Machine) finishRun(startCycle int64) Result {
-	m.stats.Cycles += m.cycle - startCycle
-	m.reg.SnapshotInto(&m.runEnd)
-	m.runEnd.DeltaInto(m.runStart, &m.runDiff)
-	elapsed := m.runDiff.GetInt64("pipeline.cycles")
+func (m *Machine) finishRun(startCycle int64, startRetired uint64) Result {
+	elapsed := m.cycle - startCycle
+	m.stats.Cycles += elapsed
 	m.emit(obs.KindRunEnd, obs.TrackRetire, nil, elapsed, "")
-	return Result{Cycles: elapsed, Retired: m.runDiff.Get("pipeline.retired"), Stats: m.stats}
+	return Result{Cycles: elapsed, Retired: m.stats.Retired - startRetired, Stats: m.stats}
 }
 
 // supervised wraps an error into a StallError with a CoreDump when the

@@ -154,17 +154,25 @@ func TestNilProbeNoAllocations(t *testing.T) {
 		t.Errorf("nil-probe cache Lookup allocates %v per run, want 0", allocs)
 	}
 
-	// Warm snapshot scratch: after the first Run, the registry snapshot/
-	// delta cycle reuses its buffers.
+	// Warm snapshot scratch: once a caller's snapshots hold a Run's
+	// counters, the registry snapshot/delta cycle reuses their buffers.
 	prog := asm.MustAssemble("addi x1, x0, 1\nhalt")
+	reg := m.Metrics()
+	var start, end, diff obs.Snapshot
+	reg.SnapshotInto(&start)
 	if _, err := m.Run(prog); err != nil {
 		t.Fatal(err)
 	}
+	reg.SnapshotInto(&end)
+	end.DeltaInto(start, &diff)
 	if allocs := testing.AllocsPerRun(10, func() {
-		m.reg.SnapshotInto(&m.runEnd)
-		m.runEnd.DeltaInto(m.runStart, &m.runDiff)
+		reg.SnapshotInto(&end)
+		end.DeltaInto(start, &diff)
 	}); allocs != 0 {
 		t.Errorf("warm snapshot/delta allocates %v per run, want 0", allocs)
+	}
+	if got := diff.Get("pipeline.retired"); got != 2 {
+		t.Errorf("pipeline.retired delta = %d, want 2", got)
 	}
 }
 

@@ -38,6 +38,12 @@ import (
 // bits mirror its occupant's stage exactly, readyW is a subset of dispW,
 // no bit is set outside the occupied window, and at the start of every
 // issue a dispatched µop's readyW bit equals srcReady(0) && srcReady(1).
+// The helpers below that change a slot — robPush, the pops through
+// clearSched, markDispatched, markExecuting, schedToExec and execDone —
+// are also the checkers' mark points (invariant.go): each sets the slot's
+// bit in chk.dirty, which the ROB check revisits and the readiness check
+// reads as a producer event. The mark is one unconditional OR, so every
+// helper stays within the inlining budget.
 
 // initROB sizes the ring and masks for the configured ROB capacity.
 func (m *Machine) initROB() {
@@ -46,11 +52,23 @@ func (m *Machine) initROB() {
 		size <<= 1
 	}
 	m.robBuf = make([]*uop, size)
+	// Every per-slot bitmap is carved from one slab: the three scheduler
+	// masks, the consumer masks, and the checker's seven bitmaps and its
+	// own consumer rows.
 	words := (size + 63) / 64
-	m.dispW = make([]uint64, words)
-	m.readyW = make([]uint64, words)
-	m.execW = make([]uint64, words)
-	m.consW = make([]uint64, size*words)
+	slab := make([]uint64, 10*words+2*size*words)
+	next := func(n int) []uint64 {
+		s := slab[:n:n]
+		slab = slab[n:]
+		return s
+	}
+	m.dispW, m.readyW, m.execW = next(words), next(words), next(words)
+	m.consW = next(size * words)
+	c := &m.chk
+	c.dirty, c.win, c.wrong = next(words), next(words), next(words)
+	c.events, c.seenDisp, c.seenReady, c.recheck = next(words), next(words), next(words), next(words)
+	c.cons = next(size * words)
+	c.restart()
 	m.minDoneC = math.MaxInt64
 }
 
@@ -69,6 +87,7 @@ func (m *Machine) robPush(u *uop) {
 	u.slot = slot
 	m.robN++
 	clear(m.consumers(slot))
+	m.chk.dirty[slot>>6] |= 1 << (uint(slot) & 63)
 }
 
 // consumers returns the consumer mask of the µop in slot: the slots of
@@ -100,6 +119,7 @@ func (m *Machine) robPopTail() *uop {
 // markDispatched sets u's issue-wakeup bit (dispatch).
 func (m *Machine) markDispatched(u *uop) {
 	m.dispW[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+	m.chk.dirty[u.slot>>6] |= 1 << (uint(u.slot) & 63)
 }
 
 // markExecuting sets u's writeback bit without passing through dispW
@@ -109,6 +129,7 @@ func (m *Machine) markExecuting(u *uop) {
 	if u.doneC < m.minDoneC {
 		m.minDoneC = u.doneC
 	}
+	m.chk.dirty[u.slot>>6] |= 1 << (uint(u.slot) & 63)
 }
 
 // subscribe is the dispatch wake point for a just-dispatched u: it joins
@@ -159,11 +180,13 @@ func (m *Machine) schedToExec(u *uop) {
 	if u.doneC < m.minDoneC {
 		m.minDoneC = u.doneC
 	}
+	m.chk.dirty[w] |= 1 << b
 }
 
 // execDone clears u's writeback bit (completion).
 func (m *Machine) execDone(u *uop) {
 	m.execW[u.slot>>6] &^= 1 << (uint(u.slot) & 63)
+	m.chk.dirty[u.slot>>6] |= 1 << (uint(u.slot) & 63)
 }
 
 // clearSched clears every mask bit for a vacated slot.
@@ -172,6 +195,7 @@ func (m *Machine) clearSched(slot int) {
 	m.dispW[w] &^= 1 << b
 	m.readyW[w] &^= 1 << b
 	m.execW[w] &^= 1 << b
+	m.chk.dirty[w] |= 1 << b
 }
 
 // gatherMasked appends, in program order, every ROB occupant whose slot
