@@ -77,15 +77,17 @@ rm -f "$prog" "$out"
 # the linear reference scheduler and the event-driven one and requires an
 # identical Result; FuzzIncrementalInvariants runs a generated program
 # under any toggle mask with the incremental ROB and readiness checks
-# cross-checked against the full walk every cycle; the last five cover
+# cross-checked against the full walk every cycle; the last six cover
 # bytes the program reads back — the secret-region parser (typed
 # *SecretError rejections, accepted regions round-trip and label at most
 # MaxSecretLen bytes), the journal reader (no panic, typed errors, every
 # returned record re-verifies), the machine-spec parser (typed *SpecError
 # rejections, FormatMachineSpec round trip), the assembler (typed
-# *asm.Error rejections, every accepted secret region labelable) and
+# *asm.Error rejections, every accepted secret region labelable),
 # serve's cached-failure reader (no panic, agrees with a full decode on
-# every stored result body).
+# every stored result body) and serve's store entries (arbitrary or
+# mutated bytes at an entry's path are a miss or a rejection that
+# deletes them, never a hit unless genuine).
 go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
@@ -96,3 +98,4 @@ go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'
 go test ./internal/core -fuzz FuzzParseMachineSpec -fuzztime 5s -run '^$'
 go test ./internal/asm -fuzz FuzzAssembleUnit -fuzztime 5s -run '^$'
 go test ./internal/serve -fuzz FuzzCachedError -fuzztime 5s -run '^$'
+go test ./internal/serve -fuzz FuzzStoreEntry -fuzztime 5s -run '^$'

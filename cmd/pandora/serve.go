@@ -29,7 +29,7 @@ func runServe(args []string) int {
 	timeout := fs.Duration("timeout", 0, "default per-job deadline when the spec omits timeout_ms (0 = none)")
 	maxTimeout := fs.Duration("max-timeout", 10*time.Minute, "upper bound on client-requested job deadlines")
 	drain := fs.Duration("drain", 15*time.Second, "shutdown window for in-flight jobs before they are cancelled and journaled for replay")
-	retries := fs.Int("retries", 3, "attempt budget per job for transient failures (panics, watchdog stalls)")
+	retries := fs.Int("retries", 3, "attempt budget per job for transient failures (worker panics, injected chaos)")
 	if err := c.Parse(args); err != nil {
 		return 2
 	}

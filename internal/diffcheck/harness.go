@@ -32,10 +32,6 @@ type Options struct {
 	Subject Subject
 	// SkipFixtures drops the hand-written and eBPF cases.
 	SkipFixtures bool
-	// MaxFailures caps how many failures keep their minimized repro in the
-	// report (default 4); further divergences are still counted, just
-	// without a listing.
-	MaxFailures int
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -48,6 +44,10 @@ type Failure struct {
 	Div     Divergence
 	Repro   isa.Program
 }
+
+// maxFailures caps how many failures keep their minimized repro in the
+// report; further divergences are still counted, just without a listing.
+const maxFailures = 4
 
 // Report summarizes a sweep.
 type Report struct {
@@ -105,9 +105,6 @@ func Check(ctx context.Context, opts Options) (Report, error) {
 	}
 	if opts.MasksPerProgram <= 0 {
 		opts.MasksPerProgram = 3
-	}
-	if opts.MaxFailures <= 0 {
-		opts.MaxFailures = 4
 	}
 	logf := opts.Log
 	if logf == nil {
@@ -173,7 +170,7 @@ func Check(ctx context.Context, opts Options) (Report, error) {
 	for _, r := range results {
 		rep.Runs += r.runs
 		for _, f := range r.failures {
-			if len(rep.Failures) < opts.MaxFailures {
+			if len(rep.Failures) < maxFailures {
 				rep.Failures = append(rep.Failures, f)
 			} else {
 				rep.Failures = append(rep.Failures, Failure{

@@ -9,35 +9,22 @@ import (
 	"pandora/internal/pipeline"
 )
 
-// TestWatchdogNeverTripsOnCleanPrograms arms the forward-progress
-// watchdog on a generated program under every optimization-toggle
-// combination: a fault-free run must never be declared livelocked, and
-// supervision must not perturb the result. This pins the false-positive
-// rate of the retire-rate window at zero across the whole toggle space.
+// TestWatchdogNeverTripsOnCleanPrograms runs a generated program under
+// every optimization-toggle combination: a fault-free run must never be
+// declared livelocked by the forward-progress watchdog every run carries.
+// This pins the false-positive rate of the progress window at zero across
+// the whole toggle space.
 func TestWatchdogNeverTripsOnCleanPrograms(t *testing.T) {
 	prog := Generate(rand.New(rand.NewSource(7)))
 	for mask := ToggleMask(0); mask < AllMasks; mask++ {
-		run := func(supervised bool) pipeline.Result {
-			cfg := PipeConfig(mask)
-			if supervised {
-				cfg.Watchdog = &pipeline.WatchdogConfig{}
-			}
-			m := mem.New()
-			InitMemory(m)
-			pipe, err := pipeline.New(cfg, m, cache.MustNewHierarchy(cache.DefaultHierConfig()))
-			if err != nil {
-				t.Fatalf("mask %v: New: %v", mask, err)
-			}
-			res, err := pipe.Run(prog)
-			if err != nil {
-				t.Fatalf("mask %v (supervised=%v): %v", mask, supervised, err)
-			}
-			return res
+		m := mem.New()
+		InitMemory(m)
+		pipe, err := pipeline.New(PipeConfig(mask), m, cache.MustNewHierarchy(cache.DefaultHierConfig()))
+		if err != nil {
+			t.Fatalf("mask %v: New: %v", mask, err)
 		}
-		plain := run(false)
-		watched := run(true)
-		if plain != watched {
-			t.Errorf("mask %v: supervised result %+v differs from plain %+v", mask, watched, plain)
+		if _, err := pipe.Run(prog); err != nil {
+			t.Fatalf("mask %v: %v", mask, err)
 		}
 	}
 }

@@ -25,7 +25,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -466,13 +465,13 @@ func siteCount(s faults.Site) int {
 
 // runPipe is one pipeline run under the campaign's fixed protocol: fresh
 // memory image, default (LRU) hierarchy, the toggle mask's configuration
-// with invariant checking on, and the forward-progress watchdog armed.
+// with invariant checking on (every run is supervised by the pipeline's
+// forward-progress watchdog).
 func runPipe(prog isa.Program, mask diffcheck.ToggleMask, inj *faults.Injector) (pipeline.Result, *pipeline.Machine, error) {
 	pm := mem.New()
 	diffcheck.InitMemory(pm)
 	hier := cache.MustNewHierarchy(cache.DefaultHierConfig())
 	cfg := diffcheck.PipeConfig(mask)
-	cfg.Watchdog = &pipeline.WatchdogConfig{}
 	cfg.Faults = inj
 	m := pipeline.MustNew(cfg, pm, hier)
 	res, err := m.Run(prog)
@@ -561,22 +560,16 @@ func (tr *Trial) runSubject(opts *Options, prog isa.Program, mask diffcheck.Togg
 	}
 
 	if err != nil {
-		var se *pipeline.StallError
-		if errors.As(err, &se) {
-			cycle := res.Cycles
-			if se.Dump != nil {
-				cycle = se.Dump.Cycle
-			}
-			tr.writeDump(opts, se)
-			switch se.Reason {
-			case pipeline.ReasonWatchdog, pipeline.ReasonMaxCycles:
-				detect(DetWatchdog, cycle, se.Error())
-			default:
-				detect(classifyCause(err), cycle, se.Error())
-			}
-			return
+		// Every failed Run is a *pipeline.StallError: the fault campaign
+		// never cancels.
+		se := err.(*pipeline.StallError)
+		tr.writeDump(opts, se)
+		switch se.Reason {
+		case pipeline.ReasonWatchdog, pipeline.ReasonMaxCycles:
+			detect(DetWatchdog, se.Dump.Cycle, se.Error())
+		default:
+			detect(classifyCause(err), se.Dump.Cycle, se.Error())
 		}
-		detect(classifyCause(err), res.Cycles, err.Error())
 		return
 	}
 
@@ -623,7 +616,7 @@ func stateDiff(m *pipeline.Machine, golden *emu.Machine) string {
 
 // writeDump captures a supervised abort's CoreDump as a JSON artifact.
 func (tr *Trial) writeDump(opts *Options, se *pipeline.StallError) {
-	if opts.DumpDir == "" || se.Dump == nil {
+	if opts.DumpDir == "" {
 		return
 	}
 	b := se.Dump.JSON()

@@ -82,6 +82,36 @@ func TestSteadyStateAllocsNilProbe(t *testing.T) {
 	}
 }
 
+// TestRetireAllocFree pins that a steady-state retire allocates nothing
+// now that every Run keeps the CoreDump's retire history: each measured
+// iteration pushes one completed µop at the head of a warmed machine's
+// ROB and retires it, history record included.
+func TestRetireAllocFree(t *testing.T) {
+	m := newTestMachine(t, DefaultConfig())
+	if _, err := m.Run(asm.MustAssemble(allocKernel)); err != nil {
+		t.Fatalf("warmup Run: %v", err)
+	}
+	retired := m.stats.Retired
+	avg := testing.AllocsPerRun(100, func() {
+		u := m.allocUop()
+		u.seq, u.pc, u.class, u.stage = m.lastRetiredSeq+1, 4, isa.ClassALU, stDone
+		u.inst = isa.Inst{Op: isa.ADD, Rd: 2, Rs1: 2, Rs2: 3}
+		u.t = &m.tmpl[4]
+		u.result, u.oracleResult = m.committed[2], m.committed[2]
+		m.robPush(u)
+		m.retire()
+	})
+	if m.err != nil {
+		t.Fatalf("retire: %v", m.err)
+	}
+	if avg != 0 {
+		t.Errorf("retire allocates %.1f times per µop, want 0", avg)
+	}
+	if got := m.stats.Retired - retired; got < 100 || m.nRetired < 100 {
+		t.Fatalf("retired %d µops, history recorded %d; want every measured retire", got, m.nRetired)
+	}
+}
+
 // TestSteadyStateAllocsEnabledProbe pins the same property with a probe
 // attached: every emission site builds the obs.Event by value with static
 // Detail strings, so observation itself is allocation-free.
@@ -403,13 +433,11 @@ func TestAbortReclaimNoNetLeak(t *testing.T) {
 	}
 }
 
-// TestAbortReclaimWatchdogPath covers the StallError return: a stuck
-// fence (fault site) trips the watchdog mid-run, and the recovery run
-// must drain every pooled object as usual.
+// TestAbortReclaimWatchdogPath covers the watchdog's StallError return:
+// a stuck fence (fault site) trips the watchdog mid-run, and the recovery
+// run must drain every pooled object as usual.
 func TestAbortReclaimWatchdogPath(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Watchdog = &WatchdogConfig{Window: 200}
-	m := newTestMachine(t, cfg)
+	m := newTestMachine(t, DefaultConfig())
 	prog := asm.MustAssemble(allocKernel)
 	if _, err := m.Run(prog); err != nil {
 		t.Fatalf("clean Run: %v", err)

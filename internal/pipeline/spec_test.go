@@ -448,12 +448,9 @@ func TestSquashInvariants(t *testing.T) {
 	}
 }
 
-// TestSpeculationConfigValidate rejects out-of-range predictor table
-// sizes.
+// TestSpeculationConfigValidate rejects an out-of-range wrong-path cap.
 func TestSpeculationConfigValidate(t *testing.T) {
 	for _, mut := range []func(*SpeculationConfig){
-		func(sp *SpeculationConfig) { sp.BimodalBits = 30 },
-		func(sp *SpeculationConfig) { sp.StLFBits = -1 },
 		func(sp *SpeculationConfig) { sp.MaxWrongPath = -2 },
 	} {
 		cfg := specConfig(mut)

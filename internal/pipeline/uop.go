@@ -68,6 +68,13 @@ type uop struct {
 	// invariants are deferred for these µops: a wrong value is resolved
 	// by the forwarding replay, not a machine failure.
 	specData bool
+	// predData marks a µop that read an unverified value prediction (the
+	// predicted load's value, or transitively a consumer of one). A wrong
+	// prediction squashes it when the load completes, which may be after
+	// it computed a branch direction or JALR target from the predicted
+	// value; its control-flow check therefore waits for retire, where
+	// every prediction it read has been verified. Cleared on replay.
+	predData bool
 
 	// Pipeline-computed values.
 	srcVals  [2]uint64 // operand values read at issue

@@ -187,6 +187,69 @@ func TestRedispatchAfterSquash(t *testing.T) {
 	}
 }
 
+// A branch that issues on a wrong value prediction computes the wrong
+// direction long before its load completes. The load's completion
+// squashes and replays it, so the early direction is not a divergence:
+// the branch's control-flow check waits for retire.
+func TestWrongPredictionFeedingBranchReplays(t *testing.T) {
+	const src = `
+		addi x3, x0, 0x48
+		addi x4, x0, 0x20
+		mul  x1, x3, x4
+		ld   x5, 0(x1)
+		beq  x5, x0, 6
+		addi x6, x0, 1
+		halt
+	`
+	cfg := func() Config {
+		c := DefaultConfig()
+		c.Predictor = &eagerPredictor{last: map[int64]uint64{3: 0}}
+		return c
+	}
+	init := func(m *Machine) { m.Memory().Write(0x900, 8, 21) }
+	m, _, evs := bothSchedulers(t, cfg, init, src)
+	if n := m.Stats().ValueSquashes; n != 1 {
+		t.Fatalf("ValueSquashes = %d, want 1", n)
+	}
+	if got := m.Reg(6); got != 1 {
+		t.Errorf("x6 = %d, want 1 (the branch falls through)", got)
+	}
+	// The branch issued on the prediction, before its load.
+	if br, ld := firstCycle(t, evs, obs.KindIssue, 4), firstCycle(t, evs, obs.KindIssue, 3); br >= ld {
+		t.Errorf("branch issued at %d, not before its predicted load (%d)", br, ld)
+	}
+}
+
+// TestPredictedControlCheckedAtRetire pins that deferring the check does
+// not drop it: a branch or JALR that read a value prediction and still
+// disagrees with the oracle at retire, where every prediction it read has
+// verified, fails the run and does not retire.
+func TestPredictedControlCheckedAtRetire(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		u    uop
+		want string
+	}{
+		{"branch", uop{class: isa.ClassBranch, inst: isa.Inst{Op: isa.BEQ, Rs1: 5, Imm: 2},
+			srcVals: [2]uint64{21, 0}, oracleTaken: true}, "branch divergence at pc=4"},
+		{"jalr", uop{class: isa.ClassJump, inst: isa.Inst{Op: isa.JALR, Rd: 1, Rs1: 5},
+			srcVals: [2]uint64{9, 0}, nextPC: 7}, "indirect jump divergence at pc=4"},
+	} {
+		m := newTestMachine(t, DefaultConfig())
+		u := m.allocUop()
+		*u = tc.u
+		u.seq, u.pc, u.stage, u.predData = 1, 4, stDone, true
+		m.robPush(u)
+		m.retire()
+		if m.err == nil || !strings.Contains(m.err.Error(), tc.want) {
+			t.Errorf("%s: retire error = %v, want %q", tc.name, m.err, tc.want)
+		}
+		if m.robN != 1 || m.stats.Retired != 0 {
+			t.Errorf("%s: divergent µop retired", tc.name)
+		}
+	}
+}
+
 // queueStore appends a store µop with the given sequence number, address,
 // width and data to m's store queue.
 func queueStore(m *Machine, seq, addr uint64, width int, val uint64, addrReady bool) {

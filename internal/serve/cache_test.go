@@ -211,3 +211,64 @@ func TestKeyCanonicalization(t *testing.T) {
 		t.Fatalf("Key(trace with bogus format) succeeded")
 	}
 }
+
+// FuzzStoreEntry writes untrusted bytes where a cache entry lives — either
+// arbitrary bytes, a genuine entry with one byte replaced, a truncated
+// one, or another key's genuine entry — and pins what Get may make of
+// them: it never panics; it returns Hit only for a genuine entry of that
+// key, with exactly the body Put stored under the same identity header;
+// and a Rejected entry is gone from disk afterwards.
+func FuzzStoreEntry(f *testing.F) {
+	f.Add(uint8(0), []byte(`{"kind":"scan"}`), uint16(0), byte(0), []byte("junk"))
+	f.Add(uint8(1), []byte(`{"pass":true}`+"\n"), uint16(40), byte(0x20), []byte{})
+	f.Add(uint8(1), []byte(`{"pass":true}`), uint16(3), byte('k'^'K'), []byte{})
+	f.Add(uint8(2), []byte("body"), uint16(60), byte(0), []byte{})
+	f.Add(uint8(3), []byte("body"), uint16(0), byte(0), []byte{})
+	f.Add(uint8(0), []byte{}, uint16(0), byte(0), []byte("\n"))
+	s, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatalf("OpenStore: %v", err)
+	}
+	const key, other = "0123456789abcdef", "fedcba9876543210"
+	f.Fuzz(func(t *testing.T, mode uint8, body []byte, off uint16, xor byte, raw []byte) {
+		if err := s.Put(key, body); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		genuine, err := os.ReadFile(s.EntryPath(key))
+		if err != nil {
+			t.Fatalf("read genuine entry: %v", err)
+		}
+		cand := raw
+		switch mode % 4 {
+		case 1: // one byte replaced
+			cand = bytes.Clone(genuine)
+			cand[int(off)%len(cand)] ^= xor
+		case 2: // truncated
+			cand = genuine[:int(off)%(len(genuine)+1)]
+		case 3: // another key's genuine entry
+			if err := s.Put(other, body); err != nil {
+				t.Fatalf("Put(other): %v", err)
+			}
+			if cand, err = os.ReadFile(s.EntryPath(other)); err != nil {
+				t.Fatalf("read other entry: %v", err)
+			}
+		}
+		if err := os.WriteFile(s.EntryPath(key), cand, 0o644); err != nil {
+			t.Fatalf("write candidate: %v", err)
+		}
+		got, outcome, _ := s.Get(key)
+		switch outcome {
+		case Hit:
+			var want, have entryHeader
+			json.Unmarshal(genuine[:bytes.IndexByte(genuine, '\n')], &want)
+			nl := bytes.IndexByte(cand, '\n')
+			if nl < 0 || json.Unmarshal(cand[:nl], &have) != nil || have != want || !bytes.Equal(got, body) {
+				t.Fatalf("Hit on a non-genuine entry %q: body %q", cand, got)
+			}
+		case Rejected:
+			if _, err := os.Stat(s.EntryPath(key)); !os.IsNotExist(err) {
+				t.Fatalf("rejected entry still on disk: %v", err)
+			}
+		}
+	})
+}

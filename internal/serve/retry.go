@@ -14,15 +14,17 @@ import (
 // FailureClass sorts a job attempt's error into the service's failure
 // taxonomy, which decides what happens next:
 //
-//   - Transient failures (a worker panic, a forward-progress watchdog
-//     stall, injected chaos) are environmental: the same spec can
-//     succeed on a clean retry, so the server retries them with capped
-//     exponential backoff and never caches the failure.
-//   - Deterministic failures (validation, a pipeline invariant
-//     violation, an oracle mismatch, an analysis error) are a property
-//     of the spec: retrying reruns the same deterministic computation to
-//     the same end, so the failure is cached as a failed result and
-//     served like any other — visibly failed, never re-executed.
+//   - Transient failures (a worker panic, injected chaos) are
+//     environmental: the same spec can succeed on a clean retry, so the
+//     server retries them with capped exponential backoff and never
+//     caches the failure.
+//   - Deterministic failures (validation, any supervised pipeline
+//     failure — a watchdog stall, an invariant violation, an oracle
+//     mismatch, MaxCycles — or an analysis error) are a property of the
+//     spec: the simulation is a pure function of it, so retrying reruns
+//     the same computation to the same end. The failure is cached as a
+//     failed result and served like any other — visibly failed, never
+//     re-executed.
 //   - Aborted attempts (job deadline expired, server shutting down) are
 //     neither: the result was never computed, so nothing is cached, and
 //     whether the job is retried depends on why it aborted (a replay
@@ -52,8 +54,7 @@ func (c FailureClass) String() string {
 }
 
 // Classify maps an attempt error onto the taxonomy. The transient set
-// is deliberately explicit — worker panics (parallel.PanicError),
-// watchdog stalls (pipeline.StallError with the watchdog reason) and
+// is deliberately explicit — worker panics (parallel.PanicError) and
 // injected chaos (faults.ChaosError) — because misclassifying a
 // deterministic failure as transient turns every bad spec into
 // MaxAttempts wasted executions.
@@ -71,10 +72,6 @@ func Classify(err error) FailureClass {
 	}
 	var ce *faults.ChaosError
 	if errors.As(err, &ce) {
-		return ClassTransient
-	}
-	var se *pipeline.StallError
-	if errors.As(err, &se) && se.Reason == pipeline.ReasonWatchdog {
 		return ClassTransient
 	}
 	return ClassDeterministic

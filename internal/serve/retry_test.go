@@ -20,7 +20,7 @@ func TestClassify(t *testing.T) {
 		{nil, ClassDeterministic},
 		{errors.New("assembly failed"), ClassDeterministic},
 		{&pipeline.StallError{Reason: pipeline.ReasonPipelineError, Cause: errors.New("invariant"), Dump: &pipeline.CoreDump{}}, ClassDeterministic},
-		{&pipeline.StallError{Reason: pipeline.ReasonWatchdog, Dump: &pipeline.CoreDump{}}, ClassTransient},
+		{&pipeline.StallError{Reason: pipeline.ReasonWatchdog, Dump: &pipeline.CoreDump{}}, ClassDeterministic},
 		{&parallel.PanicError{Index: 0, Value: "boom"}, ClassTransient},
 		{&faults.ChaosError{Action: faults.ChaosStall, Key: "k", Att: 0}, ClassTransient},
 		{fmt.Errorf("wrapped: %w", &faults.ChaosError{Action: faults.ChaosPanic, Key: "k"}), ClassTransient},
