@@ -26,7 +26,7 @@ import (
 //	wrongpath[:N]       wrong-path fetch only (at most N wrong-path µops)
 //	bimodal             bimodal direction predictor only
 //	stlf                speculative store-to-load forwarding predictor
-//	staddr=N            store address resolution latency (StLF window)
+//	staddr=N            store address resolution latency (StLF window, N ≤ 1000)
 //	sq=N, rob=N, prf=N, alu=N, ld=N  sizing overrides
 //
 // An empty spec returns the default baseline.
@@ -107,6 +107,9 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 			speculation(&cfg).StLF = true
 		case "staddr":
 			cfg.StoreAddrLat, err = argN(cfg.StoreAddrLat)
+			if err == nil && cfg.StoreAddrLat > pipeline.MaxStoreAddrLat {
+				err = &SpecError{Feature: name, Arg: arg, Reason: "out of range (max " + strconv.Itoa(pipeline.MaxStoreAddrLat) + ")"}
+			}
 		case "sq":
 			cfg.SQSize, err = argN(cfg.SQSize)
 		case "rob":

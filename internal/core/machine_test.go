@@ -73,10 +73,13 @@ func TestParseMachineSpecSpeculation(t *testing.T) {
 }
 
 func TestParseMachineSpecErrors(t *testing.T) {
-	for _, spec := range []string{"bogus", "vp:x", "sq=0", "sq=-3"} {
+	for _, spec := range []string{"bogus", "vp:x", "sq=0", "sq=-3", "staddr=1001", "staddr=20000"} {
 		if _, err := ParseMachineSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+	if _, err := ParseMachineSpec("staddr=1000"); err != nil {
+		t.Errorf("staddr at its bound rejected: %v", err)
 	}
 	if cfg, err := ParseMachineSpec("  "); err != nil || cfg.FetchWidth == 0 {
 		t.Error("empty spec must yield the default baseline")

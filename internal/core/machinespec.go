@@ -21,7 +21,8 @@ type SpecError struct {
 	// Arg is the offending argument, "" when the feature itself was
 	// unknown.
 	Arg string
-	// Reason says what was wrong: "unknown feature" or "bad argument".
+	// Reason says what was wrong: "unknown feature", "bad argument" or
+	// "out of range (max N)".
 	Reason string
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -276,9 +277,16 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := New(bad, mem.New(), h); err == nil {
 		t.Error("too-small PRF accepted")
 	}
+	bad = DefaultConfig()
+	bad.StoreAddrLat = MaxStoreAddrLat + 1
+	if _, err := New(bad, mem.New(), h); err == nil {
+		t.Error("StoreAddrLat above MaxStoreAddrLat accepted")
+	}
 	m := MustNew(DefaultConfig(), mem.New(), h)
-	if _, err := m.Run(nil); err == nil {
-		t.Error("empty program accepted")
+	_, err := m.Run(nil)
+	var se *StallError
+	if !errors.As(err, &se) || se.Reason != ReasonPipelineError || err.Error() != "pipeline: empty program" {
+		t.Errorf("empty program: got %v, want a pipeline-error StallError", err)
 	}
 }
 
