@@ -17,6 +17,12 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test -race -short ./...
 
+# The pipeline's ring helpers carry the invariant checker's marks and the
+# idle-cycle skip's change count. Each must stay within the compiler's
+# inlining budget: when some stopped inlining, the cycle loop ran about
+# 25% slower.
+test "$(go build -gcflags=-m ./internal/pipeline 2>&1 | grep -cE 'can inline \(\*Machine\)\.(robPush|robPopHead|markDispatched|markExecuting|schedToExec|execDone|clearSched|unref)$')" -eq 8
+
 # Stats encapsulation: no package writes through another package's
 # exported Stats value — counters are owned where they are declared and
 # read through getters or obs.Registry snapshots. -v lists the owning
@@ -77,7 +83,7 @@ rm -f "$prog" "$out"
 # the linear reference scheduler and the event-driven one and requires an
 # identical Result; FuzzIncrementalInvariants runs a generated program
 # under any toggle mask with the incremental ROB and readiness checks
-# cross-checked against the full walk every cycle; the last six cover
+# cross-checked against the full walk every cycle; the last seven cover
 # bytes the program reads back — the secret-region parser (typed
 # *SecretError rejections, accepted regions round-trip and label at most
 # MaxSecretLen bytes), the journal reader (no panic, typed errors, every
@@ -87,7 +93,9 @@ rm -f "$prog" "$out"
 # serve's cached-failure reader (no panic, agrees with a full decode on
 # every stored result body) and serve's store entries (arbitrary or
 # mutated bytes at an entry's path are a miss or a rejection that
-# deletes them, never a hit unless genuine).
+# deletes them, never a hit unless genuine) and serve's POST /v1/jobs
+# body (a typed refusal, or an accepted spec whose canonical form is a
+# fixed point with the same key; the job is never executed).
 go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
@@ -99,3 +107,4 @@ go test ./internal/core -fuzz FuzzParseMachineSpec -fuzztime 5s -run '^$'
 go test ./internal/asm -fuzz FuzzAssembleUnit -fuzztime 5s -run '^$'
 go test ./internal/serve -fuzz FuzzCachedError -fuzztime 5s -run '^$'
 go test ./internal/serve -fuzz FuzzStoreEntry -fuzztime 5s -run '^$'
+go test ./internal/serve -fuzz FuzzSubmit -fuzztime 5s -run '^$'

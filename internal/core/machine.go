@@ -19,17 +19,21 @@ import (
 //	packing             operand packing (pipeline compression)
 //	fusion              addi+load µ-op fusion (safe continuous optimization)
 //	reuse-sv / reuse-sn computation reuse, value- or name-keyed
-//	vp[:N]              last-value prediction (confidence threshold N)
-//	vp-stride[:N]       stride value prediction
+//	vp[:N]              last-value prediction (confidence threshold N ≤ 64)
+//	vp-stride[:N]       stride value prediction (N ≤ 64)
 //	rfc-any / rfc-01    register-file compression variants
 //	spec                wrong-path fetch + bimodal direction prediction
-//	wrongpath[:N]       wrong-path fetch only (at most N wrong-path µops)
+//	wrongpath[:N]       wrong-path fetch only (at most N ≤ 1024 wrong-path µops)
 //	bimodal             bimodal direction predictor only
 //	stlf                speculative store-to-load forwarding predictor
 //	staddr=N            store address resolution latency (StLF window, N ≤ 1000)
-//	sq=N, rob=N, prf=N, alu=N, ld=N  sizing overrides
+//	sq=N, rob=N, prf=N, alu=N, ld=N  sizing overrides (sq, rob ≤ 1024;
+//	                    prf ≤ 4096; alu, ld ≤ 64)
 //
-// An empty spec returns the default baseline.
+// An empty spec returns the default baseline. An argument above its
+// bound is a *SpecError "out of range (max N)": a served scan job takes
+// its spec from the request, and the ROB's consumer masks grow with the
+// square of its size.
 func ParseMachineSpec(spec string) (pipeline.Config, error) {
 	cfg := pipeline.DefaultConfig()
 	if strings.TrimSpace(spec) == "" {
@@ -44,13 +48,16 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 		if i := strings.IndexAny(f, ":="); i >= 0 {
 			name, arg = f[:i], f[i+1:]
 		}
-		argN := func(def int) (int, error) {
+		argN := func(def, max int) (int, error) {
 			if arg == "" {
 				return def, nil
 			}
 			n, err := strconv.Atoi(arg)
 			if err != nil || n <= 0 {
 				return 0, &SpecError{Feature: name, Arg: arg, Reason: "bad argument"}
+			}
+			if n > max {
+				return 0, &SpecError{Feature: name, Arg: arg, Reason: "out of range (max " + strconv.Itoa(max) + ")"}
 			}
 			return n, nil
 		}
@@ -76,13 +83,13 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 		case "reuse-sn":
 			cfg.Reuse = uopt.NewReuseBuffer(uopt.SchemeSn, 64)
 		case "vp":
-			n, e := argN(2)
+			n, e := argN(2, maxThreshold)
 			if e != nil {
 				return cfg, e
 			}
 			cfg.Predictor = uopt.NewPredictor(n)
 		case "vp-stride":
-			n, e := argN(2)
+			n, e := argN(2, maxThreshold)
 			if e != nil {
 				return cfg, e
 			}
@@ -95,7 +102,7 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 			speculation(&cfg).WrongPath = true
 			speculation(&cfg).Bimodal = true
 		case "wrongpath":
-			n, e := argN(0)
+			n, e := argN(0, pipeline.MaxQueueSize)
 			if e != nil {
 				return cfg, e
 			}
@@ -106,20 +113,17 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 		case "stlf":
 			speculation(&cfg).StLF = true
 		case "staddr":
-			cfg.StoreAddrLat, err = argN(cfg.StoreAddrLat)
-			if err == nil && cfg.StoreAddrLat > pipeline.MaxStoreAddrLat {
-				err = &SpecError{Feature: name, Arg: arg, Reason: "out of range (max " + strconv.Itoa(pipeline.MaxStoreAddrLat) + ")"}
-			}
+			cfg.StoreAddrLat, err = argN(cfg.StoreAddrLat, pipeline.MaxStoreAddrLat)
 		case "sq":
-			cfg.SQSize, err = argN(cfg.SQSize)
+			cfg.SQSize, err = argN(cfg.SQSize, pipeline.MaxQueueSize)
 		case "rob":
-			cfg.ROBSize, err = argN(cfg.ROBSize)
+			cfg.ROBSize, err = argN(cfg.ROBSize, pipeline.MaxQueueSize)
 		case "prf":
-			cfg.PhysRegs, err = argN(cfg.PhysRegs)
+			cfg.PhysRegs, err = argN(cfg.PhysRegs, pipeline.MaxPhysRegs)
 		case "alu":
-			cfg.ALUPorts, err = argN(cfg.ALUPorts)
+			cfg.ALUPorts, err = argN(cfg.ALUPorts, maxPorts)
 		case "ld":
-			cfg.LoadPorts, err = argN(cfg.LoadPorts)
+			cfg.LoadPorts, err = argN(cfg.LoadPorts, maxPorts)
 		default:
 			return cfg, &SpecError{Feature: name, Reason: "unknown feature"}
 		}
@@ -129,6 +133,13 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 	}
 	return cfg, nil
 }
+
+// Bounds on the spec arguments that are not pipeline sizes: a
+// value-predictor confidence threshold and a port count.
+const (
+	maxThreshold = 64
+	maxPorts     = 64
+)
 
 // MachineFeatures lists the spec grammar for CLI help.
 func MachineFeatures() string {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"pandora/internal/pipeline"
@@ -78,8 +79,26 @@ func TestParseMachineSpecErrors(t *testing.T) {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
-	if _, err := ParseMachineSpec("staddr=1000"); err != nil {
-		t.Errorf("staddr at its bound rejected: %v", err)
+	// Every sizing argument has a bound; one past it is a typed
+	// "out of range" naming the bound, and the bound itself parses.
+	for _, c := range []struct {
+		feature string
+		max     int
+	}{
+		{"staddr=", 1000}, {"rob=", 1024}, {"sq=", 1024}, {"prf=", 4096},
+		{"alu=", 64}, {"ld=", 64}, {"vp:", 64}, {"vp-stride:", 64}, {"wrongpath:", 1024},
+	} {
+		for _, over := range []int{c.max + 1, 100000} {
+			spec := fmt.Sprintf("%s%d", c.feature, over)
+			_, err := ParseMachineSpec(spec)
+			var se *SpecError
+			if !errors.As(err, &se) || se.Reason != fmt.Sprintf("out of range (max %d)", c.max) {
+				t.Errorf("spec %q: got %v, want a SpecError out of range (max %d)", spec, err, c.max)
+			}
+		}
+		if _, err := ParseMachineSpec(fmt.Sprintf("%s%d", c.feature, c.max)); err != nil {
+			t.Errorf("%s at its bound %d rejected: %v", c.feature, c.max, err)
+		}
 	}
 	if cfg, err := ParseMachineSpec("  "); err != nil || cfg.FetchWidth == 0 {
 		t.Error("empty spec must yield the default baseline")

@@ -81,6 +81,10 @@ type Options struct {
 	DumpDir string
 	// Log receives progress lines (nil = silent).
 	Log func(format string, args ...any)
+
+	// linear runs every pipeline under the reference scheduler, which
+	// ticks every cycle; the equivalence test sets it.
+	linear bool
 }
 
 func (o *Options) trials() int {
@@ -467,12 +471,13 @@ func siteCount(s faults.Site) int {
 // memory image, default (LRU) hierarchy, the toggle mask's configuration
 // with invariant checking on (every run is supervised by the pipeline's
 // forward-progress watchdog).
-func runPipe(prog isa.Program, mask diffcheck.ToggleMask, inj *faults.Injector) (pipeline.Result, *pipeline.Machine, error) {
+func runPipe(opts *Options, prog isa.Program, mask diffcheck.ToggleMask, inj *faults.Injector) (pipeline.Result, *pipeline.Machine, error) {
 	pm := mem.New()
 	diffcheck.InitMemory(pm)
 	hier := cache.MustNewHierarchy(cache.DefaultHierConfig())
 	cfg := diffcheck.PipeConfig(mask)
 	cfg.Faults = inj
+	cfg.LinearScheduler = opts.linear
 	m := pipeline.MustNew(cfg, pm, hier)
 	res, err := m.Run(prog)
 	return res, m, err
@@ -499,7 +504,7 @@ func runTrial(opts *Options, it workItem, seed int64) Trial {
 		tr.Note = "golden run failed: " + err.Error()
 		return tr
 	}
-	refRes, _, refErr := runPipe(prog, mask, nil)
+	refRes, _, refErr := runPipe(opts, prog, mask, nil)
 	if refErr != nil {
 		tr.Note = "reference run failed: " + refErr.Error()
 		return tr
@@ -546,7 +551,7 @@ func (tr *Trial) runSubject(opts *Options, prog isa.Program, mask diffcheck.Togg
 	// inline oracle runs the same rewritten program, so only the golden
 	// run of the original can convict it.
 	subjProg := inj.Rewrite(prog)
-	res, m, err := runPipe(subjProg, mask, inj)
+	res, m, err := runPipe(opts, subjProg, mask, inj)
 	tr.Fired = inj.Fired()
 	tr.FiredCycle = inj.FiredCycle()
 

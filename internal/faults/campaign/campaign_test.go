@@ -297,3 +297,59 @@ func TestVerifyGates(t *testing.T) {
 		t.Errorf("infrastructure note accepted")
 	}
 }
+
+// TestIdleSkipMatchesReference runs every campaign site's default trials
+// twice: under the reference scheduler, which ticks every cycle, and
+// under the default, which skips the cycles after one that changed
+// nothing. Each trial must fire on the same cycle and be caught by the
+// same detectors on the same cycles with the same text, and every
+// supervised abort must dump the same CoreDump. The watchdog's 20,000
+// idle cycles in issue-drop and fence-stuck trials are the skip's
+// longest jumps.
+func TestIdleSkipMatchesReference(t *testing.T) {
+	compared := 0
+	for _, site := range faults.CampaignSites() {
+		t.Run(site.String(), func(t *testing.T) {
+			for _, seed := range []int64{1, 7} {
+				var reps [2]*Report
+				var dirs [2]string
+				for i, linear := range []bool{true, false} {
+					dirs[i] = t.TempDir()
+					opts := Options{Seed: seed, Sites: []faults.Site{site}, Control: 1, DumpDir: dirs[i], linear: linear}
+					rep, err := Run(context.Background(), opts)
+					if err != nil {
+						t.Fatalf("seed %d linear=%v: Run: %v", seed, linear, err)
+					}
+					reps[i] = rep
+				}
+				ref, got := reps[0].Trials, reps[1].Trials
+				if len(ref) != len(got) {
+					t.Fatalf("seed %d: %d trials under the reference, %d with the skip", seed, len(ref), len(got))
+				}
+				for k := range ref {
+					a, _ := json.Marshal(ref[k])
+					b, _ := json.Marshal(got[k])
+					if !bytes.Equal(a, b) {
+						t.Errorf("seed %d trial %d diverges:\nreference %s\nskip      %s", seed, k, a, b)
+					}
+				}
+				dumps, _ := filepath.Glob(filepath.Join(dirs[0], "*.json"))
+				skipped, _ := filepath.Glob(filepath.Join(dirs[1], "*.json"))
+				if len(dumps) != len(skipped) {
+					t.Fatalf("seed %d: %d core dumps under the reference, %d with the skip", seed, len(dumps), len(skipped))
+				}
+				for _, p := range dumps {
+					a, _ := os.ReadFile(p)
+					b, err := os.ReadFile(filepath.Join(dirs[1], filepath.Base(p)))
+					if err != nil || !bytes.Equal(a, b) {
+						t.Errorf("seed %d: core dump %s differs with the skip (%v)", seed, filepath.Base(p), err)
+					}
+					compared++
+				}
+			}
+		})
+	}
+	if compared == 0 {
+		t.Fatal("no trial dumped a CoreDump; the comparison covered no supervised abort")
+	}
+}

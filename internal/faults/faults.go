@@ -22,6 +22,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"pandora/internal/isa"
 	"pandora/internal/obs"
@@ -238,6 +239,28 @@ func (in *Injector) FiredCycle() int64 {
 		return 0
 	}
 	return in.first
+}
+
+// Firings returns how many times the fault has fired (0 for a nil
+// injector). The pipeline reads it as a change count: a cycle in which it
+// moved changed machine state.
+func (in *Injector) Firings() int {
+	if in == nil {
+		return 0
+	}
+	return in.fired
+}
+
+// NextTrigger returns the trigger cycle of a transient fault that is not
+// yet due after cycle, or math.MaxInt64 when none is pending (nil
+// injector, structural site, trigger already reached). It is the fault's
+// one timed event: once due, whether a hook fires depends only on the
+// simulator state that reaches it.
+func (in *Injector) NextTrigger(cycle int64) int64 {
+	if in == nil || in.plan.Site == SiteNone || in.plan.Site.structural() || in.plan.TriggerCycle <= cycle {
+		return math.MaxInt64
+	}
+	return in.plan.TriggerCycle
 }
 
 // due reports whether a transient fault at site may fire this cycle.

@@ -102,6 +102,16 @@ type SpeculationConfig struct {
 // be declared livelocked.
 const MaxStoreAddrLat = 1000
 
+// MaxQueueSize bounds ROBSize, IQSize, LQSize and SQSize, and
+// MaxPhysRegs bounds PhysRegs. New sizes per-slot consumer masks as the
+// square of the ROB's capacity, so an unbounded size is an unbounded
+// allocation; the caps sit well above every machine the repository
+// builds (ROB 128, SQ 512).
+const (
+	MaxQueueSize = 1024
+	MaxPhysRegs  = 4096
+)
+
 // Predictor table sizes (log2 of the entry count).
 const (
 	bimodalBits = 10
@@ -302,6 +312,19 @@ func (c Config) validate(h *cache.Hierarchy) error {
 	}
 	if c.PhysRegs < 40 {
 		return fmt.Errorf("pipeline: PhysRegs must be at least 40 (32 architectural + headroom), got %d", c.PhysRegs)
+	}
+	caps := []struct {
+		name   string
+		v, max int
+	}{
+		{"ROBSize", c.ROBSize, MaxQueueSize}, {"IQSize", c.IQSize, MaxQueueSize},
+		{"LQSize", c.LQSize, MaxQueueSize}, {"SQSize", c.SQSize, MaxQueueSize},
+		{"PhysRegs", c.PhysRegs, MaxPhysRegs},
+	}
+	for _, ck := range caps {
+		if ck.v > ck.max {
+			return fmt.Errorf("pipeline: %s must be at most %d, got %d", ck.name, ck.max, ck.v)
+		}
 	}
 	if c.BranchPenalty < 0 || c.SquashPenalty < 0 {
 		return fmt.Errorf("pipeline: penalties must be non-negative")

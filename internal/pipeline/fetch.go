@@ -20,6 +20,7 @@ func (m *Machine) fetchAndDispatch() {
 				m.fetchResumeC = resume
 			}
 			m.fetchBlocked = nil
+			m.changes++
 			m.unref(u)
 		} else {
 			return
@@ -93,29 +94,28 @@ func (m *Machine) fetchAndDispatch() {
 }
 
 // resourcesFor reports whether the backend can accept an instruction of
-// this shape right now, counting stall causes.
+// this shape right now, counting stall causes. It records the counter it
+// bumped and the cycle, so an idle cycle's skip (Run) can charge the
+// skipped cycles to the same cause.
 func (m *Machine) resourcesFor(t *uopTemplate) bool {
-	if m.robN >= m.cfg.ROBSize {
-		m.stats.RenameStallROB++
-		return false
+	var c *uint64
+	switch {
+	case m.robN >= m.cfg.ROBSize:
+		c = &m.stats.RenameStallROB
+	case t.class != isa.ClassHalt && m.iqCount >= m.cfg.IQSize:
+		c = &m.stats.RenameStallIQ
+	case t.class == isa.ClassLoad && m.lqCount >= m.cfg.LQSize:
+		c = &m.stats.RenameStallLQ
+	case t.class == isa.ClassStore && len(m.sq) >= m.cfg.SQSize:
+		c = &m.stats.RenameStallSQ
+	case t.writesReg && m.prfFree <= 0:
+		c = &m.stats.RenameStallPRF
+	default:
+		return true
 	}
-	if t.class != isa.ClassHalt && m.iqCount >= m.cfg.IQSize {
-		m.stats.RenameStallIQ++
-		return false
-	}
-	if t.class == isa.ClassLoad && m.lqCount >= m.cfg.LQSize {
-		m.stats.RenameStallLQ++
-		return false
-	}
-	if t.class == isa.ClassStore && len(m.sq) >= m.cfg.SQSize {
-		m.stats.RenameStallSQ++
-		return false
-	}
-	if t.writesReg && m.prfFree <= 0 {
-		m.stats.RenameStallPRF++
-		return false
-	}
-	return true
+	*c++
+	m.stall, m.stallC = c, m.cycle
+	return false
 }
 
 // newUopFromOracle steps the functional oracle one instruction and wraps

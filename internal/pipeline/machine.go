@@ -49,6 +49,18 @@ type Machine struct {
 	// minDoneC is a lower bound on the doneC of every executing µop:
 	// complete has nothing to do while the cycle is below it.
 	minDoneC int64
+	// changes counts machine-state changes: every ring helper, a set
+	// readyW bit, each unref and store-queue release, the store-queue
+	// entry transitions, a dropped wakeup and the fetch unblock bump it.
+	// A cycle that leaves it (and the injector's firing count) unmoved
+	// changed nothing, and Run skips to the next timed event.
+	changes uint64
+	// stall is the rename-stall counter resourcesFor last bumped, at
+	// cycle stallC; skipIdle charges skipped cycles to it. skipped counts
+	// the cycles skipIdle jumped over (pipeline.idle_skipped).
+	stall   *uint64
+	stallC  int64
+	skipped int64
 	// chk is the incremental invariant checkers' state (invariant.go).
 	chk invChecker
 
@@ -152,6 +164,7 @@ func (m *Machine) Cycle() int64 { return m.cycle }
 func (m *Machine) registerMetrics() {
 	r := obs.NewRegistry()
 	r.CounterInt64("pipeline.cycles", &m.stats.Cycles)
+	r.CounterInt64("pipeline.idle_skipped", &m.skipped)
 	r.CounterUint64("pipeline.retired", &m.stats.Retired)
 	r.CounterUint64("pipeline.fetched", &m.stats.Fetched)
 	r.CounterUint64("pipeline.branch_mispredicts", &m.stats.BranchMispredicts)
@@ -333,11 +346,15 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 	// masked compare plus an atomic load every cancelCheckInterval
 	// cycles — both allocation-free.
 	cancel := m.cfg.Cancel
+	// The reference scheduler ticks every cycle; the default skips the
+	// cycles after one that changed nothing (see skipIdle).
+	skip := !m.cfg.LinearScheduler
 	for {
 		m.cycle++
 		if cancel != nil && m.cycle&(cancelCheckInterval-1) == 0 && cancel.Cancelled() {
 			return m.finishRun(startCycle, startRetired), ErrCancelled
 		}
+		changes := m.changes + uint64(m.cfg.Faults.Firings())
 		if m.cfg.Faults != nil {
 			m.faultTick()
 		}
@@ -374,6 +391,9 @@ func (m *Machine) Run(prog isa.Program) (Result, error) {
 			err := fmt.Errorf("pipeline: exceeded MaxCycles=%d (livelock?)", m.cfg.MaxCycles)
 			return m.finishRun(startCycle, startRetired), m.supervised(ReasonMaxCycles, err)
 		}
+		if skip && changes == m.changes+uint64(m.cfg.Faults.Firings()) {
+			m.skipIdle(wdNext, m.cfg.MaxCycles-(m.cycle-startCycle), cancel != nil)
+		}
 	}
 	if m.cfg.CheckInvariants {
 		// The per-cycle cache check covers the sets changed since it
@@ -397,6 +417,48 @@ func (m *Machine) finishRun(startCycle int64, startRetired uint64) Result {
 	m.stats.Cycles += elapsed
 	m.emit(obs.KindRunEnd, obs.TrackRetire, nil, elapsed, "")
 	return Result{Cycles: elapsed, Retired: m.stats.Retired - startRetired, Stats: m.stats}
+}
+
+// skipIdle follows a cycle that changed no machine state. Every stage
+// reads only that state and the clock, and the clock matters only at
+// timed events: the earliest in-flight doneC (minDoneC), the fetch
+// redirect's end, a pending SS-Load's return, the head store's fill, and
+// a transient fault's trigger. Until the earliest of them every cycle
+// repeats this one, so the clock jumps to the cycle before it. The jump
+// stops short of the watchdog's wdNext, of the MaxCycles bound (budget
+// cycles remain before it trips) and, when cancellable, of the next
+// cancellation checkpoint, so each fires on the cycle it would have.
+// A rename stall this cycle would have recurred on each skipped cycle,
+// so its counter is charged for them.
+func (m *Machine) skipIdle(wdNext, budget int64, cancellable bool) {
+	next := min(m.minDoneC, wdNext, m.cfg.Faults.NextTrigger(m.cycle))
+	if m.fetchResumeC > m.cycle {
+		next = min(next, m.fetchResumeC)
+	}
+	if len(m.sq) > 0 {
+		if e := m.sq[0]; e.dequeuing {
+			next = min(next, e.dequeueDoneC)
+		}
+		if m.cfg.SilentStores != nil {
+			for _, e := range m.sq {
+				if e.ss == ssPending {
+					next = min(next, e.ssReturnC)
+				}
+			}
+		}
+	}
+	if cancellable {
+		next = min(next, m.cycle|(cancelCheckInterval-1)+1)
+	}
+	n := min(next-1-m.cycle, budget)
+	if n <= 0 {
+		return
+	}
+	if m.stallC == m.cycle {
+		*m.stall += uint64(n)
+	}
+	m.cycle += n
+	m.skipped += n
 }
 
 // drainPending reports whether retirement waits on stores still queued:

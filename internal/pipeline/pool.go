@@ -57,6 +57,7 @@ func (m *Machine) freeUop(u *uop) {
 // recycles it (retire itself frees µops that are already unreferenced).
 func (m *Machine) unref(u *uop) {
 	u.refs--
+	m.changes++
 	if u.refs == 0 && u.stage == stRetired {
 		m.freeUop(u)
 	}
@@ -96,6 +97,7 @@ func (m *Machine) allocSQ(u *uop) *sqEntry {
 func (m *Machine) freeSQ(e *sqEntry) {
 	u := e.u
 	*e = sqEntry{}
+	m.changes++
 	m.sqPool = append(m.sqPool, e)
 	u.sqe = nil
 	m.unref(u)
@@ -111,6 +113,7 @@ func (m *Machine) popSQHead() {
 	copy(m.sq, m.sq[1:])
 	m.sq[n-1] = nil
 	m.sq = m.sq[:n-1]
+	m.changes++
 	m.freeSQ(e)
 }
 

@@ -267,20 +267,32 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := New(DefaultConfig(), mem.New(), nil); err == nil {
 		t.Error("nil hierarchy accepted")
 	}
-	bad := DefaultConfig()
-	bad.FetchWidth = 0
-	if _, err := New(bad, mem.New(), h); err == nil {
-		t.Error("zero fetch width accepted")
+	// Each row breaks one field; validation runs before anything is
+	// sized, so an oversized ROB is refused without being allocated.
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero fetch width", func(c *Config) { c.FetchWidth = 0 }},
+		{"too-small PRF", func(c *Config) { c.PhysRegs = 33 }},
+		{"StoreAddrLat above MaxStoreAddrLat", func(c *Config) { c.StoreAddrLat = MaxStoreAddrLat + 1 }},
+		{"ROBSize above MaxQueueSize", func(c *Config) { c.ROBSize = MaxQueueSize + 1 }},
+		{"ROBSize 100000", func(c *Config) { c.ROBSize = 100000 }},
+		{"IQSize above MaxQueueSize", func(c *Config) { c.IQSize = MaxQueueSize + 1 }},
+		{"LQSize above MaxQueueSize", func(c *Config) { c.LQSize = MaxQueueSize + 1 }},
+		{"SQSize above MaxQueueSize", func(c *Config) { c.SQSize = MaxQueueSize + 1 }},
+		{"PhysRegs above MaxPhysRegs", func(c *Config) { c.PhysRegs = MaxPhysRegs + 1 }},
+	} {
+		bad := DefaultConfig()
+		c.mutate(&bad)
+		if _, err := New(bad, mem.New(), h); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	bad = DefaultConfig()
-	bad.PhysRegs = 33
-	if _, err := New(bad, mem.New(), h); err == nil {
-		t.Error("too-small PRF accepted")
-	}
-	bad = DefaultConfig()
-	bad.StoreAddrLat = MaxStoreAddrLat + 1
-	if _, err := New(bad, mem.New(), h); err == nil {
-		t.Error("StoreAddrLat above MaxStoreAddrLat accepted")
+	at := DefaultConfig()
+	at.ROBSize, at.IQSize, at.LQSize, at.SQSize, at.PhysRegs = MaxQueueSize, MaxQueueSize, MaxQueueSize, MaxQueueSize, MaxPhysRegs
+	if _, err := New(at, mem.New(), h); err != nil {
+		t.Errorf("sizes at their bounds rejected: %v", err)
 	}
 	m := MustNew(DefaultConfig(), mem.New(), h)
 	_, err := m.Run(nil)

@@ -42,8 +42,10 @@ import (
 // clearSched, markDispatched, markExecuting, schedToExec and execDone —
 // are also the checkers' mark points (invariant.go): each sets the slot's
 // bit in chk.dirty, which the ROB check revisits and the readiness check
-// reads as a producer event. The mark is one unconditional OR, so every
-// helper stays within the inlining budget.
+// reads as a producer event. They also bump m.changes, the counter Run
+// reads to find a cycle that changed nothing (machine.go). The mark and
+// the bump are unconditional, so every helper stays within the inlining
+// budget.
 
 // initROB sizes the ring and masks for the configured ROB capacity.
 func (m *Machine) initROB() {
@@ -88,6 +90,7 @@ func (m *Machine) robPush(u *uop) {
 	m.robN++
 	clear(m.consumers(slot))
 	m.chk.dirty[slot>>6] |= 1 << (uint(slot) & 63)
+	m.changes++
 }
 
 // consumers returns the consumer mask of the µop in slot: the slots of
@@ -120,6 +123,7 @@ func (m *Machine) robPopTail() *uop {
 func (m *Machine) markDispatched(u *uop) {
 	m.dispW[u.slot>>6] |= 1 << (uint(u.slot) & 63)
 	m.chk.dirty[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+	m.changes++
 }
 
 // markExecuting sets u's writeback bit without passing through dispW
@@ -130,6 +134,7 @@ func (m *Machine) markExecuting(u *uop) {
 		m.minDoneC = u.doneC
 	}
 	m.chk.dirty[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+	m.changes++
 }
 
 // subscribe is the dispatch wake point for a just-dispatched u: it joins
@@ -167,35 +172,39 @@ func (m *Machine) wakeSlot(slot int) {
 	v := m.robBuf[slot]
 	if v != nil && v.stage == stDispatched && v.srcReady(0, m.cycle) && v.srcReady(1, m.cycle) {
 		m.readyW[slot>>6] |= 1 << (uint(slot) & 63)
+		m.changes++
 	}
 }
 
 // schedToExec moves u's bit from the wakeup masks to the writeback mask
 // (issue).
 func (m *Machine) schedToExec(u *uop) {
-	w, b := u.slot>>6, uint(u.slot)&63
-	m.dispW[w] &^= 1 << b
-	m.readyW[w] &^= 1 << b
-	m.execW[w] |= 1 << b
+	w, b := u.slot>>6, uint64(1)<<(uint(u.slot)&63)
+	m.dispW[w] &^= b
+	m.readyW[w] &^= b
+	m.execW[w] |= b
 	if u.doneC < m.minDoneC {
 		m.minDoneC = u.doneC
 	}
-	m.chk.dirty[w] |= 1 << b
+	m.chk.dirty[w] |= b
+	m.changes++
 }
 
 // execDone clears u's writeback bit (completion).
 func (m *Machine) execDone(u *uop) {
 	m.execW[u.slot>>6] &^= 1 << (uint(u.slot) & 63)
 	m.chk.dirty[u.slot>>6] |= 1 << (uint(u.slot) & 63)
+	m.changes++
 }
 
 // clearSched clears every mask bit for a vacated slot.
 func (m *Machine) clearSched(slot int) {
-	w, b := slot>>6, uint(slot)&63
-	m.dispW[w] &^= 1 << b
-	m.readyW[w] &^= 1 << b
-	m.execW[w] &^= 1 << b
-	m.chk.dirty[w] |= 1 << b
+	w, b := slot>>6, uint64(1)<<(uint(slot)&63)
+	m.dispW[w] &^= b
+	m.readyW[w] &^= b
+	m.execW[w] &^= b
+	m.chk.dirty[w] |= b
+	m.changes++
 }
 
 // gatherMasked appends, in program order, every ROB occupant whose slot

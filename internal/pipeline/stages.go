@@ -339,6 +339,7 @@ func (m *Machine) sqTick() {
 		}
 		if !e.headSeen {
 			e.headSeen = true
+			m.changes++
 			m.emit(obs.KindSQHead, obs.TrackMem, e.u, 0, "")
 		}
 		if m.cfg.SilentStores != nil {
@@ -357,6 +358,7 @@ func (m *Machine) sqTick() {
 				m.stats.SSLoadLate++
 				m.emit(obs.KindSSLoadLate, obs.TrackMem, e.u, 0, "")
 				e.ss = ssFailed
+				m.changes++
 			}
 		}
 		// Perform: the store needs its line in the (first-level) cache;
@@ -372,6 +374,7 @@ func (m *Machine) sqTick() {
 		}
 		e.dequeuing = true
 		e.dequeueDoneC = m.cycle + lat
+		m.changes++
 		if !res.L1Hit {
 			m.emit(obs.KindFillRequest, obs.TrackMem, e.u, lat, "")
 		}
@@ -395,6 +398,7 @@ func (m *Machine) lsqCompare(e *sqEntry) {
 	}
 	if prev == nil {
 		e.ss = ssFailed
+		m.changes++
 		return
 	}
 	e.ssValue = prev.u.storeVal
@@ -407,6 +411,7 @@ func (m *Machine) lsqCompare(e *sqEntry) {
 // under LSQ compare.
 func (m *Machine) ssCompare(e *sqEntry, lsq bool) {
 	e.ss = ssReturned
+	m.changes++
 	e.ssMatch = e.ssValue == e.u.storeVal
 	// The elision check compares old value against new: if either side
 	// is secret, whether the store dequeues silently — and hence its
@@ -598,6 +603,7 @@ func (m *Machine) issue() {
 			if ps.ld == 0 {
 				if !m.cfg.SilentStores.Retry {
 					e.ss = ssFailed
+					m.changes++
 					m.stats.SSLoadNoPort++
 					m.emit(obs.KindSSLoadNoPort, obs.TrackMem, e.u, 0, "")
 				}
@@ -608,6 +614,7 @@ func (m *Machine) issue() {
 			val, _, _, _, _, lbl := m.readWithForward(e.u.addr, e.u.memWidth, e.u.seq)
 			e.ss = ssPending
 			e.ssReturnC = m.cycle + int64(lat)
+			m.changes++
 			e.ssValue = val
 			e.ssLabels = lbl
 			m.stats.SSLoadsIssued++
@@ -632,6 +639,7 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 	// Fault site: drop this ready µop's issue wakeup, permanently.
 	if m.cfg.Faults.DropWakeup(m.cycle) {
 		u.stuck = true
+		m.changes++
 		if u.class == isa.ClassFence {
 			// A stuck fence no longer blocks younger memory µops.
 			ps.fenceSeq = m.liveFenceSeq()

@@ -165,6 +165,51 @@ func TestScenarioOutputsPinned(t *testing.T) {
 	}
 }
 
+// TestReportOutputsPinned pins, by SHA-256, the default `pandora fault
+// -json` report (seed 1 and seed 7) and the default `pandora check`
+// report, through the job runners the CLI uses. Both come from long
+// cycle-by-cycle runs with many idle cycles (watchdog waits, cache
+// misses), so any drift in how the cycle loop treats idle time shows
+// here.
+func TestReportOutputsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		sha  string
+	}{
+		{"fault/seed1", JobSpec{Kind: KindFault}, "ba8d1f662eb621b52b98417ddc24d8508883c8f3bb3469f36f83938aad83f2b0"},
+		{"fault/seed7", JobSpec{Kind: KindFault, Seed: 7}, "875984067e2d784f5c092e16dba55237f4cf98ac3d020c15d3295ee799b4c986"},
+		{"check/seed1", JobSpec{Kind: KindCheck}, "436ee00658b6614bce324066ed7b8ebb86c13f83fb516b526cda452bb3fdbc81"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			canon, err := Canonical(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, _ := Runner(tc.spec.Kind)
+			res, err := runner.Run(context.Background(), canon, RunOpts{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The CLI prints the fault report's JSON indented, and the
+			// check report's text as is.
+			body := []byte(res.Text)
+			if tc.spec.Kind == KindFault {
+				var buf bytes.Buffer
+				if err := json.Indent(&buf, res.Output, "", "  "); err != nil {
+					t.Fatal(err)
+				}
+				buf.WriteByte('\n')
+				body = buf.Bytes()
+			}
+			h := sha256.Sum256(body)
+			if got := hex.EncodeToString(h[:]); got != tc.sha {
+				t.Errorf("sha256 = %s, want %s", got, tc.sha)
+			}
+		})
+	}
+}
+
 // TestScanJobCanonicalizesMachineSpec: two spellings of one machine are
 // one cache key, and the canonical spelling is what the spec stores.
 func TestScanJobCanonicalizesMachineSpec(t *testing.T) {

@@ -496,18 +496,35 @@ func (s *Server) shed(w http.ResponseWriter, retryAfter time.Duration, format st
 	httpError(w, http.StatusServiceUnavailable, format, args...)
 }
 
+// submitError is a refused POST /v1/jobs body: one that does not decode
+// strictly into a JobSpec, or a spec Canonical rejects. The service
+// answers it with 400 and its text, before any job exists.
+type submitError struct{ err error }
+
+func (e *submitError) Error() string { return e.err.Error() }
+func (e *submitError) Unwrap() error { return e.err }
+
+// parseSubmit is the submit path up to the cache lookup: decode the body
+// (unknown fields refused), validate and canonicalize the spec, and key
+// it. It returns the submitted spec too, whose TimeoutMS the canonical
+// form drops. Every failure is a *submitError.
+func parseSubmit(body io.Reader) (spec JobSpec, key string, canon JobSpec, err error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, "", JobSpec{}, &submitError{fmt.Errorf("bad job spec: %w", err)}
+	}
+	if key, canon, err = Key(spec); err != nil {
+		return JobSpec{}, "", JobSpec{}, &submitError{err}
+	}
+	return spec, key, canon, nil
+}
+
 // handleSubmit is POST /v1/jobs: canonicalize, consult the store, dedupe
 // a miss against flights, and only then — behind the breaker and
 // concurrency limits, through the journal — queue an execution.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	key, canon, err := Key(spec)
+	spec, key, canon, err := parseSubmit(r.Body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
