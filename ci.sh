@@ -83,7 +83,10 @@ rm -f "$prog" "$out"
 # the linear reference scheduler and the event-driven one and requires an
 # identical Result; FuzzIncrementalInvariants runs a generated program
 # under any toggle mask with the incremental ROB and readiness checks
-# cross-checked against the full walk every cycle; the last seven cover
+# cross-checked against the full walk every cycle;
+# FuzzResetEquivalence runs one generated program, sometimes cut short,
+# then resets the machine to another program's mask and cache variant and
+# requires a run identical to a new machine's; the last seven cover
 # bytes the program reads back — the secret-region parser (typed
 # *SecretError rejections, accepted regions round-trip and label at most
 # MaxSecretLen bytes), the journal reader (no panic, typed errors, every
@@ -100,6 +103,7 @@ go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^$'
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
 go test ./internal/pipeline -fuzz FuzzIncrementalInvariants -fuzztime 5s -run '^$'
+go test ./internal/pipeline -fuzz FuzzResetEquivalence -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzParseSecret -fuzztime 5s -run '^$'
 go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'

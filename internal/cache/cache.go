@@ -177,6 +177,27 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
+// Reset returns c to the state New builds from its config: every line
+// invalid, the replacement state and tick zeroed, the Random policy's
+// generator re-seeded from Config.Seed (so it repeats New's draw
+// sequence), stats zeroed, no set marked and no probe attached. The
+// geometry and its storage are kept.
+func (c *Cache) Reset() {
+	for _, s := range c.sets {
+		clear(s)
+	}
+	for _, t := range c.plru {
+		clear(t)
+	}
+	if c.rng != nil {
+		c.rng.Seed(c.cfg.Seed)
+	}
+	c.tick = 0
+	c.stats = Stats{}
+	c.probe, c.clock, c.track = nil, nil, 0
+	clear(c.dirty)
+}
+
 // MustNew is New that panics on config error.
 func MustNew(cfg Config) *Cache {
 	c, err := New(cfg)

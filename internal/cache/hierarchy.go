@@ -131,6 +131,23 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	return &Hierarchy{cfg: cfg, L1: l1, L2: l2, incl: make([]uint64, len(l1.dirty))}, nil
 }
 
+// Reset returns h to the state NewHierarchy builds from its config: both
+// levels reset (Cache.Reset), the prefetch buffer empty, no listeners, no
+// probe, no latched invariant violation and the counters zeroed. The
+// storage is kept, so a caller that runs many programs on one geometry
+// builds the hierarchy once.
+func (h *Hierarchy) Reset() {
+	h.L1.Reset()
+	h.L2.Reset()
+	h.pbuf = h.pbuf[:0]
+	clear(h.listeners)
+	h.listeners = h.listeners[:0]
+	h.invErr = nil
+	clear(h.incl)
+	h.probe, h.clock = nil, nil
+	h.demandAccesses, h.prefetchRequests = 0, 0
+}
+
 // MustNewHierarchy is NewHierarchy that panics on config error.
 func MustNewHierarchy(cfg HierConfig) *Hierarchy {
 	h, err := NewHierarchy(cfg)

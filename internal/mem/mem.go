@@ -32,6 +32,10 @@ type Memory struct {
 	// hardware (the prefetcher) deliberately ignores them — that is the
 	// attack.
 	regions []Region
+
+	// free holds zeroed pages Reset recycled; page draws from it before
+	// allocating.
+	free []*[pageSize]byte
 }
 
 // Region is a named address range [Base, Base+Size).
@@ -105,16 +109,44 @@ func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	pn := addr >> pageShift
 	p := m.pages[pn]
 	if p == nil && create {
-		p = new([pageSize]byte)
+		p = m.newPage()
 		m.pages[pn] = p
 	}
 	if p != nil && create && m.shared[pn] {
-		cp := *p
-		p = &cp
+		cp := m.newPage()
+		*cp = *p
+		p = cp
 		m.pages[pn] = p
 		delete(m.shared, pn)
 	}
 	return p
+}
+
+// newPage returns a zeroed page, recycled when Reset left one.
+func (m *Memory) newPage() *[pageSize]byte {
+	if n := len(m.free); n > 0 {
+		p := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return p
+	}
+	return new([pageSize]byte)
+}
+
+// Reset empties m: no pages, no regions — the state New returns — while
+// keeping its storage for reuse. Pages m owns privately are zeroed and
+// recycled; a page it still shares copy-on-write with a Clone is only
+// dropped from m, never zeroed or reused, since the clone reads it.
+func (m *Memory) Reset() {
+	for pn, p := range m.pages {
+		if !m.shared[pn] {
+			clear(p[:])
+			m.free = append(m.free, p)
+		}
+	}
+	clear(m.pages)
+	clear(m.shared)
+	m.regions = m.regions[:0]
 }
 
 // LoadByte returns the byte at addr (0 if never written).

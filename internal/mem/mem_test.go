@@ -246,3 +246,70 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Errorf("snapshot mutated: %d", got)
 	}
 }
+
+func TestResetEmpties(t *testing.T) {
+	m := New()
+	if err := m.AddRegion(Region{Name: "r", Base: 0x1000, Size: 64}); err != nil {
+		t.Fatal(err)
+	}
+	m.Write(0x1000, 8, 42)
+	m.Write(0x7ff8, 8, 7)
+	m.Reset()
+	if len(m.pages) != 0 || len(m.Regions()) != 0 {
+		t.Fatalf("reset left %d pages, regions %v", len(m.pages), m.Regions())
+	}
+	// Recycled pages come back zeroed.
+	for _, base := range []uint64{0x3000, 0x9000} {
+		m.StoreByte(base, 1)
+		for a := base + 1; a < base+pageSize; a++ {
+			if m.LoadByte(a) != 0 {
+				t.Fatalf("recycled page holds %#x at %#x", m.LoadByte(a), a)
+			}
+		}
+	}
+	if m.Read(0x1000, 8) != 0 || m.Read(0x7ff8, 8) != 0 {
+		t.Error("reset memory still reads old data")
+	}
+}
+
+// TestResetSparesSharedPages checks Reset against a copy-on-write clone
+// (the pipeline's oracle): a page the clone still shares is neither
+// zeroed nor handed out again, from either side's Reset, while pages m
+// owns privately are recycled.
+func TestResetSparesSharedPages(t *testing.T) {
+	m := New()
+	m.Write(0x1000, 8, 11) // shared with the clone below, never rewritten by m
+	m.Write(0x5000, 8, 22) // shared, then copied when m writes it
+	c := m.Clone()
+	m.Write(0x5000, 8, 23)
+	m.Write(0x9000, 8, 33) // private to m from the start
+
+	m.Reset()
+	for _, p := range m.free {
+		for pn, cp := range c.pages {
+			if p == cp {
+				t.Fatalf("page %#x the clone reads was recycled", pn<<pageShift)
+			}
+		}
+	}
+	if len(m.free) != 2 {
+		t.Errorf("recycled %d private pages, want 2", len(m.free))
+	}
+	// Rewrite through recycled and fresh pages; the clone is untouched.
+	for a := uint64(0); a < 0x10000; a += 0x800 {
+		m.Write(a, 8, ^uint64(0))
+	}
+	if c.Read(0x1000, 8) != 11 || c.Read(0x5000, 8) != 22 || c.Read(0x9000, 8) != 0 {
+		t.Errorf("clone reads %d, %d, %d after the original's reset, want 11, 22, 0",
+			c.Read(0x1000, 8), c.Read(0x5000, 8), c.Read(0x9000, 8))
+	}
+
+	// The clone's side: resetting it spares what it shares with m.
+	m2 := New()
+	m2.Write(0x2000, 8, 44)
+	c2 := m2.Clone()
+	c2.Reset()
+	if len(c2.free) != 0 || m2.Read(0x2000, 8) != 44 {
+		t.Errorf("clone reset recycled %d pages; original reads %d, want 44", len(c2.free), m2.Read(0x2000, 8))
+	}
+}

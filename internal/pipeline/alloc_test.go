@@ -229,9 +229,9 @@ func TestSteadyStateAllocsCheckInvariants(t *testing.T) {
 	}
 }
 
-// TestNewAllocs pins the cost of building a machine, which every
-// contract cell and fault trial pays: the counter registry is built only
-// by Metrics, and every per-slot bitmap shares one slab.
+// TestNewAllocs pins the cost of building a machine, which every fault
+// trial and every fresh scan pays: the counter registry is built only by
+// Metrics, and every per-slot bitmap shares one slab.
 func TestNewAllocs(t *testing.T) {
 	pm, hier := mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig())
 	for _, checked := range []bool{false, true} {

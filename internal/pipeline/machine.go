@@ -14,10 +14,15 @@ import (
 )
 
 // Machine is one out-of-order core attached to a cache hierarchy and data
-// memory. Create with New, run one program with Run. A Machine is
-// single-use per Run call but may Run multiple programs sequentially;
-// microarchitectural state (caches, predictors, reuse buffers) persists
-// across runs, which is exactly what cross-program attacks rely on.
+// memory. Create with New, run one program with Run. A Machine runs one
+// program per Run call but may Run many programs in turn: Run resets the
+// architectural registers and the in-flight state, while the
+// microarchitectural state (caches, predictors, reuse buffers, taint
+// shadow memory) persists across runs, which is exactly what
+// cross-program attacks rely on. Reset is the other boundary: it returns
+// the machine to the power-on state New builds, possibly under another
+// Config, memory and hierarchy, and keeps only buffers, so a caller
+// running many short independent programs builds one Machine.
 type Machine struct {
 	cfg  Config
 	mem  *mem.Memory
@@ -38,8 +43,10 @@ type Machine struct {
 	// oldest in-flight µop, robN the occupancy. dispW/readyW/execW are the
 	// per-slot scheduler bitsets issue and complete iterate instead of
 	// walking the whole buffer; consW holds one consumer mask per slot
-	// (len(dispW) words each), the edges completion wakes along.
+	// (len(dispW) words each), the edges completion wakes along. slab
+	// backs every per-slot bitmap (initROB).
 	robBuf  []*uop
+	slab    []uint64
 	robHead int
 	robN    int
 	dispW   []uint64
@@ -210,23 +217,67 @@ func (m *Machine) emit(k obs.Kind, tr obs.Track, u *uop, arg int64, detail strin
 // New builds a machine. mem and hier must be non-nil; the caller owns both
 // and may pre-populate memory and cache state (preconditioning).
 func New(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) (*Machine, error) {
-	if memory == nil {
-		return nil, fmt.Errorf("pipeline: nil memory")
-	}
-	if err := cfg.validate(hier); err != nil {
+	m := new(Machine)
+	if err := m.Reset(cfg, memory, hier); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg:        cfg,
-		mem:        memory,
-		hier:       hier,
-		probe:      cfg.Probe,
-		taintedMem: make(map[uint64]bool),
+	return m, nil
+}
+
+// Reset returns m to exactly the state New(cfg, memory, hier) builds; New
+// is Reset on a zero Machine. Whatever earlier runs left behind — in
+// flight after an abort, trained into the predictor tables, counted in
+// the stats — is gone. Only buffers carry over, emptied or cleared: the
+// µop and store-queue pools, the decode cache, the ROB ring and its
+// bitmap slab, the per-cycle scratch, the RDCYCLE-taint map, the
+// predictor tables and the oracle (Run re-clones its memory). Every other
+// field starts from its zero value, as in New. On error m is unchanged.
+//
+// memory and hier are taken as they are: a caller that wants them at
+// power-on too resets them first (mem.Memory.Reset,
+// cache.Hierarchy.Reset).
+func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) error {
+	if memory == nil {
+		return fmt.Errorf("pipeline: nil memory")
+	}
+	if err := cfg.validate(hier); err != nil {
+		return err
+	}
+	m.reclaimInFlight()
+	taintedMem := m.taintedMem
+	if taintedMem == nil {
+		taintedMem = make(map[uint64]bool)
+	}
+	clear(taintedMem)
+	*m = Machine{
+		cfg:             cfg,
+		mem:             memory,
+		hier:            hier,
+		probe:           cfg.Probe,
+		oracle:          m.oracle,
+		robBuf:          m.robBuf,
+		slab:            m.slab,
+		sq:              m.sq[:0],
+		fenceQ:          m.fenceQ[:0],
+		replay:          m.replay[:0],
+		tmpl:            m.tmpl[:0],
+		uopPool:         m.uopPool,
+		sqPool:          m.sqPool,
+		uopAllocated:    m.uopAllocated,
+		sqAllocated:     m.sqAllocated,
+		issueScratch:    m.issueScratch[:0],
+		completeScratch: m.completeScratch[:0],
+		squashScratch:   m.squashScratch[:0],
+		aluScratch:      m.aluScratch[:0],
+		replaySwap:      m.replaySwap[:0],
+		btable:          m.btable[:0],
+		stlf:            m.stlf[:0],
+		taintedMem:      taintedMem,
 	}
 	m.initROB()
 	if cfg.Speculation != nil {
-		m.btable = make([]uint8, 1<<bimodalBits)
-		m.stlf = make([]uint8, 1<<stlfBits)
+		m.btable = counters(m.btable, 1<<bimodalBits)
+		m.stlf = counters(m.stlf, 1<<stlfBits)
 		m.wrongPathPC = -1
 	}
 	if cfg.Probe != nil {
@@ -252,7 +303,18 @@ func New(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) (*Machine, error
 			m.prfFree++
 		}
 	}
-	return m, nil
+	return nil
+}
+
+// counters returns an n-entry predictor table of zeroed 2-bit counters,
+// reusing buf's array when it is large enough.
+func counters(buf []uint8, n int) []uint8 {
+	if cap(buf) < n {
+		return make([]uint8, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // MustNew is New that panics on error.

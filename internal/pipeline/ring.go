@@ -53,12 +53,19 @@ func (m *Machine) initROB() {
 	for size < m.cfg.ROBSize {
 		size <<= 1
 	}
-	m.robBuf = make([]*uop, size)
 	// Every per-slot bitmap is carved from one slab: the three scheduler
 	// masks, the consumer masks, and the checker's seven bitmaps and its
-	// own consumer rows.
+	// own consumer rows. Reset keeps a ring of the same size and its slab,
+	// cleared.
 	words := (size + 63) / 64
-	slab := make([]uint64, 10*words+2*size*words)
+	if len(m.robBuf) == size {
+		clear(m.robBuf)
+		clear(m.slab)
+	} else {
+		m.robBuf = make([]*uop, size)
+		m.slab = make([]uint64, 10*words+2*size*words)
+	}
+	slab := m.slab
 	next := func(n int) []uint64 {
 		s := slab[:n:n]
 		slab = slab[n:]

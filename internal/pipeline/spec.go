@@ -164,14 +164,14 @@ func (m *Machine) squashWrongPath(br *uop) {
 // forwards and on successful retire verification; a mis-forward resets
 // the counter, so a replayed load cannot immediately mis-forward again.
 func (m *Machine) stlfConf(pc int64) uint8 {
-	if m.stlf == nil {
+	if len(m.stlf) == 0 {
 		return 0
 	}
 	return m.stlf[uint64(pc)&uint64(len(m.stlf)-1)]
 }
 
 func (m *Machine) stlfBump(pc int64) {
-	if m.stlf == nil || m.cfg.Faults.PredictorStuck(m.cycle) {
+	if len(m.stlf) == 0 || m.cfg.Faults.PredictorStuck(m.cycle) {
 		return
 	}
 	if i := uint64(pc) & uint64(len(m.stlf)-1); m.stlf[i] < 3 {
@@ -180,7 +180,7 @@ func (m *Machine) stlfBump(pc int64) {
 }
 
 func (m *Machine) stlfReset(pc int64) {
-	if m.stlf == nil || m.cfg.Faults.PredictorStuck(m.cycle) {
+	if len(m.stlf) == 0 || m.cfg.Faults.PredictorStuck(m.cycle) {
 		return
 	}
 	m.stlf[uint64(pc)&uint64(len(m.stlf)-1)] = 0

@@ -107,8 +107,10 @@ func (st *State) ObserveWrongPathLoad(cycle, pc int64, labels LabelSet) {
 // data's: a constant-time kernel is free to store secret bytes to a
 // public address. No-op unless the state was armed with ObserveAddrs,
 // so scenarios studying only the optimization channels are unaffected.
+// An untainted call returns before formatting its detail: every armed
+// load and store makes one.
 func (st *State) ObserveCacheAddr(cycle, pc int64, addr uint64, labels LabelSet) {
-	if st == nil || !st.ObserveAddrs {
+	if st == nil || !st.ObserveAddrs || st.Rec == nil || !labels.Any() {
 		return
 	}
 	st.observe(OptCacheAddr, cycle, pc, "", fmt.Sprintf("tainted access address %#x", addr), labels)

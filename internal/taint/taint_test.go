@@ -212,6 +212,25 @@ func TestObserversNilSafe(t *testing.T) {
 	}
 }
 
+// TestObserveCacheAddrUntaintedAllocFree pins the armed cache-address
+// observer's common case: an untainted access, made by every load and
+// store of a contract cell, records nothing and allocates nothing. A
+// tainted one still records its formatted detail.
+func TestObserveCacheAddrUntaintedAllocFree(t *testing.T) {
+	st := NewState()
+	st.ObserveAddrs = true
+	if n := testing.AllocsPerRun(100, func() { st.ObserveCacheAddr(1, 2, 0x1040, 0) }); n != 0 {
+		t.Errorf("untainted ObserveCacheAddr: %v allocs, want 0", n)
+	}
+	if st.Rec.Total() != 0 {
+		t.Fatal("untainted access recorded")
+	}
+	st.ObserveCacheAddr(1, 2, 0x1040, 1)
+	if st.Rec.Total() != 1 || st.Rec.Events[0].Detail != "tainted access address 0x1040" {
+		t.Fatalf("tainted access: %+v", st.Rec.Events)
+	}
+}
+
 func TestMLDRefs(t *testing.T) {
 	for c := OptClass(0); c < OptClass(NumOptClasses); c++ {
 		if c.MLDRef() == "" {
