@@ -35,9 +35,14 @@ go run ./tools/statscheck -v internal cmd
 # (wrong-path fetch, StLF predictor) and the stride schedule guarantees
 # the 64-program corpus exercises them; squash recovery races under the race
 # detector. The -inject leg proves the oracle can actually catch a
-# miscompiled pipeline, so a green sweep means something.
+# miscompiled pipeline, so a green sweep means something. Its report,
+# minimized repro included, must not depend on the worker count: workers
+# reuse one simulator across cases, and a reset that missed some state
+# would change a verdict with the case-to-worker mapping.
 go run -race ./cmd/pandora check -n 64 -masks 1
-go run ./cmd/pandora check -n 64 -masks 1 -inject >/dev/null
+inject1=$(go run ./cmd/pandora check -n 64 -masks 1 -inject -parallel 1)
+inject2=$(go run ./cmd/pandora check -n 64 -masks 1 -inject -parallel 2)
+test "$inject1" = "$inject2"
 
 # Leakage scanner self-test: the -inject leg breaks the ALU propagation
 # rule and requires the no-under-tainting invariant to object.

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"pandora/internal/cache"
-	"pandora/internal/dmp"
 	"pandora/internal/emu"
 	"pandora/internal/faults"
 	"pandora/internal/isa"
@@ -237,28 +236,39 @@ func (d Divergence) String() string { return d.Kind + ": " + d.Detail }
 // architectural states agree. RDCYCLE-derived (tainted) registers and
 // memory bytes are excluded: they are timing-dependent by design.
 // A case whose golden run does not halt is not comparable and returns nil.
+// Each call builds its own emulator, machine, memory and hierarchy.
 func RunCase(c Case, mask ToggleMask, v CacheVariant, subject Subject) *Divergence {
-	golden := emu.New(mem.New())
+	golden := goldenRun(c, mem.New())
+	if golden == nil {
+		return nil
+	}
+	return new(Sim).against(golden, c, mask, v, subject)
+}
+
+// goldenRun runs c on the emulator over m, emptied first, returning the
+// emulator's final state, or nil when the program does not halt within
+// maxEmuSteps.
+func goldenRun(c Case, m *mem.Memory) *emu.Machine {
+	m.Reset()
+	golden := emu.New(m)
 	if c.Init != nil {
 		c.Init(golden.Mem)
 	}
 	if err := golden.Run(c.Prog, maxEmuSteps); err != nil {
 		return nil
 	}
+	return golden
+}
 
+// against runs c on s's pipeline under one toggle mask and cache variant
+// and compares the final architectural state with golden, c's emulator
+// run, which it only reads: one golden serves every run of a case.
+func (s *Sim) against(golden *emu.Machine, c Case, mask ToggleMask, v CacheVariant, subject Subject) *Divergence {
 	prog := c.Prog
 	if subject != nil {
 		prog = subject(prog)
 	}
-	pm := mem.New()
-	if c.Init != nil {
-		c.Init(pm)
-	}
-	hier := cache.MustNewHierarchy(v.Config)
-	if v.Stride {
-		hier.AddListener(dmp.NewStride(hier))
-	}
-	m, err := pipeline.New(PipeConfig(mask), pm, hier)
+	m, err := s.Boot(PipeConfig(mask), v, c.Init)
 	if err != nil {
 		return &Divergence{Kind: "config-error", Detail: err.Error()}
 	}
@@ -275,7 +285,7 @@ func RunCase(c Case, mask ToggleMask, v CacheVariant, subject Subject) *Divergen
 				Detail: fmt.Sprintf("%v = %#x, emulator has %#x", r, got, want)}
 		}
 	}
-	for _, d := range mem.Diff(pm, golden.Mem, 0) {
+	for _, d := range mem.Diff(m.Memory(), golden.Mem, 0) {
 		if m.MemTainted(d.Addr) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"pandora/internal/isa"
@@ -30,10 +31,13 @@ const (
 // InitMemory seeds the three scratch regions with a deterministic
 // address-derived pattern; generated programs read and write inside them.
 func InitMemory(m *mem.Memory) {
+	var img [regionSpan]byte
 	for _, base := range []uint64{regionA, regionB, regionFar} {
-		for a := base; a < base+regionSpan; a += 8 {
-			m.Write(a, 8, a*0x9e3779b97f4a7c15)
+		for off := 0; off < regionSpan; off += 8 {
+			a := base + uint64(off)
+			binary.LittleEndian.PutUint64(img[off:], a*0x9e3779b97f4a7c15)
 		}
+		m.StoreBytes(base, img[:])
 	}
 }
 

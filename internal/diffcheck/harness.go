@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"pandora/internal/isa"
+	"pandora/internal/mem"
 	"pandora/internal/parallel"
 )
 
@@ -96,6 +97,15 @@ func masksFor(i int, extra int, rng *rand.Rand) []ToggleMask {
 	return masks
 }
 
+// worker is one Check worker's reusable state: the simulator its pipeline
+// runs use, the memory its emulator golden runs use, and the generator it
+// re-seeds for each case's mask draws.
+type worker struct {
+	sim    Sim
+	golden mem.Memory
+	rng    *rand.Rand
+}
+
 // Check runs the full differential sweep: fixtures plus Programs generated
 // cases, each under several toggle masks, cycling through the cache
 // variants. Divergent cases are minimized before being reported.
@@ -117,6 +127,7 @@ func Check(ctx context.Context, opts Options) (Report, error) {
 		cases = Fixtures()
 	}
 	nFixtures := len(cases)
+	rng := rand.New(rand.NewSource(0)) // re-seeded per program
 	for i := 0; i < opts.Programs; i++ {
 		// Corpus generation can dominate huge sweeps; honor deadlines
 		// here too, not just between runs.
@@ -125,7 +136,7 @@ func Check(ctx context.Context, opts Options) (Report, error) {
 				return Report{}, err
 			}
 		}
-		rng := rand.New(rand.NewSource(parallel.Seed(opts.Seed, i)))
+		rng.Seed(parallel.Seed(opts.Seed, i))
 		cases = append(cases, Case{
 			Name: fmt.Sprintf("gen-%04d", i),
 			Prog: Generate(rng),
@@ -139,16 +150,29 @@ func Check(ctx context.Context, opts Options) (Report, error) {
 		runs     int
 		failures []Failure
 	}
-	results, err := parallel.Map(ctx, opts.Workers, cases,
+	// Each worker keeps its state for all its cases, and each case runs its
+	// emulator golden once for all its masks. A case that diverges does not
+	// return its worker.
+	workers := parallel.Workers(opts.Workers)
+	pool := parallel.NewPool(workers, func() (*worker, error) {
+		return &worker{rng: rand.New(rand.NewSource(0))}, nil
+	})
+	results, err := parallel.Map(ctx, workers, cases,
 		func(_ context.Context, i int, c Case) (caseResult, error) {
 			var res caseResult
+			w, _ := pool.Get()
 			// Mask draws reuse the per-case seed so the schedule is a pure
 			// function of (Seed, index).
-			rng := rand.New(rand.NewSource(parallel.Seed(opts.Seed+1, i)))
+			w.rng.Seed(parallel.Seed(opts.Seed+1, i))
+			masks := masksFor(i, opts.MasksPerProgram, w.rng)
 			v := variants[i%len(variants)]
-			for _, mask := range masksFor(i, opts.MasksPerProgram, rng) {
+			golden := goldenRun(c, &w.golden)
+			for _, mask := range masks {
 				res.runs++
-				div := RunCase(c, mask, v, opts.Subject)
+				if golden == nil {
+					continue // not comparable: the run agrees by definition
+				}
+				div := w.sim.against(golden, c, mask, v, opts.Subject)
 				if div == nil {
 					continue
 				}
@@ -158,8 +182,9 @@ func Check(ctx context.Context, opts Options) (Report, error) {
 				res.failures = append(res.failures, Failure{
 					Name: c.Name, Mask: mask, Variant: v.Name, Div: *div, Repro: min.Prog,
 				})
-				break // one minimized failure per case is enough signal
+				return res, nil // one minimized failure per case is enough signal
 			}
+			pool.Put(w)
 			return res, nil
 		})
 	if err != nil {

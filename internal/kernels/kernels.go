@@ -27,7 +27,6 @@ import (
 	"pandora/internal/cache"
 	"pandora/internal/core"
 	"pandora/internal/diffcheck"
-	"pandora/internal/dmp"
 	"pandora/internal/mem"
 	"pandora/internal/obs"
 	"pandora/internal/pipeline"
@@ -118,46 +117,19 @@ func Names() []string {
 // in the summary. k must come from Kernels or KernelByName; only the
 // registry assembles a kernel.
 func Run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, machine string) (core.ScanSummary, error) {
-	st, err := run(ctx, new(scratch), k, cfg, hcfg, stride, taint.DefaultEventLimit)
+	st, err := run(ctx, new(diffcheck.Sim), k, cfg, hcfg, stride, taint.DefaultEventLimit)
 	if err != nil {
 		return core.ScanSummary{}, err
 	}
 	return core.Summarize(st, k.Name, machine), nil
 }
 
-// scratch is one worker's simulator: a machine, a data memory and one
-// cache hierarchy per geometry, reset to power-on before each run instead
-// of rebuilt. The zero value is ready; its first run builds everything.
-type scratch struct {
-	m     pipeline.Machine
-	mem   mem.Memory
-	hiers map[cache.HierConfig]*cache.Hierarchy
-}
-
-// hierarchy returns the power-on hierarchy for hcfg, built on first use
-// and reset on every later one.
-func (sc *scratch) hierarchy(hcfg cache.HierConfig) (*cache.Hierarchy, error) {
-	if h, ok := sc.hiers[hcfg]; ok {
-		h.Reset()
-		return h, nil
-	}
-	h, err := cache.NewHierarchy(hcfg)
-	if err != nil {
-		return nil, err
-	}
-	if sc.hiers == nil {
-		sc.hiers = make(map[cache.HierConfig]*cache.Hierarchy)
-	}
-	sc.hiers[hcfg] = h
-	return h, nil
-}
-
-// run is Run on sc's simulator, without the summary: it returns the taint
-// state, whose recorder retains at most eventLimit events verbatim (its
-// counts and first events per class are exact at any limit). The run
-// starts from the state a freshly built machine, memory and hierarchy
-// would, whatever sc ran before.
-func run(ctx context.Context, sc *scratch, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, eventLimit int) (*taint.State, error) {
+// run is Run on sim, without the summary: it returns the taint state,
+// whose recorder retains at most eventLimit events verbatim (its counts
+// and first events per class are exact at any limit). The run starts from
+// the state a freshly built machine, memory and hierarchy would, whatever
+// sim ran before.
+func run(ctx context.Context, sim *diffcheck.Sim, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, eventLimit int) (*taint.State, error) {
 	unit := k.unit
 	if unit.Prog == nil {
 		return nil, fmt.Errorf("kernels: %s is not registered", k.Name)
@@ -170,19 +142,8 @@ func run(ctx context.Context, sc *scratch, k Kernel, cfg pipeline.Config, hcfg c
 	defer stop()
 	cfg.Cancel = flag
 
-	m := &sc.mem
-	m.Reset()
-	if k.Setup != nil {
-		k.Setup(m)
-	}
-	hier, err := sc.hierarchy(hcfg)
+	m, err := sim.Boot(cfg, diffcheck.CacheVariant{Config: hcfg, Stride: stride}, k.Setup)
 	if err != nil {
-		return nil, err
-	}
-	if stride {
-		hier.AddListener(dmp.NewStride(hier))
-	}
-	if err := sc.m.Reset(cfg, m, hier); err != nil {
 		return nil, err
 	}
 	for _, s := range unit.Secrets {
@@ -190,11 +151,11 @@ func run(ctx context.Context, sc *scratch, k Kernel, cfg pipeline.Config, hcfg c
 			return nil, err
 		}
 	}
-	if _, err := sc.m.Run(unit.Prog); err != nil {
+	if _, err := m.Run(unit.Prog); err != nil {
 		return nil, err
 	}
 	if k.Check != nil {
-		if err := k.Check(m); err != nil {
+		if err := k.Check(m.Memory()); err != nil {
 			return nil, fmt.Errorf("kernels: %s: wrong output: %w", k.Name, err)
 		}
 	}

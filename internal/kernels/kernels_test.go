@@ -241,11 +241,11 @@ func TestCellMatchesSummary(t *testing.T) {
 		diffcheck.ToggleMask(rng.Intn(diffcheck.AllMasks)), diffcheck.ToggleMask(rng.Intn(diffcheck.AllMasks))}
 	ctx := context.Background()
 	leaking := 0
-	sc := new(scratch)
+	sim := new(diffcheck.Sim)
 	for _, k := range Kernels() {
 		for _, v := range diffcheck.CacheVariants() {
 			for _, mask := range masks {
-				got, err := runCell(ctx, sc, k, v, mask)
+				got, err := runCell(ctx, sim, k, v, mask)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -50,15 +50,15 @@ func TestWarmCellAllocs(t *testing.T) {
 		for _, v := range diffcheck.CacheVariants() {
 			for _, mask := range []diffcheck.ToggleMask{0, diffcheck.AllMasks - 1} {
 				var cellErr error
-				cell := func(sc *scratch) func() {
+				cell := func(sim *diffcheck.Sim) func() {
 					return func() {
-						if _, err := runCell(ctx, sc, k, v, mask); err != nil {
+						if _, err := runCell(ctx, sim, k, v, mask); err != nil {
 							cellErr = err
 						}
 					}
 				}
-				warm += testing.AllocsPerRun(3, cell(new(scratch)))
-				fresh += testing.AllocsPerRun(3, func() { cell(new(scratch))() })
+				warm += testing.AllocsPerRun(3, cell(new(diffcheck.Sim)))
+				fresh += testing.AllocsPerRun(3, func() { cell(new(diffcheck.Sim))() })
 				if cellErr != nil {
 					t.Fatal(cellErr)
 				}

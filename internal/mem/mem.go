@@ -212,10 +212,14 @@ func (m *Memory) LoadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// StoreBytes stores b starting at addr.
+// StoreBytes stores b starting at addr, one page lookup per page it
+// spans.
 func (m *Memory) StoreBytes(addr uint64, b []byte) {
-	for i, x := range b {
-		m.StoreByte(addr+uint64(i), x)
+	for len(b) > 0 {
+		off := addr & pageMask
+		n := copy(m.page(addr, true)[off:], b)
+		b = b[n:]
+		addr += uint64(n)
 	}
 }
 

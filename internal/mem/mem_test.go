@@ -53,6 +53,29 @@ func TestLoadStoreBytes(t *testing.T) {
 	}
 }
 
+// TestStoreBytesSpansPages checks StoreBytes against byte-by-byte stores
+// where the run crosses pages (two boundaries) and where it wraps past the
+// top of the address space.
+func TestStoreBytesSpansPages(t *testing.T) {
+	b := make([]byte, 2*pageSize+100)
+	for i := range b {
+		b[i] = byte(i*7 + 1)
+	}
+	for _, addr := range []uint64{0x3fc0, ^uint64(0) - 50} {
+		got, want := New(), New()
+		got.StoreBytes(addr, b)
+		for i, x := range b {
+			want.StoreByte(addr+uint64(i), x)
+		}
+		if d := Diff(got, want, 1); len(d) != 0 {
+			t.Errorf("StoreBytes(%#x): first mismatch %+v", addr, d[0])
+		}
+		if len(got.pages) != len(want.pages) {
+			t.Errorf("StoreBytes(%#x) allocated %d pages, byte stores %d", addr, len(got.pages), len(want.pages))
+		}
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	m := New()
 	f := func(addr uint64, v uint64, wsel uint8) bool {

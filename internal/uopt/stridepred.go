@@ -32,7 +32,7 @@ type StridePredictor struct {
 	Threshold int
 	MaxConf   int
 
-	table map[int64]*strideEntry
+	table map[int64]strideEntry // by value, as Predictor's
 
 	Predictions    uint64
 	Correct        uint64
@@ -59,28 +59,25 @@ func NewStridePredictor(threshold int) *StridePredictor {
 	return &StridePredictor{
 		Threshold: threshold,
 		MaxConf:   threshold + 4,
-		table:     make(map[int64]*strideEntry),
+		table:     make(map[int64]strideEntry),
 	}
 }
 
 // Predict implements ValuePredictor.
 func (p *StridePredictor) Predict(pc int64) (uint64, bool) {
-	e := p.table[pc]
-	if e == nil || e.conf < p.Threshold {
+	e, ok := p.table[pc]
+	if !ok || e.conf < p.Threshold {
 		return 0, false
 	}
 	p.Predictions++
 	e.pending++
+	p.table[pc] = e
 	return e.last + e.stride*uint64(e.pending), true
 }
 
 // Resolve implements ValuePredictor.
 func (p *StridePredictor) Resolve(pc int64, actual uint64, predicted bool, predictedVal uint64) bool {
 	e := p.table[pc]
-	if e == nil {
-		e = &strideEntry{}
-		p.table[pc] = e
-	}
 	mispredict := false
 	if predicted {
 		if e.pending > 0 {
@@ -105,16 +102,18 @@ func (p *StridePredictor) Resolve(pc int64, actual uint64, predicted bool, predi
 	}
 	e.last = actual
 	e.seen = true
+	p.table[pc] = e
 	return mispredict
 }
 
 // Squash implements ValuePredictor: in-flight speculative predictions are
 // gone, so the pending counters reset.
 func (p *StridePredictor) Squash() {
-	for _, e := range p.table {
+	for pc, e := range p.table {
 		e.pending = 0
+		p.table[pc] = e
 	}
 }
 
 // Flush implements ValuePredictor.
-func (p *StridePredictor) Flush() { p.table = make(map[int64]*strideEntry) }
+func (p *StridePredictor) Flush() { clear(p.table) }

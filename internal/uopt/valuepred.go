@@ -11,7 +11,9 @@ type Predictor struct {
 	// MaxConf saturates the confidence counter.
 	MaxConf int
 
-	table map[int64]*predEntry
+	// table holds entries by value: a map of pointers would cost one
+	// heap object per load PC.
+	table map[int64]predEntry
 
 	Predictions    uint64 // confident predictions issued
 	Correct        uint64
@@ -32,7 +34,7 @@ func NewPredictor(threshold int) *Predictor {
 	return &Predictor{
 		Threshold: threshold,
 		MaxConf:   threshold + 4,
-		table:     make(map[int64]*predEntry),
+		table:     make(map[int64]predEntry),
 	}
 }
 
@@ -42,8 +44,8 @@ func (p *Predictor) Predict(pc int64) (uint64, bool) {
 	if p == nil {
 		return 0, false
 	}
-	e := p.table[pc]
-	if e == nil || e.conf < p.Threshold {
+	e, ok := p.table[pc]
+	if !ok || e.conf < p.Threshold {
 		return 0, false
 	}
 	p.Predictions++
@@ -59,10 +61,6 @@ func (p *Predictor) Resolve(pc int64, actual uint64, predicted bool, predictedVa
 		return false
 	}
 	e := p.table[pc]
-	if e == nil {
-		e = &predEntry{}
-		p.table[pc] = e
-	}
 	if predicted {
 		if predictedVal == actual {
 			p.Correct++
@@ -79,16 +77,14 @@ func (p *Predictor) Resolve(pc int64, actual uint64, predicted bool, predictedVa
 		e.last = actual
 		e.conf = 0
 	}
+	p.table[pc] = e
 	return mispredict
 }
 
 // Confidence returns the current confidence for pc (0 if untracked);
 // exported for tests and the leakage analyzer.
 func (p *Predictor) Confidence(pc int64) int {
-	if e := p.table[pc]; e != nil {
-		return e.conf
-	}
-	return 0
+	return p.table[pc].conf
 }
 
 // Squash implements ValuePredictor; the last-value predictor keeps no
@@ -96,4 +92,4 @@ func (p *Predictor) Confidence(pc int64) int {
 func (p *Predictor) Squash() {}
 
 // Flush clears all predictor state.
-func (p *Predictor) Flush() { p.table = make(map[int64]*predEntry) }
+func (p *Predictor) Flush() { clear(p.table) }
