@@ -91,7 +91,11 @@ rm -f "$prog" "$out"
 # cross-checked against the full walk every cycle;
 # FuzzResetEquivalence runs one generated program, sometimes cut short,
 # then resets the machine to another program's mask and cache variant and
-# requires a run identical to a new machine's; the last seven cover
+# requires a run identical to a new machine's; FuzzIMPEquivalence runs
+# the indirect-memory prefetcher's stream ring beside the pointer-slice
+# table it replaced over stride runs, Prime+Probe sweeps, chases, writes
+# and resets, and requires identical stats, trace lines, level mappings
+# and prefetches after every access; the last seven cover
 # bytes the program reads back — the secret-region parser (typed
 # *SecretError rejections, accepted regions round-trip and label at most
 # MaxSecretLen bytes), the journal reader (no panic, typed errors, every
@@ -109,6 +113,7 @@ go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^
 go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
 go test ./internal/pipeline -fuzz FuzzIncrementalInvariants -fuzztime 5s -run '^$'
 go test ./internal/pipeline -fuzz FuzzResetEquivalence -fuzztime 5s -run '^$'
+go test ./internal/dmp -fuzz FuzzIMPEquivalence -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -run '^$'
 go test ./internal/taint -fuzz FuzzParseSecret -fuzztime 5s -run '^$'
 go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'

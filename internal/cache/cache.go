@@ -87,10 +87,14 @@ type line struct {
 
 // Cache is a single set-associative cache level.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	plru  [][]bool   // tree bits per set, len ways-1 (TreePLRU)
-	rng   *rand.Rand // Random policy only
+	cfg  Config
+	sets [][]line
+	plru [][]bool   // tree bits per set, len ways-1 (TreePLRU)
+	rng  *rand.Rand // Random policy only
+	// drawn records a draw from rng since it was last seeded: seeding
+	// fills a 607-word table, so Reset re-seeds only a generator that
+	// moved.
+	drawn bool
 	tick  uint64
 	stats Stats
 
@@ -99,6 +103,7 @@ type Cache struct {
 	track obs.Track
 
 	lineShift uint
+	tagShift  uint // lineShift plus the set-index bits
 	setMask   uint64
 
 	// dirty has bit s set when set s was mutated since the last passing
@@ -172,6 +177,7 @@ func New(cfg Config) (*Cache, error) {
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		c.lineShift++
 	}
+	c.tagShift = c.lineShift + uint(bits.TrailingZeros(uint(cfg.Sets)))
 	c.setMask = uint64(cfg.Sets - 1)
 	c.dirty = make([]uint64, (cfg.Sets+63)/64)
 	return c, nil
@@ -179,9 +185,9 @@ func New(cfg Config) (*Cache, error) {
 
 // Reset returns c to the state New builds from its config: every line
 // invalid, the replacement state and tick zeroed, the Random policy's
-// generator re-seeded from Config.Seed (so it repeats New's draw
-// sequence), stats zeroed, no set marked and no probe attached. The
-// geometry and its storage are kept.
+// generator re-seeded from Config.Seed if it has drawn since (so it
+// repeats New's draw sequence), stats zeroed, no set marked and no
+// probe attached. The geometry and its storage are kept.
 func (c *Cache) Reset() {
 	for _, s := range c.sets {
 		clear(s)
@@ -189,8 +195,9 @@ func (c *Cache) Reset() {
 	for _, t := range c.plru {
 		clear(t)
 	}
-	if c.rng != nil {
+	if c.drawn {
 		c.rng.Seed(c.cfg.Seed)
+		c.drawn = false
 	}
 	c.tick = 0
 	c.stats = Stats{}
@@ -224,7 +231,7 @@ func (c *Cache) SetOf(addr uint64) int {
 
 // tagOf returns the tag for addr.
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr >> c.lineShift / uint64(c.cfg.Sets)
+	return addr >> c.tagShift
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -557,6 +564,7 @@ func (c *Cache) nthValidLine(seed int64) *line {
 func (c *Cache) victimWay(set int) int {
 	switch c.cfg.Policy {
 	case Random:
+		c.drawn = true
 		return c.rng.Intn(c.cfg.Ways)
 	case TreePLRU:
 		// Follow the bits toward the pseudo-LRU leaf, mirroring touch's

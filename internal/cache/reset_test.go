@@ -64,6 +64,47 @@ func TestCacheResetEqualsNew(t *testing.T) {
 	}
 }
 
+// seedCounter is a math/rand source that counts its Seed calls.
+type seedCounter struct {
+	rand.Source
+	seeds int
+}
+
+func (s *seedCounter) Seed(seed int64) {
+	s.seeds++
+	s.Source.Seed(seed)
+}
+
+// TestResetReseedsOnlyAfterDraws checks that Reset re-seeds the Random
+// policy's generator only when it has drawn since it was last seeded, and
+// that after draws a reset cache repeats a new cache's victims.
+func TestResetReseedsOnlyAfterDraws(t *testing.T) {
+	cfg := Config{Name: "t", Sets: 8, Ways: 4, LineSize: 64, HitLatency: 2, Policy: Random, Seed: 5}
+	c := MustNew(cfg)
+	src := &seedCounter{Source: rand.NewSource(cfg.Seed)}
+	c.rng = rand.New(src)
+	c.Reset()
+	c.Fill(0, false) // a free way: no draw
+	c.Reset()
+	if src.seeds != 0 {
+		t.Fatalf("Reset without draws seeded %d times, want 0", src.seeds)
+	}
+	want := churn(MustNew(cfg), 2, 500)
+	if len(want) == 0 {
+		t.Fatal("churn evicted nothing; the test draws no victims")
+	}
+	for round := 1; round <= 3; round++ {
+		if got := churn(c, 2, 500); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: victims %v, new cache %v", round, got, want)
+		}
+		c.Reset()
+		c.Reset()
+		if src.seeds != round {
+			t.Fatalf("round %d: %d seeds after resets, want %d (one per round with draws)", round, src.seeds, round)
+		}
+	}
+}
+
 // TestHierarchyResetEqualsNew checks that a reset hierarchy has an empty
 // prefetch buffer, no listeners, no probe, no latched violation and zero
 // counters, and then answers an access sequence exactly as a new one.

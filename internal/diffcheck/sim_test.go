@@ -88,9 +88,8 @@ func TestReusedSimMatchesFresh(t *testing.T) {
 
 // TestReusedRunAllocs pins what a steady-state sweep run allocates on a
 // reused simulator against a shared golden. What is left is per run by
-// design: PipeConfig's fresh optimization state, the pipeline's value
-// file and, on stride-pbuf, the stride prefetcher. A fresh RunCase
-// allocates about 80–95 objects.
+// design: PipeConfig's fresh optimization state and, on stride-pbuf, the
+// stride prefetcher. A fresh RunCase allocates about 80–95 objects.
 func TestReusedRunAllocs(t *testing.T) {
 	c := Case{Name: "gen", Prog: Generate(rand.New(rand.NewSource(parallel.Seed(1, 5)))), Init: InitMemory}
 	golden := goldenRun(c, mem.New())
@@ -101,7 +100,7 @@ func TestReusedRunAllocs(t *testing.T) {
 		for _, tc := range []struct {
 			mask   ToggleMask
 			budget float64
-		}{{0, 4}, {AllMasks - 1, 16}} {
+		}{{0, 2}, {AllMasks - 1, 11}} {
 			var sim Sim
 			if d := sim.against(golden, c, tc.mask, v, nil); d != nil {
 				t.Fatalf("%s toggles=%v: %v", v.Name, tc.mask, d)

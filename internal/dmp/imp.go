@@ -79,31 +79,58 @@ func (s *Stats) Merge(o Stats) {
 
 // streamEntry tracks a candidate streaming (index) array.
 type streamEntry struct {
-	lastAddr  uint64
-	stride    int64
-	hits      int
-	lastValue uint64
-	valueSeen bool
+	lastAddr uint64
+	stride   int64
+	hits     int
 	// recent holds the last few stream values: with an out-of-order core
 	// the dependent indirection loads arrive interleaved across loop
 	// iterations, so the detector must correlate a candidate indirection
 	// address against several recent index values (the published IMP
 	// keeps exactly such a table of recent index values).
-	recent []uint64
-}
-
-// noteValue records a stream value in the recent ring.
-func (s *streamEntry) noteValue(v uint64) {
-	s.lastValue = v
-	s.valueSeen = true
-	s.recent = append(s.recent, v)
-	if len(s.recent) > recentDepth {
-		s.recent = s.recent[1:]
-	}
+	recent recentValues
 }
 
 // recentDepth bounds the recent-value rings.
 const recentDepth = 4
+
+// recentValues holds the last recentDepth values seen, oldest first.
+type recentValues struct {
+	v [recentDepth]uint64
+	n int
+}
+
+// push records v, dropping the oldest value once recentDepth are held.
+func (r *recentValues) push(v uint64) {
+	if r.n < recentDepth {
+		r.v[r.n] = v
+		r.n++
+		return
+	}
+	copy(r.v[:], r.v[1:])
+	r.v[recentDepth-1] = v
+}
+
+// values returns the held values, oldest first.
+func (r *recentValues) values() []uint64 { return r.v[:r.n] }
+
+// Stream-table geometry. The table tracks tableSize heads; a new head
+// is appended before the eviction that restores that bound, so the ring
+// holds one entry more.
+const (
+	tableSize = 64
+	ringSize  = tableSize + 1
+	// nearBits sizes the neighbourhood filter: 1<<nearBits counters over
+	// hashed 256-byte blocks of the heads' lastAddr.
+	nearBits = 10
+	// noStream is IMP.active when no stream is active.
+	noStream = -1
+)
+
+// nearSlot returns the filter counter for the 256-byte block holding
+// addr (a multiplicative hash, so set-strided sweeps spread out).
+func nearSlot(addr uint64) int {
+	return int((addr >> 8) * 0x9e3779b97f4a7c15 >> (64 - nearBits))
+}
 
 // indirectCandidate is an un-confirmed hypothesis addr = base + v<<shift.
 type indirectCandidate struct {
@@ -140,12 +167,20 @@ type IMP struct {
 	hier *cache.Hierarchy
 	mem  *mem.Memory
 
-	// streams is a small FIFO table of candidate stream heads. A slice,
-	// not a map: training must be deterministic, and Go map iteration
-	// order is not.
-	streams []*streamEntry
-	// active is the stream currently driving indirection detection.
-	active    *streamEntry
+	// ring is the FIFO stream table, by value: n entries, oldest at
+	// ring[head], the rest in age order at the following slots (mod
+	// ringSize). A ring, not a map: training must be deterministic, and
+	// Go map iteration order is not.
+	ring    [ringSize]streamEntry
+	head, n int
+	// near[nearSlot(a)] counts the entries whose lastAddr's 256-byte
+	// block hashes to the same counter as a's. setLastAddr, push (which
+	// also evicts) and Reset keep it exact; a replaced entry stays in
+	// its block (see trainStream).
+	near [1 << nearBits]uint8
+	// active is the ring slot of the stream driving indirection
+	// detection, or noStream.
+	active    int
 	elemWidth int // index element size inferred from stride
 
 	// levels holds the indirection chain: levels[0] maps stream values to
@@ -156,7 +191,7 @@ type IMP struct {
 	// (loaded at addresses its locked mapping explains), which train
 	// levels[k+1]. Stream values (the chain's inputs) live on the stream
 	// entry itself.
-	recentOut [][]uint64
+	recentOut []recentValues
 
 	Stats Stats
 
@@ -199,18 +234,30 @@ func New(cfg Config, hier *cache.Hierarchy, m *mem.Memory) *IMP {
 		cfg:       cfg,
 		hier:      hier,
 		mem:       m,
+		active:    noStream,
 		levels:    make([]indirect, int(cfg.Levels)-1),
-		recentOut: make([][]uint64, int(cfg.Levels)-1),
+		recentOut: make([]recentValues, int(cfg.Levels)-1),
 	}
 }
 
 // Config returns the prefetcher configuration.
 func (p *IMP) Config() Config { return p.cfg }
 
-func (p *IMP) trace(format string, args ...any) {
-	if p.TraceFn != nil {
-		p.TraceFn(format, args...)
+// slot returns the ring slot of the entry of age k (0 is the oldest).
+func (p *IMP) slot(k int) int {
+	if i := p.head + k; i < ringSize {
+		return i
 	}
+	return p.head + k - ringSize
+}
+
+// setLastAddr moves s's head to addr, keeping the filter exact.
+func (p *IMP) setLastAddr(s *streamEntry, addr uint64) {
+	if s.lastAddr>>8 != addr>>8 {
+		p.near[nearSlot(s.lastAddr)]--
+		p.near[nearSlot(addr)]++
+	}
+	s.lastAddr = addr
 }
 
 // OnAccess implements cache.AccessListener. The IMP trains on demand
@@ -221,12 +268,12 @@ func (p *IMP) OnAccess(addr uint64, data uint64, isWrite bool) {
 	}
 	// 1. Stream detection: is this access the next element of a known
 	// constant-stride stream?
-	if p.active != nil {
-		next := p.active.lastAddr + uint64(p.active.stride)
-		if addr == next {
-			p.active.lastAddr = addr
-			p.active.hits++
-			p.active.noteValue(data)
+	if p.active != noStream {
+		s := &p.ring[p.active]
+		if addr == s.lastAddr+uint64(s.stride) {
+			p.setLastAddr(s, addr)
+			s.hits++
+			s.recent.push(data)
 			p.advanceStream(addr)
 			return
 		}
@@ -241,56 +288,83 @@ func (p *IMP) OnAccess(addr uint64, data uint64, isWrite bool) {
 
 // trainStream updates the stream table; returns true if the access
 // belongs to a (possibly newly promoted) stream.
+//
+// One pass, oldest first (so established streams win ties
+// deterministically), tries to extend a tracked head, and otherwise
+// remembers the first non-active head from addr's 256-byte block for the
+// new head to replace. An entry can only match if its lastAddr lies
+// within 64 bytes of addr (strides and first steps are bounded by 64) or
+// in addr's block, so its lastAddr's block is that of addr-64, addr or
+// addr+64. When the filter counts none in those blocks, the pass would
+// find nothing and is skipped.
 func (p *IMP) trainStream(addr uint64, data uint64) bool {
-	// Try to extend an existing tracked stream head (oldest first, so
-	// established streams win ties deterministically).
-	for _, s := range p.streams {
-		if s.stride != 0 && addr == s.lastAddr+uint64(s.stride) {
-			s.lastAddr = addr
-			s.hits++
-			s.noteValue(data)
-			if s.hits >= p.cfg.StreamThreshold && p.active != s {
-				p.active = s
-				p.Stats.StreamsDetected++
-				p.trace("imp: stream detected stride=%d at 0x%x", s.stride, addr)
-			}
-			if p.active == s {
-				p.advanceStream(addr)
-			}
-			return true
-		}
-		if s.stride == 0 {
-			d := int64(addr) - int64(s.lastAddr)
-			if d != 0 && d >= -64 && d <= 64 {
+	if p.near[nearSlot(addr-64)] != 0 || p.near[nearSlot(addr)] != 0 || p.near[nearSlot(addr+64)] != 0 {
+		repl := noStream
+		for k, i := 0, p.head; k < p.n; k++ {
+			s := &p.ring[i]
+			if s.stride != 0 {
+				if addr == s.lastAddr+uint64(s.stride) {
+					p.setLastAddr(s, addr)
+					s.hits++
+					s.recent.push(data)
+					if s.hits >= p.cfg.StreamThreshold && p.active != i {
+						p.active = i
+						p.Stats.StreamsDetected++
+						if p.TraceFn != nil {
+							p.TraceFn("imp: stream detected stride=%d at 0x%x", s.stride, addr)
+						}
+					}
+					if p.active == i {
+						p.advanceStream(addr)
+					}
+					return true
+				}
+			} else if d := int64(addr) - int64(s.lastAddr); d != 0 && d >= -64 && d <= 64 {
 				s.stride = d
-				s.lastAddr = addr
+				p.setLastAddr(s, addr)
 				s.hits = 2
-				s.noteValue(data)
+				s.recent.push(data)
 				return true
 			}
+			if repl == noStream && s.lastAddr>>8 == addr>>8 && i != p.active {
+				repl = i
+			}
+			if i++; i == ringSize {
+				i = 0
+			}
 		}
-	}
-	// New candidate stream head; replace any stale head from the same
-	// 256-byte neighborhood, else append (FIFO-bounded).
-	ns := &streamEntry{lastAddr: addr, hits: 1}
-	ns.noteValue(data)
-	for i, s := range p.streams {
-		if s.lastAddr>>8 == addr>>8 && s != p.active {
-			p.streams[i] = ns
+		if repl != noStream {
+			// Same block, so the filter's counts stand.
+			p.ring[repl] = streamEntry{lastAddr: addr, hits: 1}
+			p.ring[repl].recent.push(data)
 			return false
 		}
 	}
-	p.streams = append(p.streams, ns)
-	if len(p.streams) > 64 {
-		// Evict the oldest non-active head.
-		for i, s := range p.streams {
-			if s != p.active {
-				p.streams = append(p.streams[:i], p.streams[i+1:]...)
-				break
-			}
-		}
-	}
+	p.push(addr, data)
 	return false
+}
+
+// push appends a new candidate head and, when that overfills the table,
+// evicts the oldest non-active head: age 0, or age 1 when age 0 is the
+// active stream, which then moves into age 1's slot.
+func (p *IMP) push(addr, data uint64) {
+	i := p.slot(p.n)
+	p.ring[i] = streamEntry{lastAddr: addr, hits: 1}
+	p.ring[i].recent.push(data)
+	p.near[nearSlot(addr)]++
+	if p.n++; p.n <= tableSize {
+		return
+	}
+	next := p.slot(1)
+	if p.head == p.active {
+		p.near[nearSlot(p.ring[next].lastAddr)]--
+		p.ring[next] = p.ring[p.head]
+		p.active = next
+	} else {
+		p.near[nearSlot(p.ring[p.head].lastAddr)]--
+	}
+	p.head = next
+	p.n--
 }
 
 // trainIndirect walks the indirection chain: the first unconfirmed level
@@ -298,7 +372,7 @@ func (p *IMP) trainStream(addr uint64, data uint64) bool {
 // level that explains addr records the observed output value (the next
 // level's input) and infers the load width.
 func (p *IMP) trainIndirect(addr uint64, data uint64) {
-	if p.active == nil || !p.active.valueSeen {
+	if p.active == noStream || p.ring[p.active].recent.n == 0 {
 		return
 	}
 	for k := range p.levels {
@@ -310,16 +384,13 @@ func (p *IMP) trainIndirect(addr uint64, data uint64) {
 				if k > 0 {
 					counter = &p.Stats.Level2Confirmed
 				}
-				p.train(lv, inputs, addr, counter, fmt.Sprintf("level-%d", k+1))
+				p.train(lv, inputs, addr, counter, k+1)
 			}
 			return
 		}
 		if p.matchesAny(lv, inputs, addr) {
 			if k+1 < len(p.levels) {
-				p.recentOut[k] = append(p.recentOut[k], data)
-				if len(p.recentOut[k]) > recentDepth {
-					p.recentOut[k] = p.recentOut[k][1:]
-				}
+				p.recentOut[k].push(data)
 			}
 			if lv.valueWidth == 0 {
 				lv.valueWidth = inferWidth(p.mem, addr, data)
@@ -333,12 +404,12 @@ func (p *IMP) trainIndirect(addr uint64, data uint64) {
 // values for level 0, the previous level's observed outputs otherwise.
 func (p *IMP) levelInputs(k int) []uint64 {
 	if k == 0 {
-		if p.active == nil {
+		if p.active == noStream {
 			return nil
 		}
-		return p.active.recent
+		return p.ring[p.active].recent.values()
 	}
-	return p.recentOut[k-1]
+	return p.recentOut[k-1].values()
 }
 
 // inferWidth returns the smallest access width whose little-endian read
@@ -364,23 +435,18 @@ func (p *IMP) matchesAny(ind *indirect, vs []uint64, addr uint64) bool {
 	return false
 }
 
-func (p *IMP) train(ind *indirect, vs []uint64, addr uint64, counter *uint64, name string) {
+// train trains the indirection at chain level (1-based) on addr.
+func (p *IMP) train(ind *indirect, vs []uint64, addr uint64, counter *uint64, level int) {
 	// Try to explain addr as base + v<<shift for any recent value v; a
 	// (base, shift) hypothesis that stays consistent across observations
 	// accumulates hits and is locked at the confirmation threshold.
-	tried := map[indirectCandidate]bool{}
-	for _, v := range vs {
+	for j, v := range vs {
 		for s := uint(0); s <= uint(p.cfg.MaxShift); s++ {
 			want := v << s
-			if addr < want {
-				continue
-			}
-			base := addr - want
-			key := indirectCandidate{base: base, shift: s}
-			if tried[key] {
+			if addr < want || shiftedBefore(vs[:j], s, want) {
 				continue // one hit per observation per hypothesis
 			}
-			tried[key] = true
+			base := addr - want
 			found := false
 			for i := range ind.cands {
 				c := &ind.cands[i]
@@ -393,7 +459,9 @@ func (p *IMP) train(ind *indirect, vs []uint64, addr uint64, counter *uint64, na
 						ind.shift = s
 						ind.cands = nil
 						*counter++
-						p.trace("imp: %s indirection locked base=0x%x shift=%d", name, base, s)
+						if p.TraceFn != nil {
+							p.TraceFn("imp: level-%d indirection locked base=0x%x shift=%d", level, base, s)
+						}
 						return
 					}
 				}
@@ -407,6 +475,17 @@ func (p *IMP) train(ind *indirect, vs []uint64, addr uint64, counter *uint64, na
 	if len(ind.cands) > 1024 {
 		ind.cands = ind.cands[len(ind.cands)-512:]
 	}
+}
+
+// shiftedBefore reports whether some value in vs, shifted by s, equals
+// want: the (base, shift) hypothesis was already tried this observation.
+func shiftedBefore(vs []uint64, s uint, want uint64) bool {
+	for _, v := range vs {
+		if v<<s == want {
+			return true
+		}
+	}
+	return false
 }
 
 // levelValueWidth returns the inferred width of level k's output values.
@@ -437,7 +516,7 @@ func (p *IMP) advanceStream(addr uint64) {
 	if len(p.levels) == 0 || !p.levels[0].confirmed {
 		return
 	}
-	stride := p.active.stride
+	stride := p.ring[p.active].stride
 	if stride == 0 {
 		return
 	}
@@ -462,7 +541,9 @@ func (p *IMP) advanceStream(addr uint64) {
 	p.noteRead(zAddr)
 	v := p.mem.Read(zAddr, p.elemWidthOrDefault())
 	vl := p.shadowRead(zAddr, p.elemWidthOrDefault())
-	p.trace("imp: prefetch chain z=0x%x (=%d)", zAddr, v)
+	if p.TraceFn != nil {
+		p.TraceFn("imp: prefetch chain z=0x%x (=%d)", zAddr, v)
+	}
 
 	// Chase the chain through every confirmed indirection level, reading
 	// data memory directly for each intermediate value — with no bounds
@@ -481,7 +562,9 @@ func (p *IMP) advanceStream(addr uint64) {
 		p.hier.Prefetch(a)
 		p.Stats.LinesFetched++
 		p.noteRead(a)
-		p.trace("imp: prefetch chain level-%d value=%d -> addr 0x%x", k+1, v, a)
+		if p.TraceFn != nil {
+			p.TraceFn("imp: prefetch chain level-%d value=%d -> addr 0x%x", k+1, v, a)
+		}
 		if k+1 < len(p.levels) && p.levels[k+1].confirmed {
 			v = p.mem.Read(a, p.levelValueWidth(k))
 			vl = p.shadowRead(a, p.levelValueWidth(k))
@@ -552,13 +635,18 @@ func (p *IMP) Lvl1Mapping() (base uint64, shift uint, ok bool) { return p.LevelM
 // Lvl2Mapping returns the locked level-2 (base, shift).
 func (p *IMP) Lvl2Mapping() (base uint64, shift uint, ok bool) { return p.LevelMapping(1) }
 
-// Reset clears all training state (stream table, candidates, locks).
+// Reset clears all training state (stream table, candidates, locks) in
+// place.
 func (p *IMP) Reset() {
-	p.streams = nil
-	p.active = nil
-	p.levels = make([]indirect, int(p.cfg.Levels)-1)
-	p.recentOut = make([][]uint64, int(p.cfg.Levels)-1)
+	clear(p.ring[:])
+	p.head, p.n = 0, 0
+	clear(p.near[:])
+	p.active = noStream
 	p.elemWidth = 0
+	for k := range p.levels {
+		p.levels[k] = indirect{cands: p.levels[k].cands[:0]}
+	}
+	clear(p.recentOut)
 }
 
 func (p *IMP) String() string {

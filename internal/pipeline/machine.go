@@ -229,9 +229,10 @@ func New(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) (*Machine, error
 // flight after an abort, trained into the predictor tables, counted in
 // the stats — is gone. Only buffers carry over, emptied or cleared: the
 // µop and store-queue pools, the decode cache, the ROB ring and its
-// bitmap slab, the per-cycle scratch, the RDCYCLE-taint map, the
-// predictor tables and the oracle (Run re-clones its memory). Every other
-// field starts from its zero value, as in New. On error m is unchanged.
+// bitmap slab, the per-cycle scratch, the RDCYCLE-taint map, the value
+// file, the predictor tables and the oracle (Run re-clones its memory).
+// Every other field starts from its zero value, as in New. On error m is
+// unchanged.
 //
 // memory and hier are taken as they are: a caller that wants them at
 // power-on too resets them first (mem.Memory.Reset,
@@ -244,6 +245,12 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 		return err
 	}
 	m.reclaimInFlight()
+	vf := m.vf
+	if vf == nil {
+		vf = uopt.NewValueFile(cfg.RFC)
+	} else {
+		vf.Reset(cfg.RFC)
+	}
 	taintedMem := m.taintedMem
 	if taintedMem == nil {
 		taintedMem = make(map[uint64]bool)
@@ -273,6 +280,7 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 		btable:          m.btable[:0],
 		stlf:            m.stlf[:0],
 		taintedMem:      taintedMem,
+		vf:              vf,
 	}
 	m.initROB()
 	if cfg.Speculation != nil {
@@ -292,7 +300,6 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 			cfg.Faults.SetProbe(cfg.Probe)
 		}
 	}
-	m.vf = uopt.NewValueFile(cfg.RFC)
 	// Seed the physical register file: the 32 architectural registers hold
 	// value 0 at reset. Under RFC they collapse onto a shared zero
 	// register, freeing the rest — a real effect of value-sharing renames.

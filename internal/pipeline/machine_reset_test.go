@@ -82,8 +82,8 @@ func differingFields(a, b *Machine) []string {
 	return out
 }
 
-// TestResetAllocs pins Reset on a warm machine at the value file, the
-// only structure it builds anew.
+// TestResetAllocs pins Reset and Run on a warm machine at zero
+// allocations: every structure, the value file included, is reused.
 func TestResetAllocs(t *testing.T) {
 	cfg := specAllocConfig()
 	cfg.CheckInvariants = true
@@ -97,7 +97,7 @@ func TestResetAllocs(t *testing.T) {
 		if _, err := m.Run(prog); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 2 {
-		t.Errorf("Reset and Run on a warm machine allocate %v times, want at most 2", allocs)
+	}); allocs != 0 {
+		t.Errorf("Reset and Run on a warm machine allocate %v times, want 0", allocs)
 	}
 }

@@ -45,6 +45,13 @@ func NewValueFile(mode RFCMode) *ValueFile {
 	return &ValueFile{Mode: mode, refs: make(map[uint64]int)}
 }
 
+// Reset returns vf to NewValueFile(mode)'s state, keeping the map's
+// storage.
+func (vf *ValueFile) Reset(mode RFCMode) {
+	clear(vf.refs)
+	*vf = ValueFile{Mode: mode, refs: vf.refs}
+}
+
 func (vf *ValueFile) shareable(v uint64) bool {
 	switch vf.Mode {
 	case RFCZeroOne:
