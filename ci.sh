@@ -83,7 +83,9 @@ rm -f "$prog" "$out"
 # claims; throughput is compared by `bash bench/run.sh`, not here.
 (cd bench && GOWORK=off GOPROXY=off GOFLAGS= go test ./...)
 
-# Fuzz smoke: a few seconds per target. The simulator targets share the
+# Fuzz smoke: a few seconds per target. Minimizing a new input is capped
+# at 100 executions: left at its default, the engine spent most of a 5 s
+# window minimizing the first inputs it found. The simulator targets share the
 # sweep's oracle; FuzzSchedulerEquivalence runs each decoded program under
 # the linear reference scheduler and the event-driven one and requires an
 # identical Result; FuzzIncrementalInvariants runs a generated program
@@ -95,7 +97,11 @@ rm -f "$prog" "$out"
 # the indirect-memory prefetcher's stream ring beside the pointer-slice
 # table it replaced over stride runs, Prime+Probe sweeps, chases, writes
 # and resets, and requires identical stats, trace lines, level mappings
-# and prefetches after every access; the last seven cover
+# and prefetches after every access; FuzzCacheEquivalence drives the
+# cache hierarchy beside the [][]line implementation its flat way arrays
+# replaced, under LRU, TreePLRU and Random, and requires identical
+# results, events, contents, replacement state and check outcomes after
+# every operation; the last seven cover
 # bytes the program reads back — the secret-region parser (typed
 # *SecretError rejections, accepted regions round-trip and label at most
 # MaxSecretLen bytes), the journal reader (no panic, typed errors, every
@@ -108,17 +114,18 @@ rm -f "$prog" "$out"
 # deletes them, never a hit unless genuine) and serve's POST /v1/jobs
 # body (a typed refusal, or an accepted spec whose canonical form is a
 # fixed point with the same key; the job is never executed).
-go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -run '^$'
-go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -run '^$'
-go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -run '^$'
-go test ./internal/pipeline -fuzz FuzzIncrementalInvariants -fuzztime 5s -run '^$'
-go test ./internal/pipeline -fuzz FuzzResetEquivalence -fuzztime 5s -run '^$'
-go test ./internal/dmp -fuzz FuzzIMPEquivalence -fuzztime 5s -run '^$'
-go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -run '^$'
-go test ./internal/taint -fuzz FuzzParseSecret -fuzztime 5s -run '^$'
-go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -run '^$'
-go test ./internal/core -fuzz FuzzParseMachineSpec -fuzztime 5s -run '^$'
-go test ./internal/asm -fuzz FuzzAssembleUnit -fuzztime 5s -run '^$'
-go test ./internal/serve -fuzz FuzzCachedError -fuzztime 5s -run '^$'
-go test ./internal/serve -fuzz FuzzStoreEntry -fuzztime 5s -run '^$'
-go test ./internal/serve -fuzz FuzzSubmit -fuzztime 5s -run '^$'
+go test ./internal/diffcheck -fuzz FuzzDifferential -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/diffcheck -fuzz FuzzSchedulerEquivalence -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/diffcheck -fuzz FuzzCacheHierarchy -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/pipeline -fuzz FuzzIncrementalInvariants -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/pipeline -fuzz FuzzResetEquivalence -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/dmp -fuzz FuzzIMPEquivalence -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/cache -fuzz FuzzCacheEquivalence -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/taint -fuzz FuzzTaint -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/taint -fuzz FuzzParseSecret -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/journal -fuzz FuzzRead -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/core -fuzz FuzzParseMachineSpec -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/asm -fuzz FuzzAssembleUnit -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/serve -fuzz FuzzCachedError -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/serve -fuzz FuzzStoreEntry -fuzztime 5s -fuzzminimizetime 100x -run '^$'
+go test ./internal/serve -fuzz FuzzSubmit -fuzztime 5s -fuzzminimizetime 100x -run '^$'

@@ -76,21 +76,20 @@ type Stats struct {
 	PrefetchHits  uint64 // demand accesses satisfied by a prefetched line
 }
 
-// line is one cache way. The two flags follow the words so the struct
-// packs into 24 bytes.
-type line struct {
-	tag        uint64
-	lastUse    uint64 // LRU timestamp
-	valid      bool
-	prefetched bool // filled by a prefetch, not yet demand-touched
-}
-
 // Cache is a single set-associative cache level.
+//
+// Its ways live in flat, set-major, pointer-free arrays: way w of set s
+// is index s*Ways+w of tags and stamps, and bit s*Ways+w of pref. A way
+// is valid exactly when its stamp is non-zero: every touch stamps the
+// way with the access tick, which is at least 1 by then, and every
+// invalidation zeroes it.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	plru [][]bool   // tree bits per set, len ways-1 (TreePLRU)
-	rng  *rand.Rand // Random policy only
+	cfg    Config
+	tags   []uint64
+	stamps []uint64   // tick of the way's last touch; 0 marks an invalid way
+	pref   []uint64   // bitset: way filled by a prefetch, not yet demand-touched
+	plru   []bool     // tree bits, plruBits per set (TreePLRU)
+	rng    *rand.Rand // Random policy only
 	// drawn records a draw from rng since it was last seeded: seeding
 	// fills a 607-word table, so Reset re-seeds only a generator that
 	// moved.
@@ -105,12 +104,13 @@ type Cache struct {
 	lineShift uint
 	tagShift  uint // lineShift plus the set-index bits
 	setMask   uint64
+	plruBits  int
 
 	// dirty has bit s set when set s was mutated since the last passing
 	// incremental check (Hierarchy.CheckChanged). Every path that writes
-	// a line or replacement bit marks its set — touch, Evict, FlushAll,
-	// nthValidLine and CorruptReplacementState — so a set whose bit is
-	// clear is unchanged since it last checked clean.
+	// a way or replacement bit marks its set — a Lookup hit, fill, Evict,
+	// FlushAll, nthValidWay and CorruptReplacementState — so a set whose
+	// bit is clear is unchanged since it last checked clean.
 	dirty []uint64
 }
 
@@ -136,11 +136,15 @@ func (c *Cache) RegisterMetrics(r *obs.Registry, prefix string) {
 }
 
 // emit publishes one cache event; no-op (and allocation-free) when no
-// probe is attached.
+// probe is attached. It inlines to the probe check; the event is built
+// out of line.
 func (c *Cache) emit(k obs.Kind, addr uint64, detail string) {
-	if c.probe == nil {
-		return
+	if c.probe != nil {
+		c.emitEvent(k, addr, detail)
 	}
+}
+
+func (c *Cache) emitEvent(k obs.Kind, addr uint64, detail string) {
 	var cyc int64
 	if c.clock != nil {
 		cyc = c.clock()
@@ -154,20 +158,17 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{cfg: cfg}
-	// Every set is a window of one slab, capped so no set can grow into
-	// its neighbour.
-	lines := make([]line, cfg.Sets*cfg.Ways)
-	c.sets = make([][]line, cfg.Sets)
-	for i := range c.sets {
-		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	// The way arrays and the set marks are windows of one slab, each
+	// capped so none can grow into its neighbour.
+	n := cfg.Sets * cfg.Ways
+	prefWords, dirtyWords := (n+63)/64, (cfg.Sets+63)/64
+	slab := make([]uint64, 2*n+prefWords+dirtyWords)
+	c.tags, slab = slab[:n:n], slab[n:]
+	c.stamps, slab = slab[:n:n], slab[n:]
+	c.pref, c.dirty = slab[:prefWords:prefWords], slab[prefWords:]
 	if cfg.Policy == TreePLRU {
-		n := maxInt(cfg.Ways-1, 1)
-		tree := make([]bool, cfg.Sets*n)
-		c.plru = make([][]bool, cfg.Sets)
-		for i := range c.plru {
-			c.plru[i] = tree[i*n : (i+1)*n : (i+1)*n]
-		}
+		c.plruBits = maxInt(cfg.Ways-1, 1)
+		c.plru = make([]bool, cfg.Sets*c.plruBits)
 	}
 	if cfg.Policy == Random {
 		// Only random replacement draws; seeding a source is most of
@@ -179,22 +180,19 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c.tagShift = c.lineShift + uint(bits.TrailingZeros(uint(cfg.Sets)))
 	c.setMask = uint64(cfg.Sets - 1)
-	c.dirty = make([]uint64, (cfg.Sets+63)/64)
 	return c, nil
 }
 
-// Reset returns c to the state New builds from its config: every line
+// Reset returns c to the state New builds from its config: every way
 // invalid, the replacement state and tick zeroed, the Random policy's
 // generator re-seeded from Config.Seed if it has drawn since (so it
 // repeats New's draw sequence), stats zeroed, no set marked and no
 // probe attached. The geometry and its storage are kept.
 func (c *Cache) Reset() {
-	for _, s := range c.sets {
-		clear(s)
-	}
-	for _, t := range c.plru {
-		clear(t)
-	}
+	clear(c.tags)
+	clear(c.stamps)
+	clear(c.pref)
+	clear(c.plru)
 	if c.drawn {
 		c.rng.Seed(c.cfg.Seed)
 		c.drawn = false
@@ -239,17 +237,40 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr >> c.lineShift << c.lineShift
 }
 
+// find returns the index of the first valid way of set that holds tag,
+// or -1.
+func (c *Cache) find(set int, tag uint64) int {
+	base := set * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	stamps := c.stamps[base : base+len(tags)]
+	for w, t := range tags {
+		if t == tag && stamps[w] != 0 {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// prefetched reports way i's prefetch mark.
+func (c *Cache) prefetched(i int) bool {
+	return c.pref[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// setPrefetched sets way i's prefetch mark to on.
+func (c *Cache) setPrefetched(i int, on bool) {
+	bit := uint64(1) << (uint(i) & 63)
+	if on {
+		c.pref[i>>6] |= bit
+	} else {
+		c.pref[i>>6] &^= bit
+	}
+}
+
 // Contains reports whether the line holding addr is present. It does not
 // update replacement state (a pure probe, for assertions and analysis, not
 // a hardware operation).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.SetOf(addr), c.tagOf(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.SetOf(addr), c.tagOf(addr)) >= 0
 }
 
 // Lookup performs a demand access: on hit it updates replacement state and
@@ -258,100 +279,119 @@ func (c *Cache) Contains(addr uint64) bool {
 // Fill, not Lookup, so it is absent here.
 func (c *Cache) Lookup(addr uint64) bool {
 	c.tick++
-	set, tag := c.SetOf(addr), c.tagOf(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			c.stats.Hits++
-			if ln.prefetched {
-				c.stats.PrefetchHits++
-				ln.prefetched = false
-				c.emit(obs.KindCacheHit, addr, "prefetched")
-			} else {
-				c.emit(obs.KindCacheHit, addr, "")
-			}
-			c.touch(set, i)
-			return true
-		}
+	set := c.SetOf(addr)
+	i := c.find(set, c.tagOf(addr))
+	if i < 0 {
+		c.stats.Misses++
+		c.emit(obs.KindCacheMiss, addr, "")
+		return false
 	}
-	c.stats.Misses++
-	c.emit(obs.KindCacheMiss, addr, "")
-	return false
+	c.stats.Hits++
+	c.mark(set)
+	if c.prefetched(i) {
+		c.stats.PrefetchHits++
+		c.setPrefetched(i, false)
+		c.emit(obs.KindCacheHit, addr, "prefetched")
+	} else {
+		c.emit(obs.KindCacheHit, addr, "")
+	}
+	c.touch(i)
+	return true
 }
 
 // Fill inserts the line holding addr, evicting per policy if needed. It
 // returns the line-aligned address of the victim and whether one was
 // evicted. prefetched marks the line as prefetch-filled for stats.
 func (c *Cache) Fill(addr uint64, prefetched bool) (victim uint64, evicted bool) {
+	return c.fill(addr, prefetched, true)
+}
+
+// fillMissed is a demand Fill of a line the caller has just missed on in
+// this level, with nothing filled since: it skips the presence scan.
+func (c *Cache) fillMissed(addr uint64) (victim uint64, evicted bool) {
+	return c.fill(addr, false, false)
+}
+
+// fill is Fill in one pass over the set. With present set it also looks
+// for the line itself. The pass keeps the way with the least stamp,
+// first among equals: invalid ways hold stamp 0 and valid ways at least
+// 1, so that way is the first free one if any is free, and otherwise the
+// least-recently-used one, LRU's victim. Random and TreePLRU take the
+// free way too, and draw or walk for a victim only when none is free, so
+// the Random generator draws exactly when it always has.
+func (c *Cache) fill(addr uint64, prefetched, present bool) (victim uint64, evicted bool) {
 	c.tick++
 	set, tag := c.SetOf(addr), c.tagOf(addr)
-	// Already present: refresh. A demand re-fill clears the prefetched
-	// mark (the line is demand-touched now), but a prefetch re-fill of a
-	// demand-resident line must NOT set it: the line's presence was
-	// already earned by demand, and marking it would let a later Lookup
-	// invent a PrefetchHit for a line no prefetch brought in —
-	// PrefetchHits could exceed PrefetchFills, since the refresh path
-	// never counts a fill.
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.prefetched = ln.prefetched && prefetched
-			c.touch(set, i)
+	base := set * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	stamps := c.stamps[base : base+len(tags)]
+	c.mark(set) // every path below touches a way
+	way, least := 0, ^uint64(0)
+	for w, s := range stamps {
+		if present && s != 0 && tags[w] == tag {
+			// Already present: refresh. A demand re-fill clears the
+			// prefetched mark (the line is demand-touched now), but a
+			// prefetch re-fill of a demand-resident line must NOT set it:
+			// the line's presence was already earned by demand, and
+			// marking it would let a later Lookup invent a PrefetchHit
+			// for a line no prefetch brought in — PrefetchHits could
+			// exceed PrefetchFills, since the refresh path never counts
+			// a fill.
+			if !prefetched {
+				c.setPrefetched(base+w, false)
+			}
+			c.touch(base + w)
 			return 0, false
 		}
+		if s < least {
+			way, least = w, s
+		}
 	}
+	evicted = least != 0
+	if evicted && c.cfg.Policy != LRU {
+		way = c.victimWay(set)
+	}
+	i := base + way
+	if evicted {
+		victim = c.addrOf(set, tags[way])
+		c.stats.Evictions++
+	}
+	tags[way] = tag
+	c.setPrefetched(i, prefetched)
+	c.touch(i)
 	fillDetail := ""
 	if prefetched {
+		c.stats.PrefetchFills++
 		fillDetail = "prefetch"
 	}
-	// Free way?
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
-			c.sets[set][i] = line{valid: true, tag: tag, prefetched: prefetched}
-			c.touch(set, i)
-			if prefetched {
-				c.stats.PrefetchFills++
-			}
-			c.emit(obs.KindCacheFill, c.LineAddr(addr), fillDetail)
-			return 0, false
-		}
+	if evicted {
+		c.emit(obs.KindCacheEvict, victim, "")
 	}
-	// Evict.
-	w := c.victimWay(set)
-	old := c.sets[set][w]
-	c.sets[set][w] = line{valid: true, tag: tag, prefetched: prefetched}
-	c.touch(set, w)
-	c.stats.Evictions++
-	if prefetched {
-		c.stats.PrefetchFills++
-	}
-	victim = c.addrOf(set, old.tag)
-	c.emit(obs.KindCacheEvict, victim, "")
 	c.emit(obs.KindCacheFill, c.LineAddr(addr), fillDetail)
-	return victim, true
+	return victim, evicted
 }
 
 // Evict removes the line containing addr if present, returning whether it
 // was. Models back-invalidation (inclusive hierarchies) and test setup.
 func (c *Cache) Evict(addr uint64) bool {
-	set, tag := c.SetOf(addr), c.tagOf(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			c.sets[set][i] = line{}
-			c.mark(set)
-			c.emit(obs.KindCacheEvict, c.LineAddr(addr), "invalidate")
-			return true
-		}
+	set := c.SetOf(addr)
+	i := c.find(set, c.tagOf(addr))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tags[i], c.stamps[i] = 0, 0
+	c.setPrefetched(i, false)
+	c.mark(set)
+	c.emit(obs.KindCacheEvict, c.LineAddr(addr), "invalidate")
+	return true
 }
 
 // FlushAll invalidates every line.
 func (c *Cache) FlushAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
+	clear(c.tags)
+	clear(c.stamps)
+	clear(c.pref)
+	for s := 0; s < c.cfg.Sets; s++ {
 		c.mark(s)
 	}
 }
@@ -370,47 +410,59 @@ func (c *Cache) addrOf(set int, tag uint64) uint64 {
 // analysis and tests (most-recently-used order is not implied).
 func (c *Cache) SetContents(set int) []uint64 {
 	var out []uint64
-	for _, ln := range c.sets[set] {
-		if ln.valid {
-			out = append(out, c.addrOf(set, ln.tag))
+	for i := set * c.cfg.Ways; i < (set+1)*c.cfg.Ways; i++ {
+		if c.stamps[i] != 0 {
+			out = append(out, c.addrOf(set, c.tags[i]))
 		}
 	}
 	return out
 }
 
-func (c *Cache) touch(set, way int) {
-	c.mark(set)
-	switch c.cfg.Policy {
-	case LRU, Random:
-		c.sets[set][way].lastUse = c.tick
-	case TreePLRU:
-		// Walk root→leaf; at each node set the bit to point away from
-		// the touched way (true = victim side is right).
-		//
-		// The tree over a non-power-of-two way count is irregular (a left
-		// subtree of floor(n/2) leaves, a right subtree of the rest), so
-		// the bits use subtree-offset indexing — a subtree of n leaves
-		// owns n-1 consecutive bits, root first — rather than complete-
-		// binary-heap indexing, which walks out of the array for such
-		// trees (left child of the root's right child is at heap index 5
-		// of a 2-bit array for Ways=3).
-		bits := c.plru[set]
-		n := c.cfg.Ways
-		node, lo := 0, 0
-		for n > 1 {
-			half := n / 2
-			if way < lo+half {
-				bits[node] = true
-				node++ // left subtree root
-				n = half
-			} else {
-				bits[node] = false
-				node += half // skip the left subtree's half-1 bits
-				lo += half
-				n -= half
-			}
+// touch records a use of way i: it stamps the way with the tick, and
+// under TreePLRU also points the tree away from the way. It inlines to
+// the stamp; the caller marks the set.
+func (c *Cache) touch(i int) {
+	c.stamps[i] = c.tick
+	if c.plruBits != 0 {
+		c.touchTree(i)
+	}
+}
+
+// touchTree walks the tree of way i's set root→leaf and at each node
+// sets the bit to point away from the way (true = victim side is right).
+//
+// The tree over a non-power-of-two way count is irregular (a left
+// subtree of floor(n/2) leaves, a right subtree of the rest), so the
+// bits use subtree-offset indexing — a subtree of n leaves owns n-1
+// consecutive bits, root first — rather than complete-binary-heap
+// indexing, which walks out of the array for such trees (left child of
+// the root's right child is at heap index 5 of a 2-bit array for
+// Ways=3). It is kept out of line so touch inlines.
+//
+//go:noinline
+func (c *Cache) touchTree(i int) {
+	set, way := i/c.cfg.Ways, i%c.cfg.Ways
+	bits := c.treeBits(set)
+	n := c.cfg.Ways
+	node, lo := 0, 0
+	for n > 1 {
+		half := n / 2
+		if way < lo+half {
+			bits[node] = true
+			node++ // left subtree root
+			n = half
+		} else {
+			bits[node] = false
+			node += half // skip the left subtree's half-1 bits
+			lo += half
+			n -= half
 		}
 	}
+}
+
+// treeBits returns set's TreePLRU bits.
+func (c *Cache) treeBits(set int) []bool {
+	return c.plru[set*c.plruBits : (set+1)*c.plruBits]
 }
 
 // CheckReplacementState verifies the cache's replacement metadata: no set
@@ -421,7 +473,7 @@ func (c *Cache) touch(set, way int) {
 // property the heap-indexed walk violated for non-power-of-two way counts.
 // It is a pure probe used by the invariant-checking harness.
 func (c *Cache) CheckReplacementState() error {
-	for s := range c.sets {
+	for s := 0; s < c.cfg.Sets; s++ {
 		if err := c.checkSet(s); err != nil {
 			return err
 		}
@@ -447,26 +499,28 @@ func (c *Cache) checkDirtySets() error {
 
 // checkSet runs CheckReplacementState's checks on one set. The duplicate
 // scan compares each valid way against the earlier ones — at most Ways
-// lines, no allocation — and names the earliest matching way first.
+// ways, no allocation — and names the earliest matching way first.
 func (c *Cache) checkSet(s int) error {
-	lines := c.sets[s]
-	for w, ln := range lines {
-		if !ln.valid {
+	base := s * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	stamps := c.stamps[base : base+len(tags)]
+	for w, use := range stamps {
+		if use == 0 {
 			continue
 		}
 		for prev := 0; prev < w; prev++ {
-			if lines[prev].valid && lines[prev].tag == ln.tag {
+			if stamps[prev] != 0 && tags[prev] == tags[w] {
 				return fmt.Errorf("cache %s: set %d ways %d and %d both hold tag %#x",
-					c.cfg.Name, s, prev, w, ln.tag)
+					c.cfg.Name, s, prev, w, tags[w])
 			}
 		}
-		if ln.lastUse > c.tick {
+		if use > c.tick {
 			return fmt.Errorf("cache %s: set %d way %d lastUse %d ahead of tick %d",
-				c.cfg.Name, s, w, ln.lastUse, c.tick)
+				c.cfg.Name, s, w, use, c.tick)
 		}
 	}
 	if c.cfg.Policy == TreePLRU {
-		bits := c.plru[s]
+		bits := c.treeBits(s)
 		n := c.cfg.Ways
 		node, lo := 0, 0
 		for n > 1 {
@@ -500,11 +554,11 @@ func (c *Cache) checkSet(s int) error {
 // false when the cache holds no valid line to corrupt (the injector
 // retries later).
 func (c *Cache) CorruptLineTag(seed int64) bool {
-	target := c.nthValidLine(seed)
-	if target == nil {
+	i := c.nthValidWay(seed)
+	if i < 0 {
 		return false
 	}
-	target.tag ^= 1 << 40
+	c.tags[i] ^= 1 << 40
 	return true
 }
 
@@ -517,82 +571,70 @@ func (c *Cache) CorruptLineTag(seed int64) bool {
 // false when there is nothing to corrupt yet.
 func (c *Cache) CorruptReplacementState(seed int64) bool {
 	if c.cfg.Policy == TreePLRU {
-		set := int(uint64(seed) % uint64(len(c.plru)))
-		bits := c.plru[set]
+		set := int(uint64(seed) % uint64(c.cfg.Sets))
+		bits := c.treeBits(set)
 		bit := int(uint64(seed) >> 16 % uint64(len(bits)))
 		bits[bit] = !bits[bit]
 		c.mark(set)
 		return true
 	}
-	target := c.nthValidLine(seed)
-	if target == nil {
+	i := c.nthValidWay(seed)
+	if i < 0 {
 		return false
 	}
-	target.lastUse = c.tick + 1_000_000
+	c.stamps[i] = c.tick + 1_000_000
 	return true
 }
 
-// nthValidLine returns the seed-selected valid line, or nil if none. The
-// caller is about to corrupt it, so its set is marked.
-func (c *Cache) nthValidLine(seed int64) *line {
+// nthValidWay returns the index of the seed-selected valid way, or -1 if
+// none. The caller is about to corrupt it, so its set is marked.
+func (c *Cache) nthValidWay(seed int64) int {
 	valid := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				valid++
-			}
+	for _, use := range c.stamps {
+		if use != 0 {
+			valid++
 		}
 	}
 	if valid == 0 {
-		return nil
+		return -1
 	}
 	n := int(uint64(seed) % uint64(valid))
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				if n == 0 {
-					c.mark(s)
-					return &c.sets[s][w]
-				}
-				n--
+	for i, use := range c.stamps {
+		if use != 0 {
+			if n == 0 {
+				c.mark(i / c.cfg.Ways)
+				return i
 			}
+			n--
 		}
 	}
-	return nil
+	return -1
 }
 
+// victimWay picks the way of a full set to evict under Random or
+// TreePLRU; LRU's victim falls out of fill's pass.
 func (c *Cache) victimWay(set int) int {
-	switch c.cfg.Policy {
-	case Random:
+	if c.cfg.Policy == Random {
 		c.drawn = true
 		return c.rng.Intn(c.cfg.Ways)
-	case TreePLRU:
-		// Follow the bits toward the pseudo-LRU leaf, mirroring touch's
-		// subtree-offset indexing (the heap-indexed walk used previously
-		// read past the bit array for non-power-of-two way counts and
-		// could never select the last way as victim).
-		bits := c.plru[set]
-		n := c.cfg.Ways
-		node, lo := 0, 0
-		for n > 1 {
-			half := n / 2
-			if bits[node] {
-				node += half
-				lo += half
-				n -= half
-			} else {
-				node++
-				n = half
-			}
-		}
-		return lo
-	default: // LRU
-		best, bestUse := 0, ^uint64(0)
-		for i, ln := range c.sets[set] {
-			if ln.lastUse < bestUse {
-				best, bestUse = i, ln.lastUse
-			}
-		}
-		return best
 	}
+	// Follow the bits toward the pseudo-LRU leaf, mirroring touchTree's
+	// subtree-offset indexing (the heap-indexed walk used previously read
+	// past the bit array for non-power-of-two way counts and could never
+	// select the last way as victim).
+	bits := c.treeBits(set)
+	n := c.cfg.Ways
+	node, lo := 0, 0
+	for n > 1 {
+		half := n / 2
+		if bits[node] {
+			node += half
+			lo += half
+			n -= half
+		} else {
+			node++
+			n = half
+		}
+	}
+	return lo
 }

@@ -11,11 +11,35 @@ func smallCfg() Config {
 	return Config{Name: "t", Sets: 4, Ways: 2, LineSize: 64, HitLatency: 2, Policy: LRU}
 }
 
-// TestLineSize pins the packed way layout: the two flags follow the two
-// words, so a line is 24 bytes, not the 32 a flag-first order pads to.
-func TestLineSize(t *testing.T) {
-	if got := unsafe.Sizeof(line{}); got != 24 {
-		t.Fatalf("sizeof(line) = %d, want 24", got)
+// TestWayLayout pins the flat way layout: one slab per level holds the
+// tag words, then the LRU stamps, then one prefetch bit per way, then
+// one set-mark bit per set, set-major and pointer-free — 16 bytes and a
+// bit per way, and two objects per LRU level.
+func TestWayLayout(t *testing.T) {
+	cfg := Config{Name: "t", Sets: 256, Ways: 8, LineSize: 64, HitLatency: 2, Policy: LRU}
+	c := MustNew(cfg)
+	n := cfg.Sets * cfg.Ways
+	if len(c.tags) != n || len(c.stamps) != n || len(c.pref) != n/64 || len(c.dirty) != cfg.Sets/64 {
+		t.Fatalf("lens tags %d stamps %d pref %d dirty %d, want %d %d %d %d",
+			len(c.tags), len(c.stamps), len(c.pref), len(c.dirty), n, n, n/64, cfg.Sets/64)
+	}
+	slab := unsafe.Slice(&c.tags[0], 2*n+n/64+cfg.Sets/64)
+	if &slab[n] != &c.stamps[0] || &slab[2*n] != &c.pref[0] || &slab[2*n+n/64] != &c.dirty[0] {
+		t.Fatal("tags, stamps, prefetch bits and set marks are not consecutive windows of one slab")
+	}
+	if cap(c.tags) != n || cap(c.stamps) != n || cap(c.pref) != n/64 {
+		t.Fatal("a way array's capacity reaches into its neighbour")
+	}
+	if c.plru != nil {
+		t.Fatal("an LRU cache holds tree bits")
+	}
+	if avg := testing.AllocsPerRun(20, func() { MustNew(cfg) }); avg != 2 {
+		t.Fatalf("New allocates %v objects, want 2 (the Cache and its slab)", avg)
+	}
+	// Way w of set s is index s*Ways+w.
+	c.Fill(0x40+3*0x4000, false) // set 1, tag 3, first free way
+	if c.tags[cfg.Ways] != 3 || c.stamps[cfg.Ways] != 1 {
+		t.Fatalf("set 1 way 0 holds tag %d stamp %d, want 3 and 1", c.tags[cfg.Ways], c.stamps[cfg.Ways])
 	}
 }
 

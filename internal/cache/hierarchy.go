@@ -56,7 +56,10 @@ type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache
 
-	pbuf []uint64 // FIFO of line addresses in the prefetch buffer
+	// pbuf is the prefetch buffer, a FIFO of line addresses, oldest
+	// first. Its backing array holds PrefetchBufferSize entries and is
+	// allocated once: pushes and removals shift within it.
+	pbuf []uint64
 
 	// Listeners observe demand accesses; the data memory-dependent
 	// prefetcher registers itself here.
@@ -125,10 +128,15 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.PrefetchBuffer && cfg.PrefetchBufferSize == 0 {
-		cfg.PrefetchBufferSize = 8
+	h := &Hierarchy{cfg: cfg, L1: l1, L2: l2, incl: make([]uint64, len(l1.dirty))}
+	if cfg.PrefetchBuffer {
+		if cfg.PrefetchBufferSize == 0 {
+			cfg.PrefetchBufferSize = 8
+		}
+		h.cfg = cfg
+		h.pbuf = make([]uint64, 0, maxInt(cfg.PrefetchBufferSize, 0))
 	}
-	return &Hierarchy{cfg: cfg, L1: l1, L2: l2, incl: make([]uint64, len(l1.dirty))}, nil
+	return h, nil
 }
 
 // Reset returns h to the state NewHierarchy builds from its config: both
@@ -188,50 +196,47 @@ func (h *Hierarchy) accessTiming(addr uint64) AccessResult {
 	if h.cfg.SelfCheck {
 		defer h.selfCheck("access", addr)
 	}
+	// Every fill below is of a level this access has just missed in, so
+	// it skips the presence scan. An L2 fill's back-invalidation can
+	// only remove L1 lines, never add addr's.
 	if h.L1.Lookup(addr) {
 		return AccessResult{Latency: h.cfg.L1.HitLatency, L1Hit: true}
 	}
 	// Prefetch buffer in front of L1.
-	if h.cfg.PrefetchBuffer {
-		la := h.L1.LineAddr(addr)
-		for i, b := range h.pbuf {
-			if b == la {
-				h.pbuf = append(h.pbuf[:i], h.pbuf[i+1:]...)
-				h.fillL1(addr)
-				// Buffer hit costs an L2-ish latency: the buffer sits
-				// beside L1 but off the critical path.
-				return AccessResult{Latency: h.cfg.L1.HitLatency + 1, BufferHit: true}
-			}
-		}
+	if h.cfg.PrefetchBuffer && h.unbuffer(h.L1.LineAddr(addr)) {
+		h.L1.fillMissed(addr)
+		// Buffer hit costs an L2-ish latency: the buffer sits beside L1
+		// but off the critical path.
+		return AccessResult{Latency: h.cfg.L1.HitLatency + 1, BufferHit: true}
 	}
 	if h.L2.Lookup(addr) {
-		h.fillL1(addr)
+		h.L1.fillMissed(addr)
 		return AccessResult{Latency: h.cfg.L2.HitLatency, L2Hit: true}
 	}
-	h.fillL2(addr, false)
-	h.fillL1(addr)
+	h.backInvalidate(h.L2.fillMissed(addr))
+	h.L1.fillMissed(addr)
 	return AccessResult{Latency: h.cfg.MemLatency}
 }
 
-// fillL2 inserts into L2 and enforces inclusion: a line evicted from L2
-// is back-invalidated out of L1 (and the prefetch buffer).
-func (h *Hierarchy) fillL2(addr uint64, prefetched bool) {
-	victim, evicted := h.L2.Fill(addr, prefetched)
+// backInvalidate enforces inclusion after an L2 fill: a line evicted from
+// L2 is invalidated out of L1 and the prefetch buffer.
+func (h *Hierarchy) backInvalidate(victim uint64, evicted bool) {
 	if evicted {
 		h.L1.Evict(victim)
-		la := h.L1.LineAddr(victim)
-		for i, b := range h.pbuf {
-			if b == la {
-				h.pbuf = append(h.pbuf[:i], h.pbuf[i+1:]...)
-				break
-			}
-		}
+		h.unbuffer(h.L1.LineAddr(victim))
 	}
 }
 
-// fillL1 inserts into L1 (demand fill).
-func (h *Hierarchy) fillL1(addr uint64) {
-	h.L1.Fill(addr, false)
+// unbuffer removes line address la from the prefetch buffer, keeping the
+// order of the rest, and reports whether it was there.
+func (h *Hierarchy) unbuffer(la uint64) bool {
+	for i, b := range h.pbuf {
+		if b == la {
+			h.pbuf = h.pbuf[:i+copy(h.pbuf[i:], h.pbuf[i+1:])]
+			return true
+		}
+	}
+	return false
 }
 
 // Prefetch inserts the line holding addr as a prefetch. With a prefetch
@@ -248,7 +253,7 @@ func (h *Hierarchy) Prefetch(addr uint64) {
 	if h.cfg.SelfCheck {
 		defer h.selfCheck("prefetch", addr)
 	}
-	h.fillL2(addr, true)
+	h.backInvalidate(h.L2.Fill(addr, true))
 	if h.cfg.PrefetchBuffer {
 		la := h.L1.LineAddr(addr)
 		for _, b := range h.pbuf {
@@ -256,10 +261,14 @@ func (h *Hierarchy) Prefetch(addr uint64) {
 				return
 			}
 		}
-		h.pbuf = append(h.pbuf, la)
-		if len(h.pbuf) > h.cfg.PrefetchBufferSize {
-			h.pbuf = h.pbuf[1:]
+		// A full buffer drops its oldest entry to make room.
+		if len(h.pbuf) == cap(h.pbuf) {
+			if len(h.pbuf) == 0 {
+				return
+			}
+			h.pbuf = h.pbuf[:copy(h.pbuf, h.pbuf[1:])]
 		}
+		h.pbuf = append(h.pbuf, la)
 		return
 	}
 	h.L1.Fill(addr, true)
@@ -280,7 +289,7 @@ func (h *Hierarchy) Latency(addr uint64) int {
 // CheckInclusive verifies L2 ⊇ L1: every valid L1 line, and every line
 // parked in the prefetch buffer, must be present in L2. A pure probe.
 func (h *Hierarchy) CheckInclusive() error {
-	for s := range h.L1.sets {
+	for s := 0; s < h.cfg.L1.Sets; s++ {
 		if err := h.checkInclusiveSet(s); err != nil {
 			return err
 		}
@@ -290,11 +299,12 @@ func (h *Hierarchy) CheckInclusive() error {
 
 // checkInclusiveSet verifies that every valid line of L1 set s is in L2.
 func (h *Hierarchy) checkInclusiveSet(s int) error {
-	for _, ln := range h.L1.sets[s] {
-		if !ln.valid {
+	c := h.L1
+	for i := s * c.cfg.Ways; i < (s+1)*c.cfg.Ways; i++ {
+		if c.stamps[i] == 0 {
 			continue
 		}
-		if la := h.L1.addrOf(s, ln.tag); !h.L2.Contains(la) {
+		if la := c.addrOf(s, c.tags[i]); !h.L2.Contains(la) {
 			return fmt.Errorf("cache: inclusivity broken: L1 line %#x absent from L2", la)
 		}
 	}
@@ -335,7 +345,7 @@ func (h *Hierarchy) CheckInvariants() error {
 // them, so the violation is reported again until it is gone.
 func (h *Hierarchy) CheckChanged() error {
 	copy(h.incl, h.L1.dirty)
-	n1, n2 := len(h.L1.sets), len(h.L2.sets)
+	n1, n2 := h.cfg.L1.Sets, h.cfg.L2.Sets
 	for wi, word := range h.L2.dirty {
 		for word != 0 {
 			s2 := wi<<6 | bits.TrailingZeros64(word)
@@ -400,18 +410,12 @@ func (h *Hierarchy) CorruptL1Replacement(seed int64) bool {
 func (h *Hierarchy) EvictAll(addr uint64) {
 	h.L1.Evict(addr)
 	h.L2.Evict(addr)
-	la := h.L1.LineAddr(addr)
-	for i, b := range h.pbuf {
-		if b == la {
-			h.pbuf = append(h.pbuf[:i], h.pbuf[i+1:]...)
-			break
-		}
-	}
+	h.unbuffer(h.L1.LineAddr(addr))
 }
 
 // FlushAll empties every level and the prefetch buffer.
 func (h *Hierarchy) FlushAll() {
 	h.L1.FlushAll()
 	h.L2.FlushAll()
-	h.pbuf = nil
+	h.pbuf = h.pbuf[:0]
 }

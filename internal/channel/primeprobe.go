@@ -35,12 +35,17 @@ func (l Level) String() string {
 type PrimeProbe struct {
 	hier  *cache.Hierarchy
 	level Level
-	base  uint64 // attacker-owned probe buffer (must be cache-set aligned)
 
 	sets     int
 	ways     int
 	lineSize int
-	stride   uint64 // byte distance between same-set lines
+
+	// lines holds each set's attacker lines in the order Prime and Probe
+	// touch them: set s's are lines[s*ways : (s+1)*ways]. setOrder is the
+	// order PrimeAll and ProbeAll visit the sets in. Both are built once,
+	// so the access loops do no arithmetic beyond indexing.
+	lines    []uint64
+	setOrder []int
 
 	// Threshold above which a probed line counts as evicted; defaults to
 	// halfway between the monitored level's hit latency and the next
@@ -70,16 +75,27 @@ func NewPrimeProbe(h *cache.Hierarchy, level Level, base uint64) (*PrimeProbe, e
 	if base%uint64(cfg.LineSize) != 0 {
 		return nil, fmt.Errorf("channel: probe base %#x not line-aligned", base)
 	}
-	return &PrimeProbe{
+	pp := &PrimeProbe{
 		hier:      h,
 		level:     level,
-		base:      base,
 		sets:      cfg.Sets,
 		ways:      cfg.Ways,
 		lineSize:  cfg.LineSize,
-		stride:    uint64(cfg.Sets * cfg.LineSize),
 		Threshold: threshold,
-	}, nil
+		lines:     make([]uint64, 0, cfg.Sets*cfg.Ways),
+		setOrder:  make([]int, cfg.Sets),
+	}
+	stride := uint64(cfg.Sets * cfg.LineSize) // byte distance between same-set lines
+	for set := 0; set < cfg.Sets; set++ {
+		for i := 0; i < cfg.Ways; i++ {
+			way := pp.permutedWay(i)
+			pp.lines = append(pp.lines, base+uint64(set)*uint64(cfg.LineSize)+uint64(way)*stride)
+		}
+	}
+	for i := range pp.setOrder {
+		pp.setOrder[i] = pp.permutedSet(i)
+	}
+	return pp, nil
 }
 
 // Sets returns the number of monitored sets.
@@ -88,11 +104,6 @@ func (pp *PrimeProbe) Sets() int { return pp.sets }
 // SetOf returns the monitored-level set index of addr.
 func (pp *PrimeProbe) SetOf(addr uint64) int {
 	return int(addr / uint64(pp.lineSize) % uint64(pp.sets))
-}
-
-// evictionAddr returns the attacker line for (set, way).
-func (pp *PrimeProbe) evictionAddr(set, way int) uint64 {
-	return pp.base + uint64(set)*uint64(pp.lineSize) + uint64(way)*pp.stride
 }
 
 // permutedWay visits ways in a fixed non-sequential order so the probe
@@ -109,27 +120,33 @@ func (pp *PrimeProbe) permutedSet(i int) int {
 	return (i*97 + 13) % pp.sets
 }
 
-// Prime fills one monitored set with attacker lines.
+// setLines returns set's attacker lines in access order; set must be in
+// [0, Sets()).
+func (pp *PrimeProbe) setLines(set int) []uint64 {
+	return pp.lines[set*pp.ways : (set+1)*pp.ways]
+}
+
+// Prime fills one monitored set, in [0, Sets()), with attacker lines.
 func (pp *PrimeProbe) Prime(set int) {
-	for i := 0; i < pp.ways; i++ {
-		pp.hier.Access(pp.evictionAddr(set, pp.permutedWay(i)), 0, false)
+	for _, a := range pp.setLines(set) {
+		pp.hier.Access(a, 0, false)
 	}
 }
 
 // PrimeAll primes every monitored set (in stream-free permuted order).
 func (pp *PrimeProbe) PrimeAll() {
-	for i := 0; i < pp.sets; i++ {
-		pp.Prime(pp.permutedSet(i))
+	for _, s := range pp.setOrder {
+		pp.Prime(s)
 	}
 }
 
 // Probe re-accesses one set's attacker lines and returns how many missed
-// the monitored level (were evicted since Prime).
+// the monitored level (were evicted since Prime). set must be in
+// [0, Sets()).
 func (pp *PrimeProbe) Probe(set int) int {
 	evicted := 0
-	for i := 0; i < pp.ways; i++ {
-		res := pp.hier.Access(pp.evictionAddr(set, pp.permutedWay(i)), 0, false)
-		if res.Latency >= pp.Threshold {
+	for _, a := range pp.setLines(set) {
+		if pp.hier.Access(a, 0, false).Latency >= pp.Threshold {
 			evicted++
 		}
 	}
@@ -140,8 +157,7 @@ func (pp *PrimeProbe) Probe(set int) int {
 // counts.
 func (pp *PrimeProbe) ProbeAll() []int {
 	out := make([]int, pp.sets)
-	for i := 0; i < pp.sets; i++ {
-		s := pp.permutedSet(i)
+	for _, s := range pp.setOrder {
 		out[s] = pp.Probe(s)
 	}
 	return out

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"testing"
 
 	"pandora/internal/cache"
@@ -140,6 +141,47 @@ func TestPrimeProbeUnderTreePLRU(t *testing.T) {
 		if !found {
 			t.Errorf("trial %d: victim set %d not detected under tree-PLRU (hot=%v)",
 				trial, pp.SetOf(victim), hot)
+		}
+	}
+}
+
+// addrLog records the address of every demand access.
+type addrLog struct{ addrs []uint64 }
+
+func (l *addrLog) OnAccess(addr, _ uint64, _ bool) { l.addrs = append(l.addrs, addr) }
+
+// TestPrimeProbeAccessOrder pins the receiver's access sequence: PrimeAll
+// and ProbeAll visit set (i*97+13) mod sets for i = 0, 1, ..., and within
+// a set way (i*7+3) mod ways, at base + set*lineSize + way*sets*lineSize.
+func TestPrimeProbeAccessOrder(t *testing.T) {
+	geometries := []cache.HierConfig{cache.DefaultHierConfig(), cache.DefaultHierConfig()}
+	geometries[1].L2.Sets, geometries[1].L2.Ways = 16, 6
+	for _, hc := range geometries {
+		for _, level := range []Level{L1, L2} {
+			h := cache.MustNewHierarchy(hc)
+			log := &addrLog{}
+			h.AddListener(log)
+			pp, err := NewPrimeProbe(h, level, probeBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := hc.L1
+			if level == L2 {
+				cfg = hc.L2
+			}
+			var want []uint64
+			for i := 0; i < cfg.Sets; i++ {
+				set := (i*97 + 13) % cfg.Sets
+				for j := 0; j < cfg.Ways; j++ {
+					way := (j*7 + 3) % cfg.Ways
+					want = append(want, probeBase+uint64(set*cfg.LineSize)+uint64(way*cfg.Sets*cfg.LineSize))
+				}
+			}
+			pp.PrimeAll()
+			pp.ProbeAll()
+			if !slices.Equal(log.addrs, append(want, want...)) {
+				t.Errorf("%v with %d sets x %d ways: access order differs", level, cfg.Sets, cfg.Ways)
+			}
 		}
 	}
 }
