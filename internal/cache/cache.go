@@ -152,6 +152,20 @@ func (c *Cache) emitEvent(k obs.Kind, addr uint64, detail string) {
 	c.probe.Emit(obs.Event{Cycle: cyc, Kind: k, Track: c.track, Addr: addr, Detail: detail})
 }
 
+// emitFill publishes a fill's events, the victim's eviction first. fill
+// calls it only with a probe attached, so an unprobed fill builds
+// neither event.
+func (c *Cache) emitFill(addr, victim uint64, evicted, prefetched bool) {
+	if evicted {
+		c.emitEvent(obs.KindCacheEvict, victim, "")
+	}
+	fillDetail := ""
+	if prefetched {
+		fillDetail = "prefetch"
+	}
+	c.emitEvent(obs.KindCacheFill, c.LineAddr(addr), fillDetail)
+}
+
 // New builds a cache from cfg.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
@@ -359,15 +373,12 @@ func (c *Cache) fill(addr uint64, prefetched, present bool) (victim uint64, evic
 	tags[way] = tag
 	c.setPrefetched(i, prefetched)
 	c.touch(i)
-	fillDetail := ""
 	if prefetched {
 		c.stats.PrefetchFills++
-		fillDetail = "prefetch"
 	}
-	if evicted {
-		c.emit(obs.KindCacheEvict, victim, "")
+	if c.probe != nil {
+		c.emitFill(addr, victim, evicted, prefetched)
 	}
-	c.emit(obs.KindCacheFill, c.LineAddr(addr), fillDetail)
 	return victim, evicted
 }
 
