@@ -41,7 +41,7 @@ func main() {
 	baseline := pipeline.DefaultConfig()
 
 	zeroSkip := pipeline.DefaultConfig()
-	zeroSkip.Simplifier = &uopt.Simplifier{ZeroSkipMul: true}
+	zeroSkip.Simplifier = uopt.Simplifier{ZeroSkipMul: true}
 
 	fmt.Println("quickstart: the same program, two secrets, two machines")
 	fmt.Println()

@@ -170,7 +170,7 @@ func (c *SilentStoreChannel) TransmitByte(b byte) (byte, int64, error) {
 // footnote 5 observation that the table can be poisoned to transmit).
 type ReuseChannel struct {
 	machine *pipeline.Machine
-	buffer  *uopt.ReuseBuffer
+	cfg     pipeline.Config
 	markOne uint64
 
 	threshold int64
@@ -179,13 +179,12 @@ type ReuseChannel struct {
 // NewReuseChannel builds the channel.
 func NewReuseChannel() (*ReuseChannel, error) {
 	cfg := pipeline.DefaultConfig()
-	rb := uopt.NewReuseBuffer(uopt.SchemeSv, 64)
-	cfg.Reuse = rb
+	cfg.Reuse = uopt.SchemeSv
 	mach, err := pipeline.New(cfg, mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig()))
 	if err != nil {
 		return nil, err
 	}
-	return &ReuseChannel{machine: mach, buffer: rb, markOne: 123457}, nil
+	return &ReuseChannel{machine: mach, cfg: cfg, markOne: 123457}, nil
 }
 
 // kernel executes a dependent chain of multiplies at fixed PCs (the
@@ -210,12 +209,17 @@ func (c *ReuseChannel) run(operand uint64) (int64, error) {
 	return res.Cycles, nil
 }
 
-// UseScheme switches the reuse buffer's keying discipline (for the Sn
-// ablation) and clears the table and calibration.
-func (c *ReuseChannel) UseScheme(s uopt.ReuseScheme) {
-	c.buffer.Scheme = s
-	c.buffer.Flush()
+// UseScheme resets the channel under another reuse-buffer keying
+// discipline (for the Sn ablation), clearing the table and calibration.
+func (c *ReuseChannel) UseScheme(s uopt.ReuseScheme) error {
+	c.cfg.Reuse = s
 	c.threshold = 0
+	return c.reset()
+}
+
+// reset returns the machine, and with it the reuse buffer, to power-on.
+func (c *ReuseChannel) reset() error {
+	return c.machine.Reset(c.cfg, c.machine.Memory(), c.machine.Hierarchy())
 }
 
 // Calibrate fixes the hit/miss timing threshold.
@@ -240,8 +244,7 @@ func (c *ReuseChannel) Calibrate() error {
 	c.threshold = (hit + miss) / 2
 	// The calibration probe itself re-primed the table; clear it so the
 	// first Send starts clean.
-	c.buffer.Flush()
-	return nil
+	return c.reset()
 }
 
 // Send encodes a bit into the memoization table.

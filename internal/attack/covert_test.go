@@ -71,9 +71,9 @@ func TestReuseChannelSnImmune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap in an Sn buffer.
-	c.buffer.Scheme = uopt.SchemeSn
-	c.buffer.Flush()
+	if err := c.UseScheme(uopt.SchemeSn); err != nil {
+		t.Fatal(err)
+	}
 	err = c.Calibrate()
 	if err == nil {
 		t.Fatal("Sn reuse still produced a value-dependent timing gap — channel should be dead")

@@ -61,7 +61,7 @@ func runCapacity(Options) (Result, error) {
 	// --- Zero-skip multiplier: one multiply transmits one bit ---
 	runMul := func(operand int64) (int64, error) {
 		cfg := pipeline.DefaultConfig()
-		cfg.Simplifier = &uopt.Simplifier{ZeroSkipMul: true}
+		cfg.Simplifier = uopt.Simplifier{ZeroSkipMul: true}
 		m, err := pipeline.New(cfg, mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig()))
 		if err != nil {
 			return 0, err

@@ -108,7 +108,7 @@ func runContinuous(Options) (Result, error) {
 	}
 	runSR := func(secret int64) (int64, error) {
 		cfg := pipeline.DefaultConfig()
-		cfg.Simplifier = &uopt.Simplifier{StrengthReduction: true}
+		cfg.Simplifier = uopt.Simplifier{StrengthReduction: true}
 		m, err := pipeline.New(cfg, mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig()))
 		if err != nil {
 			return 0, err

@@ -76,7 +76,9 @@ func runCovert(o Options) (Result, error) {
 			if err != nil {
 				return covertTrial{}, err
 			}
-			snChan.UseScheme(uopt.SchemeSn)
+			if err := snChan.UseScheme(uopt.SchemeSn); err != nil {
+				return covertTrial{}, err
+			}
 			if err := snChan.Calibrate(); err != nil {
 				return covertTrial{
 					text:    fmt.Sprintf("Sn reuse channel:     dead (%v)\n", err),

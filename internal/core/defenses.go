@@ -9,7 +9,6 @@ import (
 	"pandora/internal/cache"
 	"pandora/internal/mem"
 	"pandora/internal/pipeline"
-	"pandora/internal/uopt"
 )
 
 // Section VI-A2: "retrofitting constant-time programming". Two of the
@@ -108,7 +107,7 @@ func runDefenses(o Options) (Result, error) {
 	runPack := func(secret uint64, pinMSB bool) (int64, error) {
 		cfg := pipeline.DefaultConfig()
 		cfg.ALUPorts = 1
-		cfg.Packer = uopt.NewPacker()
+		cfg.Packing = true
 		m, err := pipeline.New(cfg, mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig()))
 		if err != nil {
 			return 0, err

@@ -68,32 +68,26 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 		case "silentstores-lsq":
 			cfg.SilentStores = &pipeline.SilentStoreConfig{Scheme: pipeline.SSLSQCompare}
 		case "compsimp":
-			cfg.Simplifier = &uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
+			cfg.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
 		case "strengthred":
-			if cfg.Simplifier == nil {
-				cfg.Simplifier = &uopt.Simplifier{}
-			}
 			cfg.Simplifier.StrengthReduction = true
 		case "packing":
-			cfg.Packer = uopt.NewPacker()
+			cfg.Packing = true
 		case "fusion":
 			cfg.FuseAddiLoad = true
 		case "reuse-sv":
-			cfg.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
+			cfg.Reuse = uopt.SchemeSv
 		case "reuse-sn":
-			cfg.Reuse = uopt.NewReuseBuffer(uopt.SchemeSn, 64)
-		case "vp":
+			cfg.Reuse = uopt.SchemeSn
+		case "vp", "vp-stride":
 			n, e := argN(2, maxThreshold)
 			if e != nil {
 				return cfg, e
 			}
-			cfg.Predictor = uopt.NewPredictor(n)
-		case "vp-stride":
-			n, e := argN(2, maxThreshold)
-			if e != nil {
-				return cfg, e
+			cfg.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: n}
+			if name == "vp-stride" {
+				cfg.ValuePred.Scheme = uopt.VPStride
 			}
-			cfg.Predictor = uopt.NewStridePredictor(n)
 		case "rfc-any":
 			cfg.RFC = uopt.RFCAnyValue
 		case "rfc-01":

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pandora/internal/pipeline"
+	"pandora/internal/uopt"
 )
 
 func TestParseMachineSpec(t *testing.T) {
@@ -16,10 +17,10 @@ func TestParseMachineSpec(t *testing.T) {
 	if cfg.SilentStores == nil || cfg.SilentStores.Scheme != pipeline.SSReadPortStealing {
 		t.Error("silentstores not configured")
 	}
-	if cfg.Simplifier == nil || !cfg.Simplifier.ZeroSkipMul {
+	if !cfg.Simplifier.ZeroSkipMul {
 		t.Error("compsimp not configured")
 	}
-	if cfg.Packer == nil || cfg.Reuse == nil || cfg.Predictor == nil {
+	if !cfg.Packing || cfg.Reuse != uopt.SchemeSv || cfg.ValuePred != (uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 3}) {
 		t.Error("packing/reuse/vp not configured")
 	}
 	if cfg.SQSize != 5 || cfg.ROBSize != 32 || cfg.PhysRegs != 48 || cfg.ALUPorts != 4 || cfg.LoadPorts != 1 {
@@ -35,10 +36,10 @@ func TestParseMachineSpecVariants(t *testing.T) {
 	if cfg.SilentStores.Scheme != pipeline.SSLSQCompare {
 		t.Error("lsq scheme not selected")
 	}
-	if cfg.Predictor == nil {
+	if cfg.ValuePred.Scheme != uopt.VPStride {
 		t.Error("stride predictor not selected")
 	}
-	if cfg.Simplifier == nil || !cfg.Simplifier.StrengthReduction {
+	if !cfg.Simplifier.StrengthReduction {
 		t.Error("strength reduction not selected")
 	}
 }

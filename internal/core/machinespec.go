@@ -59,32 +59,29 @@ func FormatMachineSpec(cfg pipeline.Config) string {
 			add("silentstores")
 		}
 	}
-	if s := cfg.Simplifier; s != nil {
-		if s.ZeroSkipMul && s.TrivialALU && s.EarlyExitDiv {
-			add("compsimp")
-		}
-		if s.StrengthReduction {
-			add("strengthred")
-		}
+	if s := cfg.Simplifier; s.ZeroSkipMul && s.TrivialALU && s.EarlyExitDiv {
+		add("compsimp")
 	}
-	if cfg.Packer != nil {
+	if cfg.Simplifier.StrengthReduction {
+		add("strengthred")
+	}
+	if cfg.Packing {
 		add("packing")
 	}
 	if cfg.FuseAddiLoad {
 		add("fusion")
 	}
-	if rb := cfg.Reuse; rb != nil {
-		if rb.Scheme == uopt.SchemeSn {
-			add("reuse-sn")
-		} else {
-			add("reuse-sv")
-		}
+	switch cfg.Reuse {
+	case uopt.SchemeSv:
+		add("reuse-sv")
+	case uopt.SchemeSn:
+		add("reuse-sn")
 	}
-	switch p := cfg.Predictor.(type) {
-	case *uopt.Predictor:
-		add("vp:" + strconv.Itoa(p.Threshold))
-	case *uopt.StridePredictor:
-		add("vp-stride:" + strconv.Itoa(p.Threshold))
+	switch vp := cfg.ValuePred; vp.Scheme {
+	case uopt.VPLastValue:
+		add("vp:" + strconv.Itoa(max(vp.Threshold, 1)))
+	case uopt.VPStride:
+		add("vp-stride:" + strconv.Itoa(max(vp.Threshold, 1)))
 	}
 	switch cfg.RFC {
 	case uopt.RFCAnyValue:

@@ -77,7 +77,7 @@ func witnesses() []witness {
 			name: "zero-skip multiply", item: "Operands: Int mul (CS)",
 			config: func() pipeline.Config {
 				c := base()
-				c.Simplifier = &uopt.Simplifier{ZeroSkipMul: true}
+				c.Simplifier = uopt.Simplifier{ZeroSkipMul: true}
 				return c
 			},
 			baseline: base,
@@ -99,7 +99,7 @@ func witnesses() []witness {
 			name: "early-exit division", item: "Operands: Int div (CS)",
 			config: func() pipeline.Config {
 				c := base()
-				c.Simplifier = &uopt.Simplifier{EarlyExitDiv: true}
+				c.Simplifier = uopt.Simplifier{EarlyExitDiv: true}
 				return c
 			},
 			baseline: base,
@@ -121,7 +121,7 @@ func witnesses() []witness {
 			config: func() pipeline.Config {
 				c := base()
 				c.ALUPorts = 1
-				c.Packer = uopt.NewPacker()
+				c.Packing = true
 				return c
 			},
 			baseline: func() pipeline.Config {
@@ -151,7 +151,7 @@ func witnesses() []witness {
 			name: "computation reuse (Sv)", item: "Operands: Int mul (CR)",
 			config: func() pipeline.Config {
 				c := base()
-				c.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
+				c.Reuse = uopt.SchemeSv
 				return c
 			},
 			baseline: base,
@@ -182,7 +182,7 @@ func witnesses() []witness {
 			name: "load value prediction", item: "Data: Load (VP)",
 			config: func() pipeline.Config {
 				c := base()
-				c.Predictor = uopt.NewPredictor(2)
+				c.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 2}
 				return c
 			},
 			baseline: base,
@@ -546,8 +546,7 @@ func runReuseAblation(Options) (Result, error) {
 	}
 	run := func(scheme uopt.ReuseScheme, secret uint64) (int64, uint64, error) {
 		cfg := base()
-		rb := uopt.NewReuseBuffer(scheme, 64)
-		cfg.Reuse = rb
+		cfg.Reuse = scheme
 		m, err := pipeline.New(cfg, mem.New(), cache.MustNewHierarchy(cache.DefaultHierConfig()))
 		if err != nil {
 			return 0, 0, err
@@ -560,7 +559,7 @@ func runReuseAblation(Options) (Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		return res.Cycles, rb.Hits, nil
+		return res.Cycles, res.Stats.ReuseHits, nil
 	}
 	svEq, svEqHits, err := run(uopt.SchemeSv, 1000)
 	if err != nil {

@@ -102,10 +102,11 @@ func (m ToggleMask) String() string {
 	return s
 }
 
-// PipeConfig builds the pipeline configuration for a toggle mask. Each
-// call returns fresh optimization state (predictors and reuse buffers are
-// stateful), with invariant checking on and a cycle budget suited to the
-// short programs the harness runs.
+// PipeConfig builds the pipeline configuration for a toggle mask, with
+// invariant checking on and a cycle budget suited to the short programs
+// the harness runs. The config is a plain description: the predictor and
+// reuse tables it enables are built by the machine, so one value may be
+// shared by any number of machines.
 func PipeConfig(mask ToggleMask) pipeline.Config {
 	c := pipeline.DefaultConfig()
 	c.MaxCycles = 2_000_000
@@ -114,16 +115,16 @@ func PipeConfig(mask ToggleMask) pipeline.Config {
 		c.SilentStores = &pipeline.SilentStoreConfig{Retry: true}
 	}
 	if mask&TogPredictor != 0 {
-		c.Predictor = uopt.NewPredictor(2)
+		c.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 2}
 	}
 	if mask&TogReuse != 0 {
-		c.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
+		c.Reuse = uopt.SchemeSv
 	}
 	if mask&TogSimplifier != 0 {
-		c.Simplifier = &uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
+		c.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
 	}
 	if mask&TogPacker != 0 {
-		c.Packer = uopt.NewPacker()
+		c.Packing = true
 	}
 	if mask&TogRFC != 0 {
 		c.RFC = uopt.RFCAnyValue

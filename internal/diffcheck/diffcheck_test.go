@@ -27,8 +27,8 @@ func TestToggleMaskString(t *testing.T) {
 
 func TestPipeConfigToggles(t *testing.T) {
 	off := PipeConfig(0)
-	if off.SilentStores != nil || off.Predictor != nil || off.Reuse != nil ||
-		off.Simplifier != nil || off.Packer != nil || off.RFC != uopt.RFCOff || off.FuseAddiLoad {
+	if off.SilentStores != nil || off.ValuePred.Scheme != uopt.VPOff || off.Reuse != uopt.ReuseOff ||
+		off.Simplifier.Enabled() || off.Packing || off.RFC != uopt.RFCOff || off.FuseAddiLoad {
 		t.Errorf("mask 0 enabled an optimization: %+v", off)
 	}
 	if !off.CheckInvariants {
@@ -38,8 +38,8 @@ func TestPipeConfigToggles(t *testing.T) {
 		t.Errorf("mask 0 enabled speculation: %+v", off)
 	}
 	on := PipeConfig(AllMasks - 1)
-	if on.SilentStores == nil || on.Predictor == nil || on.Reuse == nil ||
-		on.Simplifier == nil || on.Packer == nil || on.RFC != uopt.RFCAnyValue || !on.FuseAddiLoad {
+	if on.SilentStores == nil || on.ValuePred.Scheme == uopt.VPOff || on.Reuse == uopt.ReuseOff ||
+		!on.Simplifier.Enabled() || !on.Packing || on.RFC != uopt.RFCAnyValue || !on.FuseAddiLoad {
 		t.Errorf("full mask left an optimization off: %+v", on)
 	}
 	if on.Speculation == nil || !on.Speculation.WrongPath || !on.Speculation.StLF || on.StoreAddrLat != 4 {

@@ -214,12 +214,14 @@ type Config struct {
 	// those tests, not for production use.
 	LinearScheduler bool
 
-	// Optimization classes (nil/zero disables each).
+	// Optimization classes, each a description whose nil or zero value
+	// disables it. The tables behind them are the Machine's, built or
+	// cleared by Reset, so one Config may serve many machines at once.
 	SilentStores *SilentStoreConfig
-	Simplifier   *uopt.Simplifier
-	Packer       *uopt.Packer
-	Reuse        *uopt.ReuseBuffer
-	Predictor    uopt.ValuePredictor
+	Simplifier   uopt.Simplifier
+	Packing      bool
+	Reuse        uopt.ReuseScheme
+	ValuePred    uopt.VPConfig
 	RFC          uopt.RFCMode
 
 	// SQOutOfOrderDequeue lets retired stores dequeue past a blocked
@@ -344,10 +346,10 @@ func (c Config) validate(h *cache.Hierarchy) error {
 }
 
 // Stats aggregates run statistics. It stays a plain comparable struct —
-// the fault campaign and diffcheck compare whole Stats values — but
-// direct field writes are confined to this package: external readers use
-// Machine.Stats() (a compatibility getter returning a copy) or the named
-// counters on Machine.Metrics().
+// the fault campaign compares whole Stats values — but direct field
+// writes are confined to this package: external readers use
+// Machine.Stats() or Result.Stats (copies), or the named counters on
+// Machine.Metrics().
 type Stats struct {
 	Cycles  int64
 	Retired uint64

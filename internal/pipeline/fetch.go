@@ -233,8 +233,8 @@ func (m *Machine) dispatch(u *uop) {
 		// Wrong-path loads are never value-predicted: a wrong-path µop
 		// must not initiate a value squash (its "misprediction" has no
 		// architectural meaning) nor enter the replay queue.
-		if m.cfg.Predictor != nil && !u.wrongPath {
-			if v, ok := m.cfg.Predictor.Predict(u.pc); ok {
+		if m.vp != nil && !u.wrongPath {
+			if v, ok := m.vp.Predict(u.pc); ok {
 				u.predicted = true
 				u.wasPredicted = true
 				u.predictedVal = v

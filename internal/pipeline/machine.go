@@ -105,7 +105,16 @@ type Machine struct {
 	committedTaint [isa.NumRegs]bool
 
 	prfFree int
-	vf      *uopt.ValueFile
+	vf      uopt.ValueFile
+
+	// The tables behind Config.ValuePred and Config.Reuse, which Reset
+	// clears and Run keeps warm. vp is nil or points at lastValue or
+	// stride; in-package tests may substitute their own after New. The
+	// 3 KB reuse buffer is built the first time a config turns reuse on.
+	vp        valuePredictor
+	lastValue uopt.Predictor
+	stride    uopt.StridePredictor
+	reuse     *uopt.ReuseBuffer
 
 	fetchBlocked *uop  // unresolved mispredicted branch / indirect jump
 	fetchResumeC int64 // earliest cycle fetch may proceed
@@ -147,9 +156,9 @@ type Machine struct {
 	err error
 }
 
-// Stats returns a copy of the accumulated counters — the compatibility
-// getter for code (diffcheck, the fault campaign) that compares whole
-// Stats values; new code prefers the named Metrics() registry.
+// Stats returns a copy of the accumulated counters, the form the fault
+// campaign compares whole and the experiments read fields of. Metrics()
+// names the same counters, plus the hierarchy's, for snapshot and delta.
 func (m *Machine) Stats() Stats { return m.stats }
 
 // Metrics returns the machine's counter registry: every pipeline.* field
@@ -230,9 +239,11 @@ func New(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) (*Machine, error
 // the stats — is gone. Only buffers carry over, emptied or cleared: the
 // µop and store-queue pools, the decode cache, the ROB ring and its
 // bitmap slab, the per-cycle scratch, the RDCYCLE-taint map, the value
-// file, the predictor tables and the oracle (Run re-clones its memory).
-// Every other field starts from its zero value, as in New. On error m is
-// unchanged.
+// file, the value predictors, the reuse buffer, the branch and forwarding
+// predictor tables and the oracle (Run re-clones its memory). Every
+// other field starts from its zero value, as in New. On error m is
+// unchanged. Only the caller's attachments (Taint, Faults, Probe,
+// Cancel) keep state of their own across Reset.
 //
 // memory and hier are taken as they are: a caller that wants them at
 // power-on too resets them first (mem.Memory.Reset,
@@ -245,12 +256,6 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 		return err
 	}
 	m.reclaimInFlight()
-	vf := m.vf
-	if vf == nil {
-		vf = uopt.NewValueFile(cfg.RFC)
-	} else {
-		vf.Reset(cfg.RFC)
-	}
 	taintedMem := m.taintedMem
 	if taintedMem == nil {
 		taintedMem = make(map[uint64]bool)
@@ -280,9 +285,14 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 		btable:          m.btable[:0],
 		stlf:            m.stlf[:0],
 		taintedMem:      taintedMem,
-		vf:              vf,
+		vf:              m.vf,
+		lastValue:       m.lastValue,
+		stride:          m.stride,
+		reuse:           m.reuse,
 	}
+	m.vf.Reset(cfg.RFC)
 	m.initROB()
+	m.initOpt()
 	if cfg.Speculation != nil {
 		m.btable = counters(m.btable, 1<<bimodalBits)
 		m.stlf = counters(m.stlf, 1<<stlfBits)
@@ -311,6 +321,37 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 		}
 	}
 	return nil
+}
+
+// initOpt clears the value predictor and reuse buffer the config
+// describes, keeping their storage.
+func (m *Machine) initOpt() {
+	switch vp := m.cfg.ValuePred; vp.Scheme {
+	case uopt.VPLastValue:
+		m.lastValue.Reset(vp.Threshold)
+		m.vp = &m.lastValue
+	case uopt.VPStride:
+		m.stride.Reset(vp.Threshold)
+		m.vp = &m.stride
+	}
+	if m.cfg.Reuse != uopt.ReuseOff {
+		if m.reuse == nil {
+			m.reuse = new(uopt.ReuseBuffer)
+		}
+		*m.reuse = uopt.ReuseBuffer{Scheme: m.cfg.Reuse}
+	}
+}
+
+// valuePredictor is what the machine asks of a value predictor (the
+// paper: proposals "ranging from simple last-value and stride predictors
+// to hybrid predictors — nearly all threshold based"). Predict runs at
+// dispatch, Resolve at commit (once per dynamic instance, in program
+// order; it reports whether a consumed prediction was wrong), Squash on
+// every value-misprediction squash.
+type valuePredictor interface {
+	Predict(pc int64) (uint64, bool)
+	Resolve(pc int64, actual uint64, predicted bool, predictedVal uint64) bool
+	Squash()
 }
 
 // counters returns an n-entry predictor table of zeroed 2-bit counters,

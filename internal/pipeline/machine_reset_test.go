@@ -14,7 +14,8 @@ import (
 // powerOn is m with the fields Reset carries over as buffers, and the
 // attachments the caller owns, cleared: what must equal a new machine's
 // after Reset. The predictor tables stay (their contents must be zero);
-// an empty one stands for New's nil.
+// an empty one stands for New's nil. The value predictor in use is
+// compared through vp, and the reuse buffer only while reuse is on.
 func powerOn(m *Machine) Machine {
 	c := *m
 	c.mem, c.hier, c.oracle = nil, nil, nil
@@ -25,21 +26,32 @@ func powerOn(m *Machine) Machine {
 	if len(c.btable) == 0 {
 		c.btable, c.stlf = nil, nil
 	}
+	c.lastValue, c.stride = uopt.Predictor{}, uopt.StridePredictor{}
+	if c.cfg.Reuse == uopt.ReuseOff {
+		c.reuse = nil
+	}
 	return c
 }
 
 // TestResetMatchesNew aborts a run mid-flight — µops in the ROB, store
-// queue and fence queue, predictor tables trained, invariant bitmaps
-// marked — then resets the machine under each config and compares every
-// field with a new machine's: any state a later field adds that Reset
-// forgets shows up here. The pools must come back complete.
+// queue and fence queue, predictor and reuse tables trained, invariant
+// bitmaps marked — then resets the machine under each config and
+// compares every field with a new machine's: any state a later field
+// adds that Reset forgets shows up here. The pools must come back
+// complete.
 func TestResetMatchesNew(t *testing.T) {
 	prog := asm.MustAssemble(specAllocKernel)
 	checked := specAllocConfig()
 	checked.CheckInvariants = true
+	checked.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 1}
+	checked.Reuse = uopt.SchemeSv
 	rfc := DefaultConfig()
 	rfc.RFC, rfc.PhysRegs = uopt.RFCAnyValue, 48
-	for name, cfg := range map[string]Config{"default": DefaultConfig(), "spec+checked": checked, "rfc": rfc} {
+	tables := DefaultConfig()
+	tables.ValuePred, tables.Reuse = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 3}, uopt.SchemeSn
+	stride := DefaultConfig()
+	stride.ValuePred = uopt.VPConfig{Scheme: uopt.VPStride, Threshold: 2}
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "spec+checked": checked, "rfc": rfc, "vp+reuse": tables, "stride": stride} {
 		for _, cut := range []int64{50, 137, DefaultConfig().MaxCycles} {
 			before := checked
 			before.MaxCycles = cut

@@ -77,7 +77,7 @@ func TestProbeUoptActivations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Probe = tr
 	cfg.SilentStores = &SilentStoreConfig{}
-	cfg.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
+	cfg.Reuse = uopt.SchemeSv
 	m := newTestMachine(t, cfg)
 	run(t, m, `
 		addi x1, x0, 0x200

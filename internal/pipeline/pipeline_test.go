@@ -315,27 +315,27 @@ func optVariants() map[string]func() Config {
 		},
 		"valuepred": func() Config {
 			c := DefaultConfig()
-			c.Predictor = uopt.NewPredictor(1)
+			c.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 1}
 			return c
 		},
 		"reuse-sv": func() Config {
 			c := DefaultConfig()
-			c.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
+			c.Reuse = uopt.SchemeSv
 			return c
 		},
 		"reuse-sn": func() Config {
 			c := DefaultConfig()
-			c.Reuse = uopt.NewReuseBuffer(uopt.SchemeSn, 64)
+			c.Reuse = uopt.SchemeSn
 			return c
 		},
 		"compsimp": func() Config {
 			c := DefaultConfig()
-			c.Simplifier = &uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
+			c.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
 			return c
 		},
 		"packing": func() Config {
 			c := DefaultConfig()
-			c.Packer = uopt.NewPacker()
+			c.Packing = true
 			return c
 		},
 		"rfc-any": func() Config {
@@ -360,10 +360,10 @@ func optVariants() map[string]func() Config {
 		"everything": func() Config {
 			c := DefaultConfig()
 			c.SilentStores = &SilentStoreConfig{Retry: true}
-			c.Predictor = uopt.NewPredictor(2)
-			c.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
-			c.Simplifier = &uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
-			c.Packer = uopt.NewPacker()
+			c.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 2}
+			c.Reuse = uopt.SchemeSv
+			c.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
+			c.Packing = true
 			c.RFC = uopt.RFCAnyValue
 			c.PhysRegs = 48
 			return c

@@ -123,9 +123,8 @@ func runCycles(t *testing.T, cfg Config, prog isa.Program) int64 {
 // TestValueSquashRecovery: a deliberately unpredictable load under an
 // eager predictor must squash and still produce correct results.
 func TestValueSquashRecovery(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Predictor = newEagerPredictor()
-	m := newTestMachine(t, cfg)
+	m := newTestMachine(t, DefaultConfig())
+	m.vp = newEagerPredictor()
 	res := run(t, m, `
 		addi x1, x0, 0x900
 		addi x9, x0, 16
@@ -168,7 +167,6 @@ func (p *eagerPredictor) Resolve(pc int64, actual uint64, predicted bool, predic
 }
 
 func (p *eagerPredictor) Squash() {}
-func (p *eagerPredictor) Flush()  { p.last = map[int64]uint64{} }
 
 // TestEventLogOrdering: per µop, dispatch ≤ issue ≤ retire cycles.
 func TestEventLogOrdering(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"pandora/internal/cache"
@@ -113,8 +114,11 @@ func hierarchyFor(t *testing.T, v diffcheck.CacheVariant) *cache.Hierarchy {
 // checkReset runs a on a new machine, cut short by MaxCycles=cutAt or,
 // after cutAt probe events, by cancellation when cut is 1 or 2, then resets
 // the machine, its memory and (when b shares a's geometry) its hierarchy
-// to b and runs b. The outcome must equal b's on a new machine.
-func checkReset(t *testing.T, a, b resetRun, cut int, cutAt int64) {
+// to b and runs b. The outcome must equal b's on a new machine. With
+// shared (b.mask must be a.mask), the reset takes the very Config value
+// a ran with, keeping only b's own cycle budget, taint state and probe:
+// whatever a trained belongs to the machine, so Reset clears it.
+func checkReset(t *testing.T, a, b resetRun, cut int, cutAt int64, shared bool) {
 	t.Helper()
 	mm := mem.New()
 	diffcheck.InitMemory(mm)
@@ -152,6 +156,10 @@ func checkReset(t *testing.T, a, b resetRun, cut int, cutAt int64) {
 		hier = hierarchyFor(t, b.variant)
 	}
 	cfgB, st := b.config(t)
+	if shared {
+		cfgA.MaxCycles, cfgA.Cancel, cfgA.Taint = cfgB.MaxCycles, nil, cfgB.Taint
+		cfgB = cfgA
+	}
 	log := &eventLog{}
 	cfgB.Probe = log
 	if err := m.Reset(cfgB, mm, hier); err != nil {
@@ -197,7 +205,9 @@ func checkReset(t *testing.T, a, b resetRun, cut int, cutAt int64) {
 
 // FuzzResetEquivalence runs program A, sometimes cut short, then resets
 // the machine to program B's mask and cache variant and requires B to run
-// exactly as on a new machine. The seeds pair speculative masks (the
+// exactly as on a new machine. A second leg resets under the very Config
+// value A ran with and runs B there: the predictor and reuse tables A
+// trained must not survive. The seeds pair speculative masks (the
 // bimodal and forwarding tables A trains), the Random policy on both
 // sides (its generator must be re-seeded) and every way of ending A.
 func FuzzResetEquivalence(f *testing.F) {
@@ -230,6 +240,62 @@ func FuzzResetEquivalence(f *testing.F) {
 				withTaint: seed&1 == 0,
 			}
 		}
-		checkReset(t, run(seedA, maskA), run(seedB, maskB), int(cut%3), 1+int64(knob%64)*8)
+		a, b := run(seedA, maskA), run(seedB, maskB)
+		checkReset(t, a, b, int(cut%3), 1+int64(knob%64)*8, false)
+		b.mask = a.mask
+		checkReset(t, a, b, int(cut%3), 1+int64(knob%64)*8, true)
 	})
+}
+
+// TestSharedConfigConcurrent runs two machines at once from one Config
+// value with every optimization on. The machines own their predictor
+// and reuse tables, so each sequence of warm runs must end exactly as it
+// does alone; under -race, any mutable state reached through the config
+// is a reported race.
+func TestSharedConfigConcurrent(t *testing.T) {
+	cfg := diffcheck.PipeConfig(diffcheck.AllMasks - 1)
+	progs := [2]isa.Program{generated(3), generated(4)}
+	runs := func(prog isa.Program) (pipeline.Result, error) {
+		mm := mem.New()
+		diffcheck.InitMemory(mm)
+		m, err := pipeline.New(cfg, mm, cache.MustNewHierarchy(cache.DefaultHierConfig()))
+		if err != nil {
+			return pipeline.Result{}, err
+		}
+		var res pipeline.Result
+		for range 4 {
+			if res, err = m.Run(prog); err != nil {
+				break
+			}
+		}
+		return res, err
+	}
+	var want, got [2]pipeline.Result
+	var errs [2]error
+	for i, p := range progs {
+		var err error
+		if want[i], err = runs(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].Stats.ReuseHits == 0 || want[0].Stats.Packed == 0 {
+		t.Fatalf("program exercises neither reuse nor packing: %+v", want[0].Stats)
+	}
+	var wg sync.WaitGroup
+	for i, p := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = runs(p)
+		}()
+	}
+	wg.Wait()
+	for i := range progs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("machine %d beside another: %+v, alone: %+v", i, got[i], want[i])
+		}
+	}
 }

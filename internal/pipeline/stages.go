@@ -85,8 +85,8 @@ func (m *Machine) retire() {
 			m.lqCount--
 			// Predictors train at commit: exactly once per dynamic
 			// instance, in program order, replay-immune.
-			if m.cfg.Predictor != nil {
-				m.cfg.Predictor.Resolve(u.pc, u.result, u.wasPredicted, u.predictedVal)
+			if m.vp != nil {
+				m.vp.Resolve(u.pc, u.result, u.wasPredicted, u.predictedVal)
 			}
 		case isa.ClassBranch:
 			// The bimodal predictor trains at commit, like the value
@@ -126,7 +126,7 @@ func (m *Machine) retireShadow(st *taint.State, u *uop) {
 	if u.t.writesReg {
 		st.Regs[u.t.dest] = u.labels
 	}
-	if u.class == isa.ClassLoad && m.cfg.Predictor != nil {
+	if u.class == isa.ClassLoad && m.vp != nil {
 		// The predictor trains on this value at commit: its table now
 		// holds secret-derived state, and future predictions of this PC
 		// carry these labels (State.Pred).
@@ -178,15 +178,15 @@ func (m *Machine) complete() {
 				m.prfFree++
 				m.emit(obs.KindUopt, obs.TrackUopt, u, 0, "rfc-share")
 			}
-			if m.cfg.Reuse != nil {
-				m.cfg.Reuse.InvalidateReg(uint8(u.t.dest))
+			if m.cfg.Reuse != uopt.ReuseOff {
+				m.reuse.InvalidateReg(uint8(u.t.dest))
 			}
 		}
 
 		switch u.class {
 		case isa.ClassALU, isa.ClassMul, isa.ClassDiv:
-			if m.cfg.Reuse != nil && !u.reused && u.inst.Op != isa.LUI {
-				m.cfg.Reuse.Update(u.pc, u.srcVals[0], u.srcVals[1], uint8(u.t.src1), uint8(u.t.src2), u.result)
+			if m.cfg.Reuse != uopt.ReuseOff && !u.reused && u.inst.Op != isa.LUI {
+				m.reuse.Update(u.pc, u.srcVals[0], u.srcVals[1], uint8(u.t.src1), uint8(u.t.src2), u.result)
 			}
 		case isa.ClassLoad:
 			if u.predicted {
@@ -267,8 +267,8 @@ func (m *Machine) checkControl(u *uop) bool {
 // spec-forward-replay recovery.
 func (m *Machine) squashYounger(u *uop) {
 	m.stats.ValueSquashes++
-	if m.cfg.Predictor != nil {
-		m.cfg.Predictor.Squash()
+	if m.vp != nil {
+		m.vp.Squash()
 	}
 	m.squashTail(u.seq+1, m.cfg.SquashPenalty)
 }
@@ -685,7 +685,7 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 		}
 		lat := m.cfg.ALULat
 		simplified := false
-		if m.cfg.Simplifier != nil {
+		if m.cfg.Simplifier.Enabled() {
 			lat, simplified = m.cfg.Simplifier.SimplifiedLatency(uopt.KindSimple, u.srcVals[0], u.srcVals[1], lat)
 			if ts != nil && u.obsMask&obsSimplify == 0 {
 				u.obsMask |= obsSimplify
@@ -706,7 +706,7 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 		// narrow-operand ALU µop (pipeline compression), or with one
 		// of the SMT sibling's ops — whose operands the attacker set
 		// to be narrow precisely so that packing keys on the victim's.
-		if m.cfg.Packer != nil {
+		if m.cfg.Packing {
 			packed := false
 			for i := range ps.aluIssued {
 				s := &ps.aluIssued[i]
@@ -720,7 +720,7 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 					u.obsMask |= obsPack
 					ts.ObservePack(m.cycle, u.pc, s.u.labels|u.labels)
 				}
-				if m.cfg.Packer.CanPack(s.u.srcVals[0], s.u.srcVals[1], u.srcVals[0], u.srcVals[1]) {
+				if uopt.CanPack(s.u.srcVals[0], s.u.srcVals[1], u.srcVals[0], u.srcVals[1]) {
 					s.packed = true
 					packed = true
 					break
@@ -732,14 +732,13 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 					u.obsMask |= obsPack
 					ts.ObservePack(m.cycle, u.pc, u.labels)
 				}
-				if m.cfg.Packer.CanPack(ct.OperandA, ct.OperandB, u.srcVals[0], u.srcVals[1]) {
+				if uopt.CanPack(ct.OperandA, ct.OperandB, u.srcVals[0], u.srcVals[1]) {
 					ps.coOps--
 					packed = true
 				}
 			}
 			if packed {
 				u.packed = true
-				m.cfg.Packer.NotePacked()
 				m.stats.Packed++
 				m.emit(obs.KindUopt, obs.TrackUopt, u, 0, "pack")
 				m.startExec(u, lat)
@@ -764,7 +763,7 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 				lat = m.cfg.DivLat
 				kind = uopt.KindDiv
 			}
-			if m.cfg.Simplifier != nil {
+			if m.cfg.Simplifier.Enabled() {
 				var simplified bool
 				lat, simplified = m.cfg.Simplifier.SimplifiedLatency(kind, u.srcVals[0], u.srcVals[1], lat)
 				if simplified {
@@ -935,10 +934,10 @@ func (m *Machine) aluResult(u *uop) uint64 {
 // tryReuse consults the computation-reuse buffer; a hit skips the
 // functional unit (no port, single-cycle latency).
 func (m *Machine) tryReuse(u *uop) bool {
-	if m.cfg.Reuse == nil {
+	if m.cfg.Reuse == uopt.ReuseOff {
 		return false
 	}
-	if m.cfg.Reuse.Scheme == uopt.SchemeSv {
+	if m.cfg.Reuse == uopt.SchemeSv {
 		// Sv keys lookups on operand *values*; Sn compares only register
 		// names and never observes the secret (Section VI-A3's safe tweak),
 		// so it deliberately has no observer. The trigger condition is
@@ -950,7 +949,7 @@ func (m *Machine) tryReuse(u *uop) bool {
 			st.ObserveReuse(m.cycle, u.pc, u.labels)
 		}
 	}
-	if _, ok := m.cfg.Reuse.Lookup(u.pc, u.srcVals[0], u.srcVals[1], uint8(u.t.src1), uint8(u.t.src2)); ok {
+	if _, ok := m.reuse.Lookup(u.pc, u.srcVals[0], u.srcVals[1], uint8(u.t.src1), uint8(u.t.src2)); ok {
 		u.reused = true
 		m.stats.ReuseHits++
 		m.emit(obs.KindUopt, obs.TrackUopt, u, 0, "reuse")

@@ -34,17 +34,17 @@ func shadowConfigs() map[string]func() pipeline.Config {
 		},
 		"compsimp": func() pipeline.Config {
 			c := pipeline.DefaultConfig()
-			c.Simplifier = &uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
+			c.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
 			return c
 		},
 		"packing": func() pipeline.Config {
 			c := pipeline.DefaultConfig()
-			c.Packer = uopt.NewPacker()
+			c.Packing = true
 			return c
 		},
 		"reuse-sv": func() pipeline.Config {
 			c := pipeline.DefaultConfig()
-			c.Reuse = uopt.NewReuseBuffer(uopt.SchemeSv, 64)
+			c.Reuse = uopt.SchemeSv
 			return c
 		},
 		"rfc": func() pipeline.Config {

@@ -113,38 +113,38 @@ func TestStridePredictorInPipeline(t *testing.T) {
 		bne  x9, x0, loop
 		halt
 	`
-	runWith := func(pred uopt.ValuePredictor) (int64, error) {
+	// runWith returns the run's cycles and the machine's predictor.
+	runWith := func(scheme uopt.VPScheme) (int64, valuePredictor, error) {
 		cfg := DefaultConfig()
-		cfg.Predictor = pred
+		cfg.ValuePred = uopt.VPConfig{Scheme: scheme, Threshold: 2}
 		mm := mem.New()
 		for n := uint64(0); n <= nodes; n++ {
 			mm.Write(listBase+n*nodeStep, 8, listBase+(n+1)*nodeStep)
 		}
 		m, err := New(cfg, mm, cache.MustNewHierarchy(cache.DefaultHierConfig()))
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		res, err := m.Run(asm.MustAssemble(src))
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
-		return res.Cycles, nil
+		return res.Cycles, m.vp, nil
 	}
 
-	noPred, err := runWith(nil)
+	noPred, _, err := runWith(uopt.VPOff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastVal := uopt.NewPredictor(2)
-	lvCycles, err := runWith(lastVal)
+	lvCycles, lv, err := runWith(uopt.VPLastValue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride := uopt.NewStridePredictor(2)
-	stCycles, err := runWith(stride)
+	stCycles, st, err := runWith(uopt.VPStride)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lastVal, stride := lv.(*uopt.Predictor), st.(*uopt.StridePredictor)
 	if stride.Correct == 0 {
 		t.Fatalf("stride predictor never predicted correctly: %+v", stride)
 	}
@@ -212,7 +212,7 @@ func TestStrengthReductionLeak(t *testing.T) {
 	runWith := func(simplify bool, secret int64) int64 {
 		cfg := DefaultConfig()
 		if simplify {
-			cfg.Simplifier = &uopt.Simplifier{StrengthReduction: true}
+			cfg.Simplifier = uopt.Simplifier{StrengthReduction: true}
 		}
 		m := newTestMachine(t, cfg)
 		res, err := m.Run(asm.MustAssemble(src(secret)))
@@ -268,7 +268,7 @@ func TestCoTenantPackingAttack(t *testing.T) {
 	runWith := func(coA, coB uint64, secret int64) int64 {
 		cfg := DefaultConfig()
 		cfg.ALUPorts = 2
-		cfg.Packer = uopt.NewPacker()
+		cfg.Packing = true
 		cfg.CoTenant = &CoTenantConfig{OperandA: coA, OperandB: coB}
 		m := newTestMachine(t, cfg)
 		res, err := m.Run(asm.MustAssemble(victim(secret)))

@@ -123,12 +123,11 @@ func TestValuePredictedConsumerReadyAtDispatch(t *testing.T) {
 		add  x6, x5, x5
 		halt
 	`
-	cfg := func() Config {
-		c := DefaultConfig()
-		c.Predictor = &eagerPredictor{last: map[int64]uint64{3: 21}}
-		return c
+	cfg := DefaultConfig
+	init := func(m *Machine) {
+		m.vp = &eagerPredictor{last: map[int64]uint64{3: 21}}
+		m.Memory().Write(0x900, 8, 21)
 	}
-	init := func(m *Machine) { m.Memory().Write(0x900, 8, 21) }
 	m, _, evs := bothSchedulers(t, cfg, init, src)
 	if got := m.Reg(6); got != 42 {
 		t.Fatalf("x6 = %d, want 42", got)
@@ -161,12 +160,11 @@ func TestRedispatchAfterSquash(t *testing.T) {
 		mul  x7, x6, x6
 		halt
 	`
-	cfg := func() Config {
-		c := DefaultConfig()
-		c.Predictor = &eagerPredictor{last: map[int64]uint64{1: 99}}
-		return c
+	cfg := DefaultConfig
+	init := func(m *Machine) {
+		m.vp = &eagerPredictor{last: map[int64]uint64{1: 99}}
+		m.Memory().Write(0x900, 8, 5)
 	}
-	init := func(m *Machine) { m.Memory().Write(0x900, 8, 5) }
 	m, _, evs := bothSchedulers(t, cfg, init, src)
 	if n := m.Stats().ValueSquashes; n != 1 {
 		t.Fatalf("ValueSquashes = %d, want 1", n)
@@ -201,12 +199,11 @@ func TestWrongPredictionFeedingBranchReplays(t *testing.T) {
 		addi x6, x0, 1
 		halt
 	`
-	cfg := func() Config {
-		c := DefaultConfig()
-		c.Predictor = &eagerPredictor{last: map[int64]uint64{3: 0}}
-		return c
+	cfg := DefaultConfig
+	init := func(m *Machine) {
+		m.vp = &eagerPredictor{last: map[int64]uint64{3: 0}}
+		m.Memory().Write(0x900, 8, 21)
 	}
-	init := func(m *Machine) { m.Memory().Write(0x900, 8, 21) }
 	m, _, evs := bothSchedulers(t, cfg, init, src)
 	if n := m.Stats().ValueSquashes; n != 1 {
 		t.Fatalf("ValueSquashes = %d, want 1", n)

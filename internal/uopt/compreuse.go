@@ -1,8 +1,9 @@
 package uopt
 
-// ReuseScheme selects how the computation-reuse buffer is keyed, following
-// the variants of Sodani & Sohi's dynamic instruction reuse [ISCA'97]
-// (Sections IV-C2 and VI-A3 of the paper):
+// ReuseScheme selects whether and how the computation-reuse buffer is
+// keyed, following the variants of Sodani & Sohi's dynamic instruction
+// reuse [ISCA'97] (Sections IV-C2 and VI-A3 of the paper). The zero
+// value, ReuseOff, disables reuse.
 //
 //   - SchemeSv keys entries by PC and *operand values*. Highest reuse rate,
 //     but a reuse hit reveals that the current operand values equal the
@@ -14,18 +15,27 @@ package uopt
 type ReuseScheme uint8
 
 const (
+	// ReuseOff disables computation reuse.
+	ReuseOff ReuseScheme = iota
 	// SchemeSv is value-keyed reuse.
-	SchemeSv ReuseScheme = iota
+	SchemeSv
 	// SchemeSn is name-keyed reuse.
 	SchemeSn
 )
 
 func (s ReuseScheme) String() string {
-	if s == SchemeSn {
+	switch s {
+	case SchemeSv:
+		return "Sv"
+	case SchemeSn:
 		return "Sn"
 	}
-	return "Sv"
+	return "off"
 }
+
+// ReuseEntries is the reuse buffer's size: 64 entries, direct-mapped on
+// PC.
+const ReuseEntries = 64
 
 type reuseEntry struct {
 	valid  bool
@@ -41,67 +51,49 @@ type reuseEntry struct {
 // for the keying discipline in use.
 type ReuseBuffer struct {
 	Scheme  ReuseScheme
-	entries []reuseEntry
-
-	Hits    uint64
-	Misses  uint64
-	Updates uint64
+	entries [ReuseEntries]reuseEntry
 }
 
-// NewReuseBuffer returns a buffer with the given number of entries
-// (direct-mapped on PC).
-func NewReuseBuffer(scheme ReuseScheme, entries int) *ReuseBuffer {
-	if entries <= 0 {
-		entries = 64
-	}
-	return &ReuseBuffer{Scheme: scheme, entries: make([]reuseEntry, entries)}
+// NewReuseBuffer returns an empty buffer keyed by scheme. The zero
+// ReuseBuffer with Scheme set is the same empty buffer.
+func NewReuseBuffer(scheme ReuseScheme) *ReuseBuffer {
+	return &ReuseBuffer{Scheme: scheme}
 }
 
 func (rb *ReuseBuffer) slot(pc int64) *reuseEntry {
-	return &rb.entries[uint64(pc)%uint64(len(rb.entries))]
+	return &rb.entries[uint64(pc)%ReuseEntries]
 }
 
 // Lookup consults the buffer for the dynamic instruction at pc with
 // operand values a,b read from registers ra,rb. On a hit the memoized
 // result is returned and the functional unit can be skipped.
 func (rb *ReuseBuffer) Lookup(pc int64, a, b uint64, ra, rb2 uint8) (uint64, bool) {
-	if rb == nil {
-		return 0, false
-	}
 	e := rb.slot(pc)
 	if !e.valid || e.pc != pc {
-		rb.Misses++
 		return 0, false
 	}
 	switch rb.Scheme {
 	case SchemeSv:
 		if e.a == a && e.b == b {
-			rb.Hits++
 			return e.result, true
 		}
 	case SchemeSn:
 		if e.ra == ra && e.rb == rb2 {
-			rb.Hits++
 			return e.result, true
 		}
 	}
-	rb.Misses++
 	return 0, false
 }
 
 // Update memoizes the result of the instruction at pc.
 func (rb *ReuseBuffer) Update(pc int64, a, b uint64, ra, rb2 uint8, result uint64) {
-	if rb == nil {
-		return
-	}
-	rb.Updates++
 	*rb.slot(pc) = reuseEntry{valid: true, pc: pc, a: a, b: b, ra: ra, rb: rb2, result: result}
 }
 
 // InvalidateReg drops every Sn entry sourced from register r; called when
 // r is overwritten. Sv entries are value-keyed and unaffected.
 func (rb *ReuseBuffer) InvalidateReg(r uint8) {
-	if rb == nil || rb.Scheme != SchemeSn {
+	if rb.Scheme != SchemeSn {
 		return
 	}
 	for i := range rb.entries {

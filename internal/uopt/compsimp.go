@@ -7,8 +7,11 @@
 // live in the pipeline and package dmp respectively because they are
 // inseparable from the store queue and cache hierarchy.
 //
-// Every component here is deterministic and observable: each exposes the
-// counters an attacker-visible timing difference would stem from.
+// Every component here is deterministic. Simplification and packing are
+// pure functions of operand values; the stateful tables (reuse buffer,
+// value predictors, value file) belong to the pipeline machine, which
+// builds and clears them on Reset. The attacker-visible events they cause
+// are counted in pipeline.Stats.
 package uopt
 
 import "math/bits"
@@ -24,6 +27,8 @@ import "math/bits"
 //   - EarlyExitDiv: digit-serial division retires early when the quotient
 //     is narrow — latency grows with the significant-bit gap between
 //     dividend and divisor [Coppens et al., S&P'09 observed the attack].
+//
+// A Simplifier is a plain value: its zero value simplifies nothing.
 type Simplifier struct {
 	ZeroSkipMul  bool
 	TrivialALU   bool
@@ -35,79 +40,52 @@ type Simplifier struct {
 	// out as a security issue, because the reduction manifests as a
 	// function of a specific operand's value beyond control flow.
 	StrengthReduction bool
-
-	// DivBitsPerCycle is the radix of the early-exit divider: how many
-	// quotient bits retire per cycle. Zero means 2 (radix-4 divider).
-	DivBitsPerCycle int
-
-	// Simplified counts how many dynamic instructions took a fast path.
-	Simplified uint64
 }
+
+// divBitsPerCycle is the radix of the early-exit divider: how many
+// quotient bits retire per cycle (a radix-4 divider).
+const divBitsPerCycle = 2
+
+// Enabled reports whether any technique is on.
+func (s Simplifier) Enabled() bool { return s != Simplifier{} }
 
 // SimplifiedLatency returns the latency for an ALU-family op with operand
 // values a and b, given the op's default latency, and whether a fast path
 // applied. The op kinds are communicated through the ALUKind enum so this
 // package does not depend on package isa.
-func (s *Simplifier) SimplifiedLatency(kind ALUKind, a, b uint64, def int) (int, bool) {
-	if s == nil {
-		return def, false
-	}
+func (s Simplifier) SimplifiedLatency(kind ALUKind, a, b uint64, def int) (int, bool) {
 	switch kind {
 	case KindMul:
 		if s.ZeroSkipMul && (a == 0 || b == 0) {
-			s.Simplified++
 			return 1, true
 		}
 		if s.TrivialALU && (a == 1 || b == 1) {
-			s.Simplified++
 			return 1, true
 		}
 		if s.StrengthReduction && (isPow2(a) || isPow2(b)) {
-			s.Simplified++
 			return 1, true // a shift
 		}
 	case KindDiv:
 		if s.TrivialALU && (b == 1 || a == 0) {
-			s.Simplified++
 			return 1, true
 		}
 		if s.StrengthReduction && isPow2(b) {
-			s.Simplified++
 			return 1, true // a shift
 		}
 		if s.EarlyExitDiv {
-			lat := s.earlyExitDivLatency(a, b, def)
-			if lat < def {
-				s.Simplified++
+			// A digit-serial divider processes the quotient most-
+			// significant digit first and exits once its bits run out.
+			qbits := max(bits.Len64(a)-bits.Len64(b), 0)
+			if lat := 2 + (qbits+divBitsPerCycle-1)/divBitsPerCycle; lat < def {
 				return lat, true
 			}
 		}
 	case KindSimple:
 		if s.TrivialALU && trivialSimple(a, b) {
-			s.Simplified++
 			return 1, true
 		}
 	}
 	return def, false
-}
-
-// earlyExitDivLatency models a digit-serial divider that processes the
-// quotient most-significant-digit first and exits once the remaining
-// quotient bits are exhausted.
-func (s *Simplifier) earlyExitDivLatency(a, b uint64, def int) int {
-	bpc := s.DivBitsPerCycle
-	if bpc <= 0 {
-		bpc = 2
-	}
-	qbits := bits.Len64(a) - bits.Len64(b)
-	if qbits < 0 {
-		qbits = 0
-	}
-	lat := 2 + (qbits+bpc-1)/bpc // setup + digit iterations
-	if lat > def {
-		return def
-	}
-	return lat
 }
 
 // isPow2 reports whether v is a positive power of two.

@@ -2,45 +2,22 @@ package uopt
 
 import "math/bits"
 
-// Packer implements pipeline compression in the form of arithmetic-unit
+// Operand packing is pipeline compression in the form of arithmetic-unit
 // operand packing [Brooks & Martonosi, HPCA'99] (Section IV-B2, Figure 3
 // Example 4): two pending single-cycle integer operations whose operands
-// are all narrow (msb below NarrowBits) can share one execution port in
-// the same cycle. The observable outcome is a throughput difference that
-// depends on the operand *values* of in-flight instructions — including a
-// victim's, when an SMT sibling supplies the second instruction.
-type Packer struct {
-	// NarrowBits is the significance threshold; operands whose
-	// most-significant set bit index is below it are packable. The paper's
-	// example uses 16.
-	NarrowBits int
+// are all narrow (at most narrowBits significant bits) can share one
+// execution port in the same cycle. The observable outcome is a
+// throughput difference that depends on the operand *values* of
+// in-flight instructions — including a victim's, when an SMT sibling
+// supplies the second instruction.
 
-	// Packed counts instruction pairs that issued packed.
-	Packed uint64
-}
-
-// NewPacker returns a Packer with the paper's 16-bit threshold.
-func NewPacker() *Packer { return &Packer{NarrowBits: 16} }
-
-// Narrow reports whether a single operand value is narrow.
-func (p *Packer) Narrow(v uint64) bool {
-	nb := p.NarrowBits
-	if nb <= 0 {
-		nb = 16
-	}
-	return bits.Len64(v) <= nb
-}
+// narrowBits is the significance threshold of the paper's example.
+const narrowBits = 16
 
 // CanPack reports whether two instructions with the given operand values
 // may share one ALU port. This is the MLD of Figure 3, Example 4: the
 // outcome is a single bit, a conjunction over the four operands'
-// significance.
-func (p *Packer) CanPack(a0, a1, b0, b1 uint64) bool {
-	if p == nil {
-		return false
-	}
-	return p.Narrow(a0) && p.Narrow(a1) && p.Narrow(b0) && p.Narrow(b1)
+// significance (all four are narrow exactly when their OR is).
+func CanPack(a0, a1, b0, b1 uint64) bool {
+	return bits.Len64(a0|a1|b0|b1) <= narrowBits
 }
-
-// NotePacked records a successful packing.
-func (p *Packer) NotePacked() { p.Packed++ }

@@ -35,9 +35,6 @@ func (m RFCMode) String() string {
 type ValueFile struct {
 	Mode RFCMode
 	refs map[uint64]int
-
-	Shared uint64 // results that shared an existing register
-	Unique uint64 // results that kept their own register
 }
 
 // NewValueFile returns an empty tracker.
@@ -45,11 +42,14 @@ func NewValueFile(mode RFCMode) *ValueFile {
 	return &ValueFile{Mode: mode, refs: make(map[uint64]int)}
 }
 
-// Reset returns vf to NewValueFile(mode)'s state, keeping the map's
-// storage.
+// Reset returns vf, which may be a zero ValueFile, to NewValueFile(mode)'s
+// state, keeping the map's storage.
 func (vf *ValueFile) Reset(mode RFCMode) {
+	if vf.refs == nil {
+		vf.refs = make(map[uint64]int)
+	}
 	clear(vf.refs)
-	*vf = ValueFile{Mode: mode, refs: vf.refs}
+	vf.Mode = mode
 }
 
 func (vf *ValueFile) shareable(v uint64) bool {
@@ -71,11 +71,9 @@ func (vf *ValueFile) Produce(v uint64) (shared bool) {
 	}
 	if vf.shareable(v) && vf.refs[v] > 0 {
 		vf.refs[v]++
-		vf.Shared++
 		return true
 	}
 	vf.refs[v]++
-	vf.Unique++
 	return false
 }
 

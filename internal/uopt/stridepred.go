@@ -1,40 +1,14 @@
 package uopt
 
-// ValuePredictor abstracts the value-prediction schemes the pipeline can
-// host. The paper notes proposals "ranging from simple last-value and
-// stride predictors to hybrid predictors — nearly all threshold based".
-type ValuePredictor interface {
-	// Predict returns a confident prediction for the load at pc, if any.
-	// Called at dispatch; implementations may track speculative in-flight
-	// state.
-	Predict(pc int64) (uint64, bool)
-	// Resolve updates state with the actual value and reports whether a
-	// consumed prediction was wrong. Called at commit, once per dynamic
-	// instance, in program order.
-	Resolve(pc int64, actual uint64, predicted bool, predictedVal uint64) bool
-	// Squash discards speculative in-flight prediction state (called on
-	// a pipeline squash).
-	Squash()
-	// Flush clears predictor state.
-	Flush()
-}
-
-var (
-	_ ValuePredictor = (*Predictor)(nil)
-	_ ValuePredictor = (*StridePredictor)(nil)
-)
-
 // StridePredictor predicts value[n+1] = value[n] + stride, with the same
 // confidence-threshold discipline as the last-value predictor. It covers
 // the pointer-increment and induction-variable loads a last-value scheme
 // misses.
 type StridePredictor struct {
 	Threshold int
-	MaxConf   int
 
 	table map[int64]strideEntry // by value, as Predictor's
 
-	Predictions    uint64
 	Correct        uint64
 	Mispredictions uint64
 }
@@ -53,29 +27,35 @@ type strideEntry struct {
 // NewStridePredictor returns a stride predictor with the given confidence
 // threshold (minimum 1).
 func NewStridePredictor(threshold int) *StridePredictor {
-	if threshold < 1 {
-		threshold = 1
-	}
-	return &StridePredictor{
-		Threshold: threshold,
-		MaxConf:   threshold + 4,
-		table:     make(map[int64]strideEntry),
-	}
+	p := new(StridePredictor)
+	p.Reset(threshold)
+	return p
 }
 
-// Predict implements ValuePredictor.
+// Reset returns p, which may be a zero StridePredictor, to
+// NewStridePredictor(threshold)'s state, keeping the table's storage.
+func (p *StridePredictor) Reset(threshold int) {
+	if p.table == nil {
+		p.table = make(map[int64]strideEntry)
+	}
+	clear(p.table)
+	*p = StridePredictor{Threshold: max(threshold, 1), table: p.table}
+}
+
+// Predict returns a confident prediction for the load at pc, if any,
+// counting it as in flight until Resolve.
 func (p *StridePredictor) Predict(pc int64) (uint64, bool) {
 	e, ok := p.table[pc]
 	if !ok || e.conf < p.Threshold {
 		return 0, false
 	}
-	p.Predictions++
 	e.pending++
 	p.table[pc] = e
 	return e.last + e.stride*uint64(e.pending), true
 }
 
-// Resolve implements ValuePredictor.
+// Resolve trains the entry for pc on the committed value and reports
+// whether a consumed prediction was wrong.
 func (p *StridePredictor) Resolve(pc int64, actual uint64, predicted bool, predictedVal uint64) bool {
 	e := p.table[pc]
 	mispredict := false
@@ -92,7 +72,7 @@ func (p *StridePredictor) Resolve(pc int64, actual uint64, predicted bool, predi
 	}
 	stride := actual - e.last
 	if e.seen && stride == e.stride {
-		if e.conf < p.MaxConf {
+		if e.conf < p.Threshold+confHeadroom {
 			e.conf++
 		}
 	} else {
@@ -106,14 +86,11 @@ func (p *StridePredictor) Resolve(pc int64, actual uint64, predicted bool, predi
 	return mispredict
 }
 
-// Squash implements ValuePredictor: in-flight speculative predictions are
-// gone, so the pending counters reset.
+// Squash discards speculative in-flight state on a pipeline squash: the
+// pending counters reset.
 func (p *StridePredictor) Squash() {
 	for pc, e := range p.table {
 		e.pending = 0
 		p.table[pc] = e
 	}
 }
-
-// Flush implements ValuePredictor.
-func (p *StridePredictor) Flush() { clear(p.table) }

@@ -54,9 +54,9 @@ func TestStridePredictorFlushAndUnknownPC(t *testing.T) {
 	p.Resolve(1, 10, false, 0)
 	p.Resolve(1, 20, false, 0)
 	p.Resolve(1, 30, false, 0)
-	p.Flush()
-	if _, ok := p.Predict(1); ok {
-		t.Error("prediction survived Flush")
+	p.Reset(3)
+	if _, ok := p.Predict(1); ok || p.Threshold != 3 {
+		t.Errorf("prediction survived Reset (threshold %d)", p.Threshold)
 	}
 }
 
@@ -80,17 +80,17 @@ func TestLastValuePredictorSquashNoop(t *testing.T) {
 	if _, ok := p.Predict(1); !ok {
 		t.Error("Squash cleared last-value state")
 	}
-	p.Flush()
-	if _, ok := p.Predict(1); ok {
-		t.Error("Flush did not clear state")
+	p.Reset(1)
+	if _, ok := p.Predict(1); ok || p.Correct != 0 {
+		t.Error("Reset did not clear state")
 	}
-	if p.Confidence(999) != 0 {
+	if p.table[999].conf != 0 {
 		t.Error("confidence for unseen pc")
 	}
 }
 
 func TestStrengthReductionUnit(t *testing.T) {
-	s := &Simplifier{StrengthReduction: true}
+	s := Simplifier{StrengthReduction: true}
 	if lat, ok := s.SimplifiedLatency(KindMul, 64, 999, 4); !ok || lat != 1 {
 		t.Errorf("mul by 64: %d %v", lat, ok)
 	}
@@ -104,6 +104,7 @@ func TestStrengthReductionUnit(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	cases := map[string]string{
+		ReuseOff.String():    "off",
 		SchemeSv.String():    "Sv",
 		SchemeSn.String():    "Sn",
 		RFCOff.String():      "rfc-off",
@@ -120,20 +121,6 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestPackerNotePacked(t *testing.T) {
-	p := NewPacker()
-	p.NotePacked()
-	p.NotePacked()
-	if p.Packed != 2 {
-		t.Errorf("Packed = %d", p.Packed)
-	}
-	// Default threshold applies when zero.
-	p2 := &Packer{}
-	if !p2.Narrow(0xffff) || p2.Narrow(0x1ffff) {
-		t.Error("default threshold wrong")
-	}
-}
-
 func TestValueFileLiveNil(t *testing.T) {
 	var vf *ValueFile
 	if vf.Live(5) != 0 {
@@ -147,14 +134,16 @@ func TestValueFileLiveNil(t *testing.T) {
 }
 
 func TestReuseBufferDefaults(t *testing.T) {
-	rb := NewReuseBuffer(SchemeSv, 0)
-	if len(rb.entries) != 64 {
-		t.Errorf("default entries = %d", len(rb.entries))
+	// Direct-mapped over ReuseEntries slots: pc and pc+ReuseEntries
+	// share a slot, neighbouring PCs do not.
+	rb := NewReuseBuffer(SchemeSv)
+	rb.Update(5, 1, 1, 1, 1, 9)
+	rb.Update(6, 1, 1, 1, 1, 8)
+	if v, ok := rb.Lookup(5, 1, 1, 1, 1); !ok || v != 9 {
+		t.Errorf("neighbour evicted pc 5: %d %v", v, ok)
 	}
-	var nilRB *ReuseBuffer
-	nilRB.Update(1, 1, 1, 1, 1, 1) // must not panic
-	nilRB.InvalidateReg(1)
-	if _, ok := nilRB.Lookup(1, 1, 1, 1, 1); ok {
-		t.Error("nil buffer hit")
+	rb.Update(5+ReuseEntries, 1, 1, 1, 1, 7)
+	if _, ok := rb.Lookup(5, 1, 1, 1, 1); ok {
+		t.Error("pc 5 survived an update to the slot it shares")
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestZeroSkipMul(t *testing.T) {
-	s := &Simplifier{ZeroSkipMul: true}
+	s := Simplifier{ZeroSkipMul: true}
 	if lat, ok := s.SimplifiedLatency(KindMul, 0, 123, 4); lat != 1 || !ok {
 		t.Errorf("zero operand: lat=%d ok=%v", lat, ok)
 	}
@@ -17,13 +17,10 @@ func TestZeroSkipMul(t *testing.T) {
 	if lat, ok := s.SimplifiedLatency(KindMul, 3, 5, 4); lat != 4 || ok {
 		t.Errorf("non-zero: lat=%d ok=%v", lat, ok)
 	}
-	if s.Simplified != 2 {
-		t.Errorf("Simplified = %d", s.Simplified)
-	}
 }
 
 func TestTrivialALU(t *testing.T) {
-	s := &Simplifier{TrivialALU: true}
+	s := Simplifier{TrivialALU: true}
 	if lat, ok := s.SimplifiedLatency(KindSimple, 0, 77, 1); lat != 1 || !ok {
 		t.Errorf("trivial simple: %d %v", lat, ok)
 	}
@@ -36,7 +33,7 @@ func TestTrivialALU(t *testing.T) {
 }
 
 func TestEarlyExitDivLatencyMonotonic(t *testing.T) {
-	s := &Simplifier{EarlyExitDiv: true}
+	s := Simplifier{EarlyExitDiv: true}
 	// Wider dividends (relative to divisor) must not be faster.
 	prev := 0
 	for bitsLen := 1; bitsLen < 64; bitsLen++ {
@@ -62,35 +59,37 @@ func TestEarlyExitDivLatencyMonotonic(t *testing.T) {
 	}
 }
 
-func TestNilSimplifierPassthrough(t *testing.T) {
-	var s *Simplifier
-	if lat, ok := s.SimplifiedLatency(KindMul, 0, 0, 4); lat != 4 || ok {
-		t.Errorf("nil simplifier: %d %v", lat, ok)
+func TestZeroSimplifierPassthrough(t *testing.T) {
+	var s Simplifier
+	if s.Enabled() {
+		t.Error("zero simplifier reports enabled")
+	}
+	for _, k := range []ALUKind{KindSimple, KindMul, KindDiv} {
+		if lat, ok := s.SimplifiedLatency(k, 0, 1, 4); lat != 4 || ok {
+			t.Errorf("zero simplifier, %v: %d %v", k, lat, ok)
+		}
 	}
 }
 
 func TestPackerThreshold(t *testing.T) {
-	p := NewPacker()
-	if !p.CanPack(100, 200, 0xffff, 1) {
+	if !CanPack(100, 200, 0xffff, 1) {
 		t.Error("all-narrow operands should pack (msb <= 16)")
 	}
-	if p.CanPack(100, 200, 0x10000, 1) {
+	if CanPack(100, 200, 0x10000, 1) {
 		t.Error("wide operand must not pack")
 	}
-	var nilP *Packer
-	if nilP.CanPack(1, 1, 1, 1) {
-		t.Error("nil packer packs")
+	if !CanPack(0xffff, 0, 0, 0) || CanPack(0, 0, 0, 0x1ffff) {
+		t.Error("narrow threshold is not 16 bits")
 	}
 }
 
 func TestPackerLeaksOperandSignificance(t *testing.T) {
 	// The MLD of Figure 3 Ex. 4: with attacker operands narrow, packing
 	// reveals exactly whether the victim operands are narrow.
-	p := NewPacker()
 	victimSecrets := []uint64{3, 1 << 20}
 	got := []bool{}
 	for _, s := range victimSecrets {
-		got = append(got, p.CanPack(s, 5 /*victim*/, 7, 9 /*attacker: narrow*/))
+		got = append(got, CanPack(s, 5 /*victim*/, 7, 9 /*attacker: narrow*/))
 	}
 	if got[0] == got[1] {
 		t.Error("packing outcome must distinguish narrow vs wide victim operand")
@@ -98,7 +97,7 @@ func TestPackerLeaksOperandSignificance(t *testing.T) {
 }
 
 func TestReuseSv(t *testing.T) {
-	rb := NewReuseBuffer(SchemeSv, 8)
+	rb := NewReuseBuffer(SchemeSv)
 	if _, ok := rb.Lookup(10, 1, 2, 3, 4); ok {
 		t.Error("hit on empty buffer")
 	}
@@ -112,13 +111,13 @@ func TestReuseSv(t *testing.T) {
 		t.Error("Sv hit despite different operand values")
 	}
 	// Different PC mapping to same slot: must not false-hit.
-	if _, ok := rb.Lookup(18, 1, 2, 3, 4); ok {
+	if _, ok := rb.Lookup(10+ReuseEntries, 1, 2, 3, 4); ok {
 		t.Error("hit for different PC in same slot")
 	}
 }
 
 func TestReuseSn(t *testing.T) {
-	rb := NewReuseBuffer(SchemeSn, 8)
+	rb := NewReuseBuffer(SchemeSn)
 	rb.Update(10, 1, 2, 3, 4, 99)
 	// Sn keys on register names: different values, same registers → hit.
 	if v, ok := rb.Lookup(10, 7, 8, 3, 4); !ok || v != 99 {
@@ -132,7 +131,7 @@ func TestReuseSn(t *testing.T) {
 }
 
 func TestReuseSvIgnoresInvalidation(t *testing.T) {
-	rb := NewReuseBuffer(SchemeSv, 8)
+	rb := NewReuseBuffer(SchemeSv)
 	rb.Update(10, 1, 2, 3, 4, 99)
 	rb.InvalidateReg(3)
 	if _, ok := rb.Lookup(10, 1, 2, 3, 4); !ok {
@@ -141,16 +140,17 @@ func TestReuseSvIgnoresInvalidation(t *testing.T) {
 }
 
 func TestReuseFlushAndStats(t *testing.T) {
-	rb := NewReuseBuffer(SchemeSv, 8)
+	rb := NewReuseBuffer(SchemeSv)
 	rb.Update(1, 1, 1, 1, 1, 5)
-	rb.Lookup(1, 1, 1, 1, 1)
-	rb.Lookup(1, 2, 2, 1, 1)
-	if rb.Hits != 1 || rb.Misses != 1 {
-		t.Errorf("stats: hits=%d misses=%d", rb.Hits, rb.Misses)
+	if _, ok := rb.Lookup(1, 1, 1, 1, 1); !ok {
+		t.Error("miss on the memoized operands")
 	}
-	rb.Flush()
+	if _, ok := rb.Lookup(1, 2, 2, 1, 1); ok {
+		t.Error("hit on other operands")
+	}
+	*rb = ReuseBuffer{Scheme: SchemeSn}
 	if _, ok := rb.Lookup(1, 1, 1, 1, 1); ok {
-		t.Error("hit after flush")
+		t.Error("hit after the buffer was emptied")
 	}
 }
 
@@ -196,8 +196,8 @@ func TestPredictorConfidenceSaturates(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Resolve(9, 7, false, 0)
 	}
-	if got := p.Confidence(9); got != p.MaxConf {
-		t.Errorf("confidence = %d, want saturation at %d", got, p.MaxConf)
+	if got, want := p.table[9].conf, p.Threshold+confHeadroom; got != want {
+		t.Errorf("confidence = %d, want saturation at %d", got, want)
 	}
 }
 

@@ -1,22 +1,42 @@
 package uopt
 
+// VPScheme selects the value predictor: none (VPOff, the zero value),
+// last-value (Predictor) or stride (StridePredictor).
+type VPScheme uint8
+
+// The value-prediction schemes.
+const (
+	VPOff VPScheme = iota
+	VPLastValue
+	VPStride
+)
+
+// VPConfig describes a value predictor by value: its scheme and its
+// confidence threshold (below 1 means 1). The zero value is off.
+type VPConfig struct {
+	Scheme    VPScheme
+	Threshold int
+}
+
+// confHeadroom is how far a confidence counter saturates above its
+// threshold.
+const confHeadroom = 4
+
 // Predictor is a confidence-thresholded last-value predictor for load
 // results (Section IV-C3, Figure 3 Example 7). Nearly all proposed value
 // predictors are threshold based: a prediction is only consumed once the
 // per-PC confidence counter reaches the threshold; a misprediction squashes
 // the pipeline and resets confidence, which is the attacker-visible event.
+// The counter saturates at Threshold+4.
 type Predictor struct {
 	// Threshold is the confidence required before predictions are used.
 	Threshold int
-	// MaxConf saturates the confidence counter.
-	MaxConf int
 
 	// table holds entries by value: a map of pointers would cost one
 	// heap object per load PC.
 	table map[int64]predEntry
 
-	Predictions    uint64 // confident predictions issued
-	Correct        uint64
+	Correct        uint64 // resolved predictions that were right
 	Mispredictions uint64
 }
 
@@ -26,29 +46,30 @@ type predEntry struct {
 }
 
 // NewPredictor returns a predictor with the given confidence threshold
-// (minimum 1) and a saturation of threshold+4.
+// (minimum 1).
 func NewPredictor(threshold int) *Predictor {
-	if threshold < 1 {
-		threshold = 1
+	p := new(Predictor)
+	p.Reset(threshold)
+	return p
+}
+
+// Reset returns p, which may be a zero Predictor, to
+// NewPredictor(threshold)'s state, keeping the table's storage.
+func (p *Predictor) Reset(threshold int) {
+	if p.table == nil {
+		p.table = make(map[int64]predEntry)
 	}
-	return &Predictor{
-		Threshold: threshold,
-		MaxConf:   threshold + 4,
-		table:     make(map[int64]predEntry),
-	}
+	clear(p.table)
+	*p = Predictor{Threshold: max(threshold, 1), table: p.table}
 }
 
 // Predict returns the predicted result for the load at pc and whether the
 // prediction is confident enough to consume.
 func (p *Predictor) Predict(pc int64) (uint64, bool) {
-	if p == nil {
-		return 0, false
-	}
 	e, ok := p.table[pc]
 	if !ok || e.conf < p.Threshold {
 		return 0, false
 	}
-	p.Predictions++
 	return e.last, true
 }
 
@@ -57,9 +78,6 @@ func (p *Predictor) Predict(pc int64) (uint64, bool) {
 // for this dynamic instance; the return value reports whether that
 // prediction was wrong (a squash is required).
 func (p *Predictor) Resolve(pc int64, actual uint64, predicted bool, predictedVal uint64) (mispredict bool) {
-	if p == nil {
-		return false
-	}
 	e := p.table[pc]
 	if predicted {
 		if predictedVal == actual {
@@ -70,7 +88,7 @@ func (p *Predictor) Resolve(pc int64, actual uint64, predicted bool, predictedVa
 		}
 	}
 	if e.last == actual {
-		if e.conf < p.MaxConf {
+		if e.conf < p.Threshold+confHeadroom {
 			e.conf++
 		}
 	} else {
@@ -81,15 +99,6 @@ func (p *Predictor) Resolve(pc int64, actual uint64, predicted bool, predictedVa
 	return mispredict
 }
 
-// Confidence returns the current confidence for pc (0 if untracked);
-// exported for tests and the leakage analyzer.
-func (p *Predictor) Confidence(pc int64) int {
-	return p.table[pc].conf
-}
-
-// Squash implements ValuePredictor; the last-value predictor keeps no
-// speculative in-flight state.
+// Squash discards speculative in-flight state on a pipeline squash; the
+// last-value predictor keeps none.
 func (p *Predictor) Squash() {}
-
-// Flush clears all predictor state.
-func (p *Predictor) Flush() { clear(p.table) }
