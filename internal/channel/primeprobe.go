@@ -83,19 +83,41 @@ func NewPrimeProbe(h *cache.Hierarchy, level Level, base uint64) (*PrimeProbe, e
 		lineSize:  cfg.LineSize,
 		Threshold: threshold,
 		lines:     make([]uint64, 0, cfg.Sets*cfg.Ways),
-		setOrder:  make([]int, cfg.Sets),
+		setOrder:  permutation(cfg.Sets, 97, 13),
 	}
 	stride := uint64(cfg.Sets * cfg.LineSize) // byte distance between same-set lines
+	wayOrder := permutation(cfg.Ways, 7, 3)
 	for set := 0; set < cfg.Sets; set++ {
-		for i := 0; i < cfg.Ways; i++ {
-			way := pp.permutedWay(i)
+		for _, way := range wayOrder {
 			pp.lines = append(pp.lines, base+uint64(set)*uint64(cfg.LineSize)+uint64(way)*stride)
 		}
 	}
-	for i := range pp.setOrder {
-		pp.setOrder[i] = pp.permutedSet(i)
-	}
 	return pp, nil
+}
+
+// permutation returns the order i -> (i*k + c) mod n, i in [0, n), in
+// which the receiver visits sets (k=97) and ways (k=7), so its loops do
+// not look like constant-stride streams to a data-dependent prefetcher
+// watching the access bus. Where k shares a factor with n, which no
+// shipped geometry has, the least larger k coprime to n and not ±1 mod n
+// (a unit step) keeps the order a permutation.
+func permutation(n, k, c int) []int {
+	if gcd(k, n) != 1 {
+		for k++; gcd(k, n) != 1 || k%n == 1 || k%n == n-1; k++ {
+		}
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = (i*k + c) % n
+	}
+	return order
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Sets returns the number of monitored sets.
@@ -104,20 +126,6 @@ func (pp *PrimeProbe) Sets() int { return pp.sets }
 // SetOf returns the monitored-level set index of addr.
 func (pp *PrimeProbe) SetOf(addr uint64) int {
 	return int(addr / uint64(pp.lineSize) % uint64(pp.sets))
-}
-
-// permutedWay visits ways in a fixed non-sequential order so the probe
-// loop does not itself look like a constant-stride stream to a
-// data-dependent prefetcher watching the access bus.
-func (pp *PrimeProbe) permutedWay(i int) int {
-	return (i*7 + 3) % pp.ways
-}
-
-// permutedSet visits sets with a large coprime stride for the same
-// reason: consecutive same-way prime accesses to adjacent sets differ by
-// exactly one line, which is a textbook stream.
-func (pp *PrimeProbe) permutedSet(i int) int {
-	return (i*97 + 13) % pp.sets
 }
 
 // setLines returns set's attacker lines in access order; set must be in

@@ -185,3 +185,69 @@ func TestPrimeProbeAccessOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestPrimeAllTouchesEveryLineOnce: for every associativity from 1 to 16
+// at either level, one PrimeAll accesses each attacker line exactly once.
+// (A multiplier sharing a factor with the way count, 7 ways under the
+// i*7+3 order, would prime one way seven times and the rest never.)
+func TestPrimeAllTouchesEveryLineOnce(t *testing.T) {
+	for ways := 1; ways <= 16; ways++ {
+		for _, level := range []Level{L1, L2} {
+			hc := cache.DefaultHierConfig()
+			cfg := &hc.L1
+			if level == L2 {
+				cfg = &hc.L2
+			}
+			cfg.Ways = ways
+			h := cache.MustNewHierarchy(hc)
+			log := &addrLog{}
+			h.AddListener(log)
+			pp, err := NewPrimeProbe(h, level, probeBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp.PrimeAll()
+			seen := make(map[uint64]int, len(log.addrs))
+			for _, a := range log.addrs {
+				seen[a]++
+			}
+			for set := 0; set < cfg.Sets; set++ {
+				for way := 0; way < ways; way++ {
+					a := probeBase + uint64(set*cfg.LineSize) + uint64(way*cfg.Sets*cfg.LineSize)
+					if seen[a] != 1 {
+						t.Fatalf("%v with %d ways: set %d way %d touched %d times", level, ways, set, way, seen[a])
+					}
+				}
+			}
+			if len(log.addrs) != cfg.Sets*ways {
+				t.Fatalf("%v with %d ways: %d accesses, want %d", level, ways, len(log.addrs), cfg.Sets*ways)
+			}
+		}
+	}
+}
+
+// TestPermutationVisitsEachOnce covers the set counts a power-of-two cache
+// cannot have, where the set multiplier 97 would repeat (97, 194), and the
+// way counts where 7 would: every order visits each index exactly once,
+// and keeps i*k+c wherever that already is a permutation.
+func TestPermutationVisitsEachOnce(t *testing.T) {
+	for _, tc := range []struct{ k, c int }{{7, 3}, {97, 13}} {
+		for _, n := range []int{1, 2, 3, 5, 6, 7, 8, 14, 16, 21, 49, 64, 96, 97, 98, 194, 256, 291} {
+			order := permutation(n, tc.k, tc.c)
+			seen := make([]bool, n)
+			for _, i := range order {
+				if seen[i] {
+					t.Fatalf("k=%d n=%d: index %d visited twice: %v", tc.k, n, i, order)
+				}
+				seen[i] = true
+			}
+			if gcd(tc.k, n) == 1 {
+				for i, got := range order {
+					if want := (i*tc.k + tc.c) % n; got != want {
+						t.Fatalf("k=%d n=%d: order changed where i*k+c is a permutation", tc.k, n)
+					}
+				}
+			}
+		}
+	}
+}
