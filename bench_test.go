@@ -1,165 +1,26 @@
-// Package pandora_test is the benchmark harness: one benchmark per table
-// and figure of the paper (each regenerates the artifact through the
-// core experiment registry and reports its headline metric), plus
-// micro-benchmarks of the substrates the reproduction is built on.
+// Package pandora_test holds micro-benchmarks of the substrates the
+// reproduction is built on and of the attackers' online loops. The paper
+// artifacts themselves are timed end to end by the bench/ harness's
+// suite workload, which runs every registered experiment.
 //
 // Run with: go test -bench=. -benchmem
 package pandora_test
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"pandora/internal/asm"
 	"pandora/internal/attack"
 	"pandora/internal/bsaes"
 	"pandora/internal/cache"
 	"pandora/internal/channel"
-	"pandora/internal/core"
 	"pandora/internal/dmp"
 	"pandora/internal/ebpf"
 	"pandora/internal/leakage"
 	"pandora/internal/mem"
 	"pandora/internal/pipeline"
 )
-
-// benchExperiment runs a registered experiment b.N times and reports the
-// chosen metric.
-func benchExperiment(b *testing.B, name, metric string, opts core.Options) {
-	b.Helper()
-	e, ok := core.Get(name)
-	if !ok {
-		b.Fatalf("experiment %q not registered", name)
-	}
-	var last core.Result
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Pass {
-			b.Fatalf("%s did not reproduce:\n%s", name, res.Text)
-		}
-		last = res
-	}
-	if v, ok := last.Metrics[metric]; ok {
-		b.ReportMetric(v, metric)
-	}
-}
-
-// --- One benchmark per paper artifact ---
-
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1", "mismatches", core.Options{}) }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2", "classes", core.Options{}) }
-
-func BenchmarkFig1URG(b *testing.B) {
-	benchExperiment(b, "urg", "correct", core.Options{SecretLen: 4})
-}
-
-func BenchmarkFig2and3MLDs(b *testing.B) {
-	benchExperiment(b, "mld", "descriptors", core.Options{})
-}
-
-func BenchmarkFig4Cases(b *testing.B)  { benchExperiment(b, "fig4", "caseA_silent", core.Options{}) }
-func BenchmarkFig5Gadget(b *testing.B) { benchExperiment(b, "fig5", "gap_cycles", core.Options{}) }
-
-func BenchmarkFig6BSAES(b *testing.B) {
-	benchExperiment(b, "fig6", "gap_cycles", core.Options{Samples: 20})
-}
-
-func BenchmarkFig7Verify(b *testing.B) { benchExperiment(b, "fig7", "jit_len", core.Options{}) }
-
-func BenchmarkKeyRecovery(b *testing.B) {
-	benchExperiment(b, "keyrec", "window", core.Options{})
-}
-
-// BenchmarkKeyRecoveryFullSweep runs the paper-scale sweep (65536 values
-// per slot, up to 524288 online attempts). Expensive: minutes. Enable
-// with -timeout high and -bench BenchmarkKeyRecoveryFullSweep -benchtime 1x.
-func BenchmarkKeyRecoveryFullSweep(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full sweep skipped in -short mode")
-	}
-	if b.N > 1 {
-		b.Skip("full sweep is single-shot; use -benchtime 1x")
-	}
-	benchExperiment(b, "keyrec", "window", core.Options{Full: true})
-}
-
-func BenchmarkURGRange(b *testing.B) {
-	benchExperiment(b, "urg2level", "lvl2_confirmed", core.Options{})
-}
-
-func BenchmarkReuseVariants(b *testing.B) {
-	benchExperiment(b, "reuse", "sv_leak", core.Options{})
-}
-
-func BenchmarkPrefetchBuffer(b *testing.B) {
-	benchExperiment(b, "prefetchbuffer", "correct", core.Options{})
-}
-
-func BenchmarkWitnesses(b *testing.B) {
-	benchExperiment(b, "witness", "witnesses", core.Options{})
-}
-
-// --- Parallel-engine benchmarks ---
-
-// timeExperiment runs an experiment once and returns the wall-clock
-// seconds, for computing speedup metrics inside a benchmark.
-func timeExperiment(b *testing.B, name string, opts core.Options) float64 {
-	b.Helper()
-	e, ok := core.Get(name)
-	if !ok {
-		b.Fatalf("experiment %q not registered", name)
-	}
-	start := time.Now()
-	if res, err := e.Run(opts); err != nil {
-		b.Fatal(err)
-	} else if !res.Pass {
-		b.Fatalf("%s did not reproduce:\n%s", name, res.Text)
-	}
-	return time.Since(start).Seconds()
-}
-
-// BenchmarkRecoverKeyParallel times the full bitslice-AES key recovery
-// through the parallel engine at GOMAXPROCS workers and reports the
-// speedup over a Parallel=1 run of the same sweep. On a single-core
-// host the speedup hovers around 1.0; it grows with available cores
-// because the 32 slot sweeps are independent.
-func BenchmarkRecoverKeyParallel(b *testing.B) {
-	serial := timeExperiment(b, "keyrec", core.Options{Parallel: 1})
-	b.ResetTimer()
-	var par float64
-	for i := 0; i < b.N; i++ {
-		par = timeExperiment(b, "keyrec", core.Options{Parallel: runtime.GOMAXPROCS(0)})
-	}
-	b.ReportMetric(serial/par, "speedup")
-}
-
-// BenchmarkAllExperiments times one pass over every registered
-// experiment with the parallel engine and reports the speedup over the
-// serial pass. Guarded against -short because it runs the whole suite.
-func BenchmarkAllExperiments(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full suite skipped in -short mode")
-	}
-	runAll := func(workers int) float64 {
-		var total float64
-		for _, e := range core.Experiments() {
-			total += timeExperiment(b, e.Name, core.Options{Parallel: workers})
-		}
-		return total
-	}
-	serial := runAll(1)
-	b.ResetTimer()
-	var par float64
-	for i := 0; i < b.N; i++ {
-		par = runAll(runtime.GOMAXPROCS(0))
-	}
-	b.ReportMetric(serial/par, "speedup")
-}
 
 // --- Attack-rate benchmarks (how fast the attacker's online loop runs) ---
 
@@ -322,18 +183,6 @@ func BenchmarkIMPTrainAndChase(b *testing.B) {
 	}
 }
 
-func BenchmarkDefenses(b *testing.B) {
-	benchExperiment(b, "defenses", "pack_cost", core.Options{})
-}
-
-func BenchmarkCapacity(b *testing.B) {
-	benchExperiment(b, "capacity", "cache_measured_bits", core.Options{})
-}
-
-func BenchmarkCovertChannels(b *testing.B) {
-	benchExperiment(b, "covert", "ss_cycles_per_bit", core.Options{})
-}
-
 // BenchmarkSilentStoreCovertBit measures the raw silent-store covert
 // channel bit rate.
 func BenchmarkSilentStoreCovertBit(b *testing.B) {
@@ -353,12 +202,4 @@ func BenchmarkSilentStoreCovertBit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkContinuousOptimization(b *testing.B) {
-	benchExperiment(b, "continuous", "fusion_benefit", core.Options{})
-}
-
-func BenchmarkBlindEvictionSet(b *testing.B) {
-	benchExperiment(b, "blind", "tests", core.Options{})
 }

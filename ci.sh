@@ -2,7 +2,7 @@
 # CI gate: vet, build, and run the full test suite under the race
 # detector. -short keeps the paper-scale sweeps (keyrec -full, large
 # fig6 sample counts) out of CI; they are exercised manually via
-# `pandora <experiment> -full` or the single-shot benchmarks.
+# `pandora <experiment> -full`.
 #
 # The suite carries the end-to-end gates: the scanner's scenario
 # verdicts and taint self-test, the trace exports, the contract
@@ -16,6 +16,11 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 go test -race -short ./...
+
+# Every Go benchmark (the root substrate micro-benchmarks and the
+# pipeline's profiling entry points) runs once, so none can rot
+# unnoticed; timing is compared by `bash bench/run.sh`, not here.
+go test -run '^$' -bench . -benchtime 1x -short ./...
 
 # The pipeline's ring helpers carry the invariant checker's marks and the
 # idle-cycle skip's change count. Each must stay within the compiler's
@@ -92,8 +97,10 @@ rm -f "$prog" "$out"
 # under any toggle mask with the incremental ROB and readiness checks
 # cross-checked against the full walk every cycle;
 # FuzzResetEquivalence runs one generated program, sometimes cut short,
-# then resets the machine to another program's mask and cache variant and
-# requires a run identical to a new machine's; FuzzIMPEquivalence runs
+# then resets the machine to another program's mask and cache variant,
+# and again under the very Config value the first ran with, and requires
+# runs identical to a new machine's (the predictor and reuse tables are
+# the machine's, so Reset clears them); FuzzIMPEquivalence runs
 # the indirect-memory prefetcher's stream ring beside the pointer-slice
 # table it replaced over stride runs, Prime+Probe sweeps, chases, writes
 # and resets, and requires identical stats, trace lines, level mappings
