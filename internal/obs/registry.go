@@ -132,8 +132,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // SnapshotInto reads every metric into dst, reusing dst's buffer when it
-// is large enough — the Machine.Run hot path keeps two scratch snapshots
-// and never allocates after the first run.
+// is large enough, so a caller that snapshots repeatedly into the same
+// two Snapshots allocates nothing after the first pair.
 func (r *Registry) SnapshotInto(dst *Snapshot) {
 	dst.reg = r
 	if cap(dst.vals) < len(r.read) {

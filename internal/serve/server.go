@@ -52,11 +52,10 @@ type Options struct {
 	// the journal on the next start). 0 = 15s.
 	DrainWindow time.Duration
 	// MaxAttempts is the per-job attempt budget for transient failures
-	// (0 = 3; 1 disables retries). RetryBase/RetryMax shape the capped
-	// exponential backoff between attempts (0 = 25ms / 2s).
+	// (0 = 3; 1 disables retries). RetryBase is the first backoff between
+	// attempts (0 = 25ms); it doubles per retry, capped at defaultRetryMax.
 	MaxAttempts int
 	RetryBase   time.Duration
-	RetryMax    time.Duration
 	// BreakerThreshold consecutive terminal failures of one job kind
 	// open that kind's circuit for BreakerCooldown, shedding its
 	// submissions with 503 + Retry-After (0 = 5 failures / 5s).
@@ -237,9 +236,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.RetryBase == 0 {
 		opts.RetryBase = defaultRetryBase
-	}
-	if opts.RetryMax == 0 {
-		opts.RetryMax = defaultRetryMax
 	}
 	if opts.BreakerThreshold == 0 {
 		opts.BreakerThreshold = defaultBreakerThreshold
@@ -661,7 +657,7 @@ func (s *Server) run(j *Job) {
 		ctx, cancel = context.WithTimeout(ctx, j.timeout)
 		defer cancel()
 	}
-	policy := RetryPolicy{MaxAttempts: s.opts.MaxAttempts, Base: s.opts.RetryBase, Max: s.opts.RetryMax}
+	policy := RetryPolicy{MaxAttempts: s.opts.MaxAttempts, Base: s.opts.RetryBase, Max: defaultRetryMax}
 
 	var attempts []Attempt
 	for att := 0; ; att++ {
