@@ -87,6 +87,9 @@ rm -f "$prog" "$out"
 # counts. It checks that the benchmark still builds and measures what it
 # claims; throughput is compared by `bash bench/run.sh`, not here.
 (cd bench && GOWORK=off GOPROXY=off GOFLAGS= go test ./...)
+# bench/ is its own module, so the root `go vet ./...` never sees it and
+# its `go test` runs only vet's default subset.
+(cd bench && GOWORK=off GOPROXY=off GOFLAGS= go vet ./...)
 
 # Fuzz smoke: a few seconds per target. Minimizing a new input is capped
 # at 100 executions: left at its default, the engine spent most of a 5 s

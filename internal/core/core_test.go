@@ -44,7 +44,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestWitnessReports(t *testing.T) {
-	reports, err := RunWitnesses()
+	reports, err := RunWitnessesParallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}

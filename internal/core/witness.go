@@ -450,11 +450,6 @@ type WitnessReport struct {
 	LeakDelta, BaseDelta int64
 }
 
-// RunWitnesses executes every timing witness serially.
-func RunWitnesses() ([]WitnessReport, error) {
-	return RunWitnessesParallel(1)
-}
-
 // RunWitnessesParallel executes the timing witnesses sharded over a
 // worker pool (workers <= 0 selects GOMAXPROCS). Every witness builds
 // its own machines, so reports are identical at every worker count and

@@ -29,14 +29,3 @@ func CacheAddress() *Descriptor {
 		},
 	}
 }
-
-// Contract returns the descriptors of the constant-time base contract:
-// the observations an attacker gets on every machine, optimizations
-// aside. Kept separate from Examples() — which enumerates exactly the
-// nine descriptors of the paper's Figures 2 and 3 — like Speculative().
-func Contract() []*Descriptor {
-	return []*Descriptor{
-		CacheAddress(),
-		BranchDirection(),
-	}
-}

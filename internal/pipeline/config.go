@@ -381,11 +381,3 @@ type Stats struct {
 	RenameStallIQ  uint64
 	RenameStallLQ  uint64
 }
-
-// IPC returns retired instructions per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Retired) / float64(s.Cycles)
-}

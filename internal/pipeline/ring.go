@@ -81,9 +81,6 @@ func (m *Machine) initROB() {
 	m.minDoneC = math.MaxInt64
 }
 
-// robLen returns the ROB occupancy.
-func (m *Machine) robLen() int { return m.robN }
-
 // robAt returns the i-th ROB entry in program order (0 = oldest).
 func (m *Machine) robAt(i int) *uop {
 	return m.robBuf[(m.robHead+i)&(len(m.robBuf)-1)]

@@ -30,23 +30,33 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 }
 
 // allow reports whether a submission may proceed now. When it may not,
-// retryAfter is how long the client should wait before retrying.
-func (b *breaker) allow(now time.Time) (ok bool, retryAfter time.Duration) {
+// retryAfter is how long the client should wait before retrying. probe
+// marks the one half-open submission admitted after a cooldown: its
+// verdict (record) or its release frees the slot for the next probe.
+func (b *breaker) allow(now time.Time) (ok, probe bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.consecutive < b.threshold {
-		return true, 0
+		return true, false, 0
 	}
 	if now.Before(b.openUntil) {
-		return false, b.openUntil.Sub(now)
+		return false, false, b.openUntil.Sub(now)
 	}
 	// Cooldown elapsed: admit one half-open probe, shed the rest until
 	// its verdict lands.
 	if b.probing {
-		return false, b.cooldown
+		return false, false, b.cooldown
 	}
 	b.probing = true
-	return true, 0
+	return true, true, 0
+}
+
+// release gives back a probe slot whose submission never ran (its
+// queue refused it), without counting a verdict.
+func (b *breaker) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // record feeds one terminal job verdict back.

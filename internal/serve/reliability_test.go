@@ -63,7 +63,6 @@ func TestTransientExhaustionVisiblyFails(t *testing.T) {
 	base, srv := startServerWith(t, Options{
 		CacheDir:    dir,
 		MaxAttempts: 2,
-		RetryBase:   time.Millisecond,
 		Chaos:       &faults.ChaosPlan{Seed: 3, StallPerMille: 1000},
 	})
 	v, _ := post(t, base, smallCheck)
@@ -215,7 +214,7 @@ func TestRestartRecoversCrashedJob(t *testing.T) {
 			dir := t.TempDir()
 			key := simulateCrashedJob(t, dir, smallCheck)
 
-			srv, err := New(Options{CacheDir: dir, RetryBase: time.Millisecond, Chaos: tc.chaos})
+			srv, err := New(Options{CacheDir: dir, Chaos: tc.chaos})
 			if err != nil {
 				t.Fatalf("New on crashed dir: %v", err)
 			}
@@ -339,9 +338,8 @@ func TestRestartCompletedJobNotReExecuted(t *testing.T) {
 func TestShutdownDrainsQueuedJobsUnderChaos(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Options{
-		CacheDir:  dir,
-		RetryBase: time.Millisecond,
-		Chaos:     &faults.ChaosPlan{Seed: 11, PanicPerMille: 1000, FirstAttemptsOnly: true},
+		CacheDir: dir,
+		Chaos:    &faults.ChaosPlan{Seed: 11, PanicPerMille: 1000, FirstAttemptsOnly: true},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -443,7 +441,7 @@ func TestShutdownCancelsLongJobAndReplays(t *testing.T) {
 // failures of one kind open its circuit; the next submission of that
 // kind is shed with 503 + Retry-After while other kinds stay admitted.
 func TestBreakerShedsAfterConsecutiveFailures(t *testing.T) {
-	base, srv := startServerWith(t, Options{BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	base, srv := startServerWith(t, Options{}, withBreaker(KindScan, 2, time.Hour))
 	for i := 0; i < 2; i++ {
 		v, _ := post(t, base, JobSpec{Kind: KindScan, Source: "bogus instruction " + strings.Repeat("x", i+1)})
 		if final := wait(t, base, v.ID); final.State != string(stateFailed) {
@@ -474,50 +472,138 @@ func TestBreakerShedsAfterConsecutiveFailures(t *testing.T) {
 	wait(t, base, v.ID)
 
 	// readyz reports the open circuit.
-	rresp, err := http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatalf("GET readyz: %v", err)
-	}
-	defer rresp.Body.Close()
-	if rresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz: HTTP %d, want 503 with an open breaker", rresp.StatusCode)
-	}
-	var ready struct {
-		Ready    bool              `json:"ready"`
-		Breakers map[string]string `json:"breakers"`
-	}
-	if err := json.NewDecoder(rresp.Body).Decode(&ready); err != nil {
-		t.Fatalf("decode readyz: %v", err)
+	ready, rcode := readyz(t, base)
+	if rcode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz: HTTP %d, want 503 with an open breaker", rcode)
 	}
 	if ready.Ready || ready.Breakers["scan"] != "open" {
 		t.Fatalf("readyz = %+v, want scan breaker open", ready)
 	}
 }
 
-// TestKindConcurrencyLimitSheds: with a one-job-per-kind cap, a second
-// submission while the first occupies the slot is shed.
-func TestKindConcurrencyLimitSheds(t *testing.T) {
-	base, srv := startServerWith(t, Options{
-		KindConcurrency: 1,
-		Chaos:           &faults.ChaosPlan{Seed: 5, SlowPerMille: 1000, SlowDelay: 500 * time.Millisecond, FirstAttemptsOnly: true},
-	})
-	first, code := post(t, base, JobSpec{Kind: KindCheck, Programs: 4, Masks: 1, Seed: 31})
-	if code != http.StatusAccepted {
-		t.Fatalf("first submit: HTTP %d", code)
-	}
-	body, _ := json.Marshal(JobSpec{Kind: KindCheck, Programs: 4, Masks: 1, Seed: 32})
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+// withBreaker replaces kind's breaker with one of the given threshold
+// and cooldown (a startServerWith prepare function).
+func withBreaker(kind JobKind, threshold int, cooldown time.Duration) func(*Server) {
+	return func(s *Server) { s.breakers[kind] = newBreaker(threshold, cooldown) }
+}
+
+// readiness is the /readyz body.
+type readiness struct {
+	Ready    bool              `json:"ready"`
+	Breakers map[string]string `json:"breakers"`
+	Inflight map[string]int    `json:"inflight"`
+}
+
+// readyz fetches /readyz and returns its decoded body and status code.
+func readyz(t *testing.T, base string) (readiness, int) {
+	t.Helper()
+	resp, err := http.Get(base + "/readyz")
 	if err != nil {
-		t.Fatalf("POST: %v", err)
+		t.Fatalf("GET readyz: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-limit submission: HTTP %d, want 503", resp.StatusCode)
+	defer resp.Body.Close()
+	var r readiness
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+		t.Fatalf("decode readyz: %v", err)
 	}
-	if got := srv.stats.Shed.Load(); got != 1 {
-		t.Fatalf("shed = %d, want 1", got)
+	return r, resp.StatusCode
+}
+
+// waitRunning polls a job until a pool worker has started it.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatalf("GET job %s: %v", id, err)
+		}
+		var view JobView
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode job %s: %v", id, err)
+		}
+		if view.State != string(stateQueued) {
+			if view.State != string(stateRunning) {
+				t.Fatalf("job %s settled (%s) before it was seen running", id, view.State)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started", id)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	wait(t, base, first.ID)
+}
+
+// TestHalfOpenProbeRefusedByFullQueue: a half-open probe that its full
+// shard queue refuses is shed without a verdict and gives its probe
+// slot back, so once the queue has room the kind admits a probe again
+// instead of shedding every submission as "circuit open" until restart.
+func TestHalfOpenProbeRefusedByFullQueue(t *testing.T) {
+	base, _ := startServerWith(t, Options{
+		Shards:     1,
+		QueueDepth: 1,
+		Chaos:      &faults.ChaosPlan{Seed: 5, SlowPerMille: 1000, SlowDelay: 400 * time.Millisecond},
+	}, withBreaker(KindScan, 1, 50*time.Millisecond))
+
+	bogus, _ := post(t, base, JobSpec{Kind: KindScan, Source: "bogus instruction"})
+	if final := wait(t, base, bogus.ID); final.State != string(stateFailed) {
+		t.Fatalf("bogus scan: state=%s, want failed", final.State)
+	}
+	// Fill the one shard: a check running and a second queued behind it.
+	running, code := post(t, base, JobSpec{Kind: KindCheck, Programs: 4, Masks: 1, Seed: 41})
+	if code != http.StatusAccepted {
+		t.Fatalf("first check: HTTP %d (%s)", code, running.Error)
+	}
+	waitRunning(t, base, running.ID)
+	queued, code := post(t, base, JobSpec{Kind: KindCheck, Programs: 4, Masks: 1, Seed: 42})
+	if code != http.StatusAccepted {
+		t.Fatalf("second check: HTTP %d (%s)", code, queued.Error)
+	}
+	time.Sleep(100 * time.Millisecond) // past the scan cooldown
+
+	stlf := JobSpec{Kind: KindScan, Scenario: "stlf"}
+	if v, code := post(t, base, stlf); code != http.StatusServiceUnavailable || !strings.Contains(v.Error, "queue full") {
+		t.Fatalf("probe into a full queue: HTTP %d (%s), want 503 queue full", code, v.Error)
+	}
+	if r, _ := readyz(t, base); r.Breakers["scan"] != "half-open" {
+		t.Fatalf("scan breaker %q after the refused probe, want half-open", r.Breakers["scan"])
+	}
+	wait(t, base, running.ID)
+	wait(t, base, queued.ID)
+
+	v, code := post(t, base, stlf)
+	if code != http.StatusAccepted {
+		t.Fatalf("scan after the queue drained: HTTP %d (%s), want 202 for a new probe", code, v.Error)
+	}
+	if final := wait(t, base, v.ID); final.State != string(stateDone) {
+		t.Fatalf("probe scan: state=%s error=%q, want done", final.State, final.Error)
+	}
+	if r, code := readyz(t, base); code != http.StatusOK || r.Breakers["scan"] != "closed" {
+		t.Fatalf("readyz after a successful probe: HTTP %d, scan breaker %q, want 200 closed", code, r.Breakers["scan"])
+	}
+}
+
+// TestReadyzCountsInflight: /readyz counts a kind's queued and running
+// executions, and drops the kind once its last one settles.
+func TestReadyzCountsInflight(t *testing.T) {
+	base, _ := startServerWith(t, Options{
+		Chaos: &faults.ChaosPlan{Seed: 5, SlowPerMille: 1000, SlowDelay: 300 * time.Millisecond},
+	})
+	v, code := post(t, base, smallCheck)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%s)", code, v.Error)
+	}
+	waitRunning(t, base, v.ID)
+	if r, _ := readyz(t, base); r.Inflight["check"] != 1 || len(r.Inflight) != 1 {
+		t.Fatalf("inflight = %v while the check job runs, want check: 1", r.Inflight)
+	}
+	wait(t, base, v.ID)
+	if r, _ := readyz(t, base); len(r.Inflight) != 0 {
+		t.Fatalf("inflight = %v after the job settled, want empty", r.Inflight)
+	}
 }
 
 // TestHealthEndpoints: liveness always OK, readiness OK on a healthy

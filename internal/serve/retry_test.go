@@ -73,7 +73,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Closed: failures below the threshold do not shed.
 	for i := 0; i < 2; i++ {
-		if ok, _ := b.allow(now); !ok {
+		if ok, _, _ := b.allow(now); !ok {
 			t.Fatalf("breaker shed below threshold (failure %d)", i)
 		}
 		b.record(false, now)
@@ -84,7 +84,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Third consecutive failure opens the circuit.
 	b.record(false, now)
-	ok, retryAfter := b.allow(now)
+	ok, _, retryAfter := b.allow(now)
 	if ok || retryAfter <= 0 {
 		t.Fatalf("open breaker allowed a submission (retryAfter=%v)", retryAfter)
 	}
@@ -94,27 +94,36 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// After the cooldown: one half-open probe, everything else shed.
 	later := now.Add(2 * time.Minute)
-	if ok, _ := b.allow(later); !ok {
-		t.Fatalf("half-open breaker refused the probe")
+	if ok, probe, _ := b.allow(later); !ok || !probe {
+		t.Fatalf("half-open breaker refused the probe (ok=%v probe=%v)", ok, probe)
 	}
-	if ok, _ := b.allow(later); ok {
+	if ok, _, _ := b.allow(later); ok {
 		t.Fatalf("half-open breaker admitted a second concurrent probe")
+	}
+
+	// A released probe (never ran) frees its slot with no verdict.
+	b.release()
+	if st := b.state(later); st != "half-open" {
+		t.Fatalf("state %q after a released probe, want half-open", st)
+	}
+	if ok, probe, _ := b.allow(later); !ok || !probe {
+		t.Fatalf("no new probe after a release (ok=%v probe=%v)", ok, probe)
 	}
 
 	// Probe failure re-opens; probe success closes.
 	b.record(false, later)
-	if ok, _ := b.allow(later); ok {
+	if ok, _, _ := b.allow(later); ok {
 		t.Fatalf("breaker closed after a failed probe")
 	}
 	evenLater := later.Add(2 * time.Minute)
-	if ok, _ := b.allow(evenLater); !ok {
+	if ok, _, _ := b.allow(evenLater); !ok {
 		t.Fatalf("no second probe after another cooldown")
 	}
 	b.record(true, evenLater)
 	if st := b.state(evenLater); st != "closed" {
 		t.Fatalf("state %q after successful probe, want closed", st)
 	}
-	if ok, _ := b.allow(evenLater); !ok {
+	if ok, _, _ := b.allow(evenLater); !ok {
 		t.Fatalf("closed breaker shed traffic")
 	}
 }

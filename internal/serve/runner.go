@@ -43,7 +43,6 @@ type RunOpts struct {
 // content-addressed cache serves any later submission of the same spec
 // the stored bytes without re-executing.
 type JobRunner interface {
-	Kind() JobKind
 	Normalize(spec JobSpec) (JobSpec, error)
 	Run(ctx context.Context, spec JobSpec, opts RunOpts) (*JobResult, error)
 }
@@ -73,8 +72,6 @@ func Kinds() []JobKind {
 // experiment's own (simulated, deterministic) report and metrics;
 // wall-clock is measured by `bash bench/run.sh` (see bench/README.md).
 type benchRunner struct{}
-
-func (benchRunner) Kind() JobKind { return KindBench }
 
 func (benchRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Experiment == "" {
@@ -116,8 +113,6 @@ func (benchRunner) Run(ctx context.Context, spec JobSpec, opts RunOpts) (*JobRes
 
 // checkRunner is the differential-oracle sweep (`pandora check`).
 type checkRunner struct{}
-
-func (checkRunner) Kind() JobKind { return KindCheck }
 
 func (checkRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Programs < 0 || spec.Masks < 0 {
@@ -167,8 +162,6 @@ func (checkRunner) Run(ctx context.Context, spec JobSpec, opts RunOpts) (*JobRes
 // built-in scenario, or user assembly whose `.secret` directives (plus
 // Secrets entries) declare the labeled regions.
 type scanRunner struct{}
-
-func (scanRunner) Kind() JobKind { return KindScan }
 
 func (scanRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	switch {
@@ -248,8 +241,6 @@ func (scanRunner) Run(ctx context.Context, spec JobSpec, opts RunOpts) (*JobResu
 // faultRunner is the fault-injection campaign (`pandora fault`).
 type faultRunner struct{}
 
-func (faultRunner) Kind() JobKind { return KindFault }
-
 func (faultRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Trials < 0 {
 		return JobSpec{}, fmt.Errorf("serve: fault job: negative trials")
@@ -316,8 +307,6 @@ func (faultRunner) Run(ctx context.Context, spec JobSpec, opts RunOpts) (*JobRes
 // exports the trace (`pandora trace`).
 type traceRunner struct{}
 
-func (traceRunner) Kind() JobKind { return KindTrace }
-
 func (traceRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	if spec.Scenario == "" {
 		return JobSpec{}, fmt.Errorf("serve: trace job needs a scenario (one of %v)", core.TraceScenarios())
@@ -348,8 +337,6 @@ func (traceRunner) Normalize(spec JobSpec) (JobSpec, error) {
 // variants under the taint scanner, verdicts against each kernel's
 // designed constant-time contract.
 type contractRunner struct{}
-
-func (contractRunner) Kind() JobKind { return KindContract }
 
 func (contractRunner) Normalize(spec JobSpec) (JobSpec, error) {
 	names, err := kernels.ValidateNames(spec.Kernels)

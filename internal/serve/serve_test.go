@@ -22,8 +22,10 @@ func startServer(t *testing.T) (base string, srv *Server) {
 }
 
 // startServerWith is startServer with explicit options (CacheDir is
-// filled in when empty).
-func startServerWith(t *testing.T, opts Options) (base string, srv *Server) {
+// filled in when empty). Each prepare function adjusts the server after
+// New and before it serves; a test that replaces a kind's breaker this
+// way must replay no jobs, whose runs could already be recording on it.
+func startServerWith(t *testing.T, opts Options, prepare ...func(*Server)) (base string, srv *Server) {
 	t.Helper()
 	if opts.CacheDir == "" {
 		opts.CacheDir = t.TempDir()
@@ -31,6 +33,9 @@ func startServerWith(t *testing.T, opts Options) (base string, srv *Server) {
 	srv, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	for _, p := range prepare {
+		p(srv)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -52,18 +52,9 @@ type Options struct {
 	// the journal on the next start). 0 = 15s.
 	DrainWindow time.Duration
 	// MaxAttempts is the per-job attempt budget for transient failures
-	// (0 = 3; 1 disables retries). RetryBase is the first backoff between
-	// attempts (0 = 25ms); it doubles per retry, capped at defaultRetryMax.
+	// (0 = 3; 1 disables retries). The backoff between attempts starts
+	// at retryBase and doubles per retry, capped at retryMax.
 	MaxAttempts int
-	RetryBase   time.Duration
-	// BreakerThreshold consecutive terminal failures of one job kind
-	// open that kind's circuit for BreakerCooldown, shedding its
-	// submissions with 503 + Retry-After (0 = 5 failures / 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// KindConcurrency caps concurrently executing jobs per kind;
-	// submissions over the cap are shed with 503 (0 = unlimited).
-	KindConcurrency int
 	// Chaos, when non-nil, injects seeded failures (panics, stalls,
 	// slow-downs) into job attempts. Test-only: the chaos tests drive
 	// it; production servers leave it nil.
@@ -72,13 +63,19 @@ type Options struct {
 
 // Defaulted option values.
 const (
-	defaultMaxTimeout       = 10 * time.Minute
-	defaultDrainWindow      = 15 * time.Second
-	defaultMaxAttempts      = 3
-	defaultRetryBase        = 25 * time.Millisecond
-	defaultRetryMax         = 2 * time.Second
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 5 * time.Second
+	defaultMaxTimeout  = 10 * time.Minute
+	defaultDrainWindow = 15 * time.Second
+	defaultMaxAttempts = 3
+)
+
+// Fixed admission and retry policy. breakerThreshold consecutive
+// terminal failures of one job kind open that kind's circuit for
+// breakerCooldown, shedding its submissions with 503 + Retry-After.
+const (
+	retryBase        = 25 * time.Millisecond
+	retryMax         = 2 * time.Second
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
 )
 
 // Stats counts the server's job traffic. Fields are atomics because
@@ -94,7 +91,7 @@ type Stats struct {
 	CacheMisses   atomic.Uint64 // submissions that found no entry
 	CacheRejected atomic.Uint64 // entries that failed authentication
 	Retries       atomic.Uint64 // extra attempts after transient failures
-	Shed          atomic.Uint64 // submissions refused by breaker/concurrency limits
+	Shed          atomic.Uint64 // submissions refused while draining, by an open breaker or a full queue
 	TimedOut      atomic.Uint64 // jobs terminated by their deadline
 	WALReplayed   atomic.Uint64 // journaled jobs recovered on startup
 	WALRejected   atomic.Uint64 // journal records that failed authentication
@@ -138,10 +135,6 @@ type Job struct {
 	timeout time.Duration
 	log     *eventLog
 	done    chan struct{}
-
-	// executing marks a job that holds an in-flight execution slot
-	// (guarded by Server.mu, released at settle).
-	executing bool
 
 	mu     sync.Mutex
 	spec   *JobSpec // the canonical spec, needed only to execute; nil once settled
@@ -199,16 +192,17 @@ type Server struct {
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 
+	// breakers holds one breaker per Kinds() entry. New fills it and
+	// nothing writes it after, so handlers read it without a lock.
 	breakers map[JobKind]*breaker
 	draining atomic.Bool
 	stopOnce sync.Once
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	settled  []string        // ids of the settled jobs in jobs, oldest first
-	flights  map[string]*Job // cache key → in-flight job
-	inflight map[JobKind]int // executing jobs per kind
-	seq      int
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	settled []string        // ids of the settled jobs in jobs, oldest first
+	flights map[string]*Job // cache key → queued or running job
+	seq     int
 	// maxSettled bounds the settled records in jobs (maxSettledJobs;
 	// tests shrink it). In-flight jobs are never evicted.
 	maxSettled int
@@ -234,15 +228,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxAttempts == 0 {
 		opts.MaxAttempts = defaultMaxAttempts
 	}
-	if opts.RetryBase == 0 {
-		opts.RetryBase = defaultRetryBase
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = defaultBreakerThreshold
-	}
-	if opts.BreakerCooldown == 0 {
-		opts.BreakerCooldown = defaultBreakerCooldown
-	}
 	store, err := OpenStore(opts.CacheDir)
 	if err != nil {
 		return nil, err
@@ -263,11 +248,10 @@ func New(opts Options) (*Server, error) {
 		breakers:   make(map[JobKind]*breaker),
 		jobs:       make(map[string]*Job),
 		flights:    make(map[string]*Job),
-		inflight:   make(map[JobKind]int),
 		maxSettled: maxSettledJobs,
 	}
 	for _, kind := range Kinds() {
-		s.breakers[kind] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
+		s.breakers[kind] = newBreaker(breakerThreshold, breakerCooldown)
 	}
 	s.stats.WALRejected.Add(uint64(rejected))
 	s.stats.register(s.reg)
@@ -286,8 +270,8 @@ func New(opts Options) (*Server, error) {
 // replay recovers the journal's pending jobs: each is either already in
 // the cache (the process died between storing the result and marking
 // the journal — complete it without re-executing) or re-queued for
-// execution. Replayed jobs bypass the breaker and concurrency checks:
-// they were accepted once already.
+// execution. Replayed jobs bypass the breaker: they were accepted once
+// already.
 func (s *Server) replay(pending []walPending) error {
 	for _, p := range pending {
 		s.stats.WALReplayed.Add(1)
@@ -305,10 +289,6 @@ func (s *Server) replay(pending []walPending) error {
 			s.settleFromBody(j, body)
 			continue
 		}
-		s.mu.Lock()
-		j.executing = true
-		s.inflight[j.kind]++
-		s.mu.Unlock()
 		if err := s.pool.Submit(keyShard(p.Key), func() { s.run(j) }); err != nil {
 			return fmt.Errorf("serve: replay %s: %w", p.Key, err)
 		}
@@ -517,8 +497,10 @@ func parseSubmit(body io.Reader) (spec JobSpec, key string, canon JobSpec, err e
 }
 
 // handleSubmit is POST /v1/jobs: canonicalize, consult the store, dedupe
-// a miss against flights, and only then — behind the breaker and
-// concurrency limits, through the journal — queue an execution.
+// a miss against flights, and only then — behind the kind's breaker,
+// through the journal — queue an execution. An execution is shed only
+// while draining, while its kind's circuit is open, or when its shard
+// queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, key, canon, err := parseSubmit(r.Body)
 	if err != nil {
@@ -576,24 +558,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.log.close()
 	}
 
-	// Execution needed: check the kind's circuit breaker and concurrency
-	// limit before committing to it.
-	now := time.Now()
-	if ok, retryAfter := s.breakerFor(canon.Kind).allow(now); !ok {
+	// Execution needed: check the kind's circuit breaker before
+	// committing to it.
+	b := s.breakers[canon.Kind]
+	ok, probe, retryAfter := b.allow(time.Now())
+	if !ok {
 		unregister()
 		s.shed(w, retryAfter, "%s circuit open (recent failures); retry later", canon.Kind)
 		return
 	}
-	s.mu.Lock()
-	if s.opts.KindConcurrency > 0 && s.inflight[canon.Kind] >= s.opts.KindConcurrency {
-		s.mu.Unlock()
-		unregister()
-		s.shed(w, time.Second, "%s concurrency limit reached; retry later", canon.Kind)
-		return
-	}
-	j.executing = true
-	s.inflight[canon.Kind]++
-	s.mu.Unlock()
 
 	// Journal the acceptance before queueing: from here the job either
 	// reaches a terminal state or replays after a crash.
@@ -602,10 +575,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.pool.Submit(keyShard(key), func() { s.run(j) }); err != nil {
 		s.walDone(key) // never queued; the client sees the refusal
-		s.mu.Lock()
-		s.inflight[canon.Kind]--
-		j.executing = false
-		s.mu.Unlock()
+		if probe {
+			b.release() // a probe that never ran has no verdict
+		}
 		unregister()
 		if errors.Is(err, parallel.ErrDraining) {
 			s.shed(w, time.Second, "server is draining")
@@ -615,21 +587,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJob(w, http.StatusAccepted, j, false)
-}
-
-func (s *Server) breakerFor(kind JobKind) *breaker {
-	if b, ok := s.breakers[kind]; ok {
-		return b
-	}
-	// Unreachable for validated specs; keep a permissive fallback.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.breakers[kind]; ok {
-		return b
-	}
-	b := newBreaker(s.opts.BreakerThreshold, s.opts.BreakerCooldown)
-	s.breakers[kind] = b
-	return b
 }
 
 // walDone marks a job terminal in the journal, tolerating journal
@@ -657,7 +614,7 @@ func (s *Server) run(j *Job) {
 		ctx, cancel = context.WithTimeout(ctx, j.timeout)
 		defer cancel()
 	}
-	policy := RetryPolicy{MaxAttempts: s.opts.MaxAttempts, Base: s.opts.RetryBase, Max: defaultRetryMax}
+	policy := RetryPolicy{MaxAttempts: s.opts.MaxAttempts, Base: retryBase, Max: retryMax}
 
 	var attempts []Attempt
 	for att := 0; ; att++ {
@@ -681,7 +638,7 @@ func (s *Server) run(j *Job) {
 			}
 			s.stats.Completed.Add(1)
 			s.walDone(j.key)
-			s.breakerFor(j.kind).record(true, time.Now())
+			s.breakers[j.kind].record(true, time.Now())
 			s.settle(j, true, false, "")
 			return
 		}
@@ -737,7 +694,7 @@ func (s *Server) run(j *Job) {
 			}
 			s.stats.Failed.Add(1)
 			s.walDone(j.key)
-			s.breakerFor(j.kind).record(false, time.Now())
+			s.breakers[j.kind].record(false, time.Now())
 			s.logf("serve: job %s failed deterministically (stored %v): %v", j.id, stored, err)
 			s.settle(j, stored, false, err.Error())
 			return
@@ -804,7 +761,7 @@ func (s *Server) failTerminal(j *Job, err error, walDone bool) {
 	if walDone {
 		s.walDone(j.key)
 	}
-	s.breakerFor(j.kind).record(false, time.Now())
+	s.breakers[j.kind].record(false, time.Now())
 	s.logf("serve: job %s failed: %v", j.id, err)
 	s.settle(j, false, false, err.Error())
 }
@@ -847,7 +804,7 @@ func cachedError(body []byte) string {
 }
 
 // settle moves a job to its terminal state as a compact record, emits
-// the terminal event, releases the flight and execution slot, closes
+// the terminal event, releases the flight, closes
 // the stream and, past the table's capacity, evicts the oldest settled
 // record.
 func (s *Server) settle(j *Job, stored, cached bool, errMsg string) {
@@ -867,10 +824,6 @@ func (s *Server) settle(j *Job, stored, cached bool, errMsg string) {
 	s.mu.Lock()
 	if s.flights[j.key] == j {
 		delete(s.flights, j.key)
-	}
-	if j.executing {
-		s.inflight[j.kind]--
-		j.executing = false
 	}
 	s.settled = append(s.settled, j.id)
 	for len(s.settled) > s.maxSettled {
@@ -986,14 +939,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is GET /readyz: readiness to take new work — 503 while
 // draining or while any kind's circuit is open, with the per-kind
-// breaker and in-flight detail either way.
+// breaker states and in-flight counts (queued or running executions,
+// replayed ones included) either way.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	draining := s.draining.Load()
 	breakers := map[string]string{}
 	ready := !draining
 	for _, kind := range Kinds() {
-		st := s.breakerFor(kind).state(now)
+		st := s.breakers[kind].state(now)
 		breakers[string(kind)] = st
 		if st == "open" {
 			ready = false
@@ -1001,10 +955,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	inflight := map[string]int{}
 	s.mu.Lock()
-	for kind, n := range s.inflight {
-		if n > 0 {
-			inflight[string(kind)] = n
-		}
+	for _, j := range s.flights {
+		inflight[string(j.kind)]++
 	}
 	s.mu.Unlock()
 	code := http.StatusOK
