@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"pandora/internal/asm"
 	"pandora/internal/attack"
 	"pandora/internal/bsaes"
 	"pandora/internal/cache"
+	"pandora/internal/diffcheck"
 	"pandora/internal/mem"
 	"pandora/internal/obs"
 	"pandora/internal/pipeline"
@@ -103,9 +105,56 @@ func (s ScanSummary) Format() string {
 	return b.String()
 }
 
+// ScanContext is a warm scan: a simulator (a machine, a memory and one
+// cache hierarchy per geometry, see diffcheck.Sim) and the taint state
+// that shadows it, reset before each scan instead of rebuilt. ScanSource,
+// kernels.Run and the contract enumeration's cells all run on contexts
+// from one shared pool (WithScanContext). The zero value is ready; its
+// first Boot builds everything.
+type ScanContext struct {
+	sim diffcheck.Sim
+	st  *taint.State
+}
+
+// scanContexts is the shared pool. A context left idle across two
+// garbage collections is dropped, so the pool keeps about as many
+// contexts as scans run at once.
+var scanContexts = sync.Pool{New: func() any { return new(ScanContext) }}
+
+// WithScanContext runs scan on a context from the shared pool and
+// returns its result. The context goes back to the pool only when scan
+// succeeds, so scan must build everything it returns from the context's
+// taint state before it returns; a failed, cancelled or panicking scan
+// drops its context.
+func WithScanContext[T any](scan func(*ScanContext) (T, error)) (T, error) {
+	sc := scanContexts.Get().(*ScanContext)
+	res, err := scan(sc)
+	if err == nil {
+		scanContexts.Put(sc)
+	}
+	return res, err
+}
+
+// Boot empties c's taint state and returns it together with c's machine
+// at power-on under cfg, shadowed by that state (cfg.Taint is replaced),
+// on c's memory seeded by init (when non-nil) and on v's hierarchy. Both
+// start as a new taint.State and a new diffcheck.Sim would, whatever c
+// scanned before.
+func (c *ScanContext) Boot(cfg pipeline.Config, v diffcheck.CacheVariant, init func(*mem.Memory)) (*pipeline.Machine, *taint.State, error) {
+	if c.st == nil {
+		c.st = taint.NewState()
+	} else {
+		c.st.Reset()
+	}
+	cfg.Taint = c.st
+	m, err := c.sim.Boot(cfg, v, init)
+	return m, c.st, err
+}
+
 // Summarize folds a shadow state's recorder into a report. Contributor
 // packages (internal/kernels) that build their own machines use it too,
-// so every scenario's scan output has the same shape.
+// so every scenario's scan output has the same shape. Events with the
+// same label set share one Labels slice, which no reader modifies.
 func Summarize(st *taint.State, scenario, machine string) ScanSummary {
 	s := ScanSummary{
 		Scenario: scenario,
@@ -123,13 +172,22 @@ func Summarize(st *taint.State, scenario, machine string) ScanSummary {
 	if n := len(st.Rec.Events); n > 0 {
 		s.Events = make([]ScanEvent, 0, n)
 	}
+	var names map[taint.LabelSet][]string
 	for _, ev := range st.Rec.Events {
+		labels, ok := names[ev.Labels]
+		if !ok {
+			if names == nil {
+				names = make(map[taint.LabelSet][]string)
+			}
+			labels = st.Names.Names(ev.Labels)
+			names[ev.Labels] = labels
+		}
 		s.Events = append(s.Events, ScanEvent{
 			Cycle:  ev.Cycle,
 			PC:     ev.PC,
 			Opt:    ev.Opt.String(),
 			MLDRef: ev.MLDRef,
-			Labels: st.Names.Names(ev.Labels),
+			Labels: labels,
 			Detail: ev.Detail,
 		})
 	}
@@ -282,27 +340,22 @@ func ScanSource(ctx context.Context, src, spec string, extra []taint.Secret) (Sc
 	if err != nil {
 		return ScanSummary{}, err
 	}
-	st := taint.NewState()
-	cfg.Taint = st
 	flag, stop := pipeline.CancelFromContext(ctx)
 	defer stop()
 	cfg.Cancel = flag
-	m := mem.New()
-	hier, err := cache.NewHierarchy(cache.DefaultHierConfig())
-	if err != nil {
-		return ScanSummary{}, err
-	}
-	machine, err := pipeline.New(cfg, m, hier)
-	if err != nil {
-		return ScanSummary{}, err
-	}
-	for _, s := range secrets {
-		if _, err := st.DefineSecret(s); err != nil {
+	return WithScanContext(func(sc *ScanContext) (ScanSummary, error) {
+		machine, st, err := sc.Boot(cfg, diffcheck.CacheVariant{Config: cache.DefaultHierConfig()}, nil)
+		if err != nil {
 			return ScanSummary{}, err
 		}
-	}
-	if _, err := machine.Run(unit.Prog); err != nil {
-		return ScanSummary{}, err
-	}
-	return Summarize(st, "source", spec), nil
+		for _, s := range secrets {
+			if _, err := st.DefineSecret(s); err != nil {
+				return ScanSummary{}, err
+			}
+		}
+		if _, err := machine.Run(unit.Prog); err != nil {
+			return ScanSummary{}, err
+		}
+		return Summarize(st, "source", spec), nil
+	})
 }

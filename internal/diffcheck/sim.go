@@ -9,9 +9,10 @@ import (
 
 // Sim is one worker's simulator: a machine, a data memory and one cache
 // hierarchy per geometry, reset to power-on before each run instead of
-// rebuilt. The differential sweep and the contract enumeration keep one
-// per worker in a parallel.Pool. The zero value is ready; its first Boot
-// builds everything.
+// rebuilt. The differential sweep keeps one per worker in a
+// parallel.Pool; kernel and source-file taint scans run on one inside a
+// core.ScanContext. The zero value is ready; its first Boot builds
+// everything.
 type Sim struct {
 	m     pipeline.Machine
 	mem   mem.Memory

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"pandora/internal/core"
 	"pandora/internal/diffcheck"
 	"pandora/internal/parallel"
 	"pandora/internal/taint"
@@ -151,17 +152,10 @@ func Enumerate(ctx context.Context, opt Options) (*Report, error) {
 		}
 	}
 
-	// Each worker keeps one simulator for all its cells; a cell that fails
-	// or panics does not return it.
-	workers := parallel.Workers(opt.Workers)
-	sims := parallel.NewPool(workers, func() (*diffcheck.Sim, error) { return new(diffcheck.Sim), nil })
-	results, err := parallel.Map(ctx, workers, items, func(ctx context.Context, _ int, it cellItem) (cellResult, error) {
-		sim, _ := sims.Get()
-		res, err := runCell(ctx, sim, ks[it.kernel], variants[it.variant], masks[it.mask])
-		if err == nil {
-			sims.Put(sim)
-		}
-		return res, err
+	results, err := parallel.Map(ctx, parallel.Workers(opt.Workers), items, func(ctx context.Context, _ int, it cellItem) (cellResult, error) {
+		return core.WithScanContext(func(sc *core.ScanContext) (cellResult, error) {
+			return runCell(ctx, sc, ks[it.kernel], variants[it.variant], masks[it.mask])
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -242,11 +236,11 @@ func Enumerate(ctx context.Context, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// runCell scans one kernel under one mask on one cache variant, on sim.
+// runCell scans one kernel under one mask on one cache variant, on sc.
 // The recorder retains no events: the cell needs only the classes present
 // and their first events, which it keeps at any limit.
-func runCell(ctx context.Context, sim *diffcheck.Sim, k Kernel, v diffcheck.CacheVariant, mask diffcheck.ToggleMask) (cellResult, error) {
-	st, err := run(ctx, sim, k, diffcheck.PipeConfig(mask), v.Config, v.Stride, 0)
+func runCell(ctx context.Context, sc *core.ScanContext, k Kernel, v diffcheck.CacheVariant, mask diffcheck.ToggleMask) (cellResult, error) {
+	st, err := run(ctx, sc, k, diffcheck.PipeConfig(mask), v.Config, v.Stride, 0)
 	if err != nil {
 		return cellResult{}, fmt.Errorf("%s/%s/mask %#x: %w", k.Name, v.Name, uint16(mask), err)
 	}

@@ -111,41 +111,42 @@ func Names() []string {
 
 // Run executes the kernel once on the pipeline under the taint scanner
 // with the cache-address observer armed — the constant-time contract
-// run. cfg chooses the optimizations under test; hcfg and stride choose
-// the cache hierarchy (stride attaches the stride prefetcher, the
-// diffcheck "stride-pbuf" variant). machine is the spec string recorded
-// in the summary. k must come from Kernels or KernelByName; only the
-// registry assembles a kernel.
+// run — on a scan context from core's shared pool. cfg chooses the
+// optimizations under test; hcfg and stride choose the cache hierarchy
+// (stride attaches the stride prefetcher, the diffcheck "stride-pbuf"
+// variant). machine is the spec string recorded in the summary. k must
+// come from Kernels or KernelByName; only the registry assembles a
+// kernel.
 func Run(ctx context.Context, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, machine string) (core.ScanSummary, error) {
-	st, err := run(ctx, new(diffcheck.Sim), k, cfg, hcfg, stride, taint.DefaultEventLimit)
-	if err != nil {
-		return core.ScanSummary{}, err
-	}
-	return core.Summarize(st, k.Name, machine), nil
+	return core.WithScanContext(func(sc *core.ScanContext) (core.ScanSummary, error) {
+		st, err := run(ctx, sc, k, cfg, hcfg, stride, taint.DefaultEventLimit)
+		if err != nil {
+			return core.ScanSummary{}, err
+		}
+		return core.Summarize(st, k.Name, machine), nil
+	})
 }
 
-// run is Run on sim, without the summary: it returns the taint state,
+// run is Run on sc, without the summary: it returns sc's taint state,
 // whose recorder retains at most eventLimit events verbatim (its counts
 // and first events per class are exact at any limit). The run starts from
-// the state a freshly built machine, memory and hierarchy would, whatever
-// sim ran before.
-func run(ctx context.Context, sim *diffcheck.Sim, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, eventLimit int) (*taint.State, error) {
+// the state a freshly built machine, memory, hierarchy and taint state
+// would, whatever sc ran before.
+func run(ctx context.Context, sc *core.ScanContext, k Kernel, cfg pipeline.Config, hcfg cache.HierConfig, stride bool, eventLimit int) (*taint.State, error) {
 	unit := k.unit
 	if unit.Prog == nil {
 		return nil, fmt.Errorf("kernels: %s is not registered", k.Name)
 	}
-	st := taint.NewState()
-	st.ObserveAddrs = true
-	st.Rec.Limit = eventLimit
-	cfg.Taint = st
 	flag, stop := pipeline.CancelFromContext(ctx)
 	defer stop()
 	cfg.Cancel = flag
 
-	m, err := sim.Boot(cfg, diffcheck.CacheVariant{Config: hcfg, Stride: stride}, k.Setup)
+	m, st, err := sc.Boot(cfg, diffcheck.CacheVariant{Config: hcfg, Stride: stride}, k.Setup)
 	if err != nil {
 		return nil, err
 	}
+	st.ObserveAddrs = true
+	st.Rec.Limit = eventLimit
 	for _, s := range unit.Secrets {
 		if _, err := st.DefineSecret(taint.Secret{Name: s.Name, Base: s.Base, Len: s.Len}); err != nil {
 			return nil, err

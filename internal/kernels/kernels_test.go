@@ -234,18 +234,19 @@ func TestKnownOptimizationLeaks(t *testing.T) {
 // ScanSummary and its first retained event (or the dropped-events
 // placeholder at cycle and pc -1), in class order. Every kernel × cache
 // variant at masks 0, AllMasks-1 and two seeded masks. The cells share
-// one warm simulator, as an Enumerate worker's do; Run builds a fresh one.
+// one warm scan context, as an Enumerate worker's do; Run takes one from
+// the pool.
 func TestCellMatchesSummary(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	masks := []diffcheck.ToggleMask{0, diffcheck.AllMasks - 1,
 		diffcheck.ToggleMask(rng.Intn(diffcheck.AllMasks)), diffcheck.ToggleMask(rng.Intn(diffcheck.AllMasks))}
 	ctx := context.Background()
 	leaking := 0
-	sim := new(diffcheck.Sim)
+	sc := new(core.ScanContext)
 	for _, k := range Kernels() {
 		for _, v := range diffcheck.CacheVariants() {
 			for _, mask := range masks {
-				got, err := runCell(ctx, sim, k, v, mask)
+				got, err := runCell(ctx, sc, k, v, mask)
 				if err != nil {
 					t.Fatal(err)
 				}

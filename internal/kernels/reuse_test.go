@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"pandora/internal/core"
 	"pandora/internal/diffcheck"
 )
 
@@ -38,16 +39,18 @@ func TestEnumerateMatchesGolden(t *testing.T) {
 }
 
 // TestWarmCellAllocs pins what reuse saves: over every kernel × cache
-// variant at the two extreme masks, cells run on a warm simulator
+// variant at the two extreme masks, cells run on a warm scan context
 // allocate at most half the objects of cells on fresh ones, and at most
-// 34 each on average (37 under -race). The machine keeps its predictor
-// and reuse tables across cells; what a warm cell still allocates is
-// per-cell by design: the taint state, the config's silent-store and
-// speculation blocks, and the kernel's reference check.
+// 17 each on average (19 under -race). The machine keeps its predictor
+// and reuse tables and the taint state its maps and registry across
+// cells; what a warm cell still allocates is per-cell by design: the
+// config's silent-store and speculation blocks, the memory pages Setup
+// writes, the kernel's reference check, and the cell's result with the
+// details of the events it records.
 func TestWarmCellAllocs(t *testing.T) {
-	warmCellAllocs := 34.0
+	warmCellAllocs := 17.0
 	if raceEnabled {
-		warmCellAllocs = 37
+		warmCellAllocs = 19
 	}
 	ctx := context.Background()
 	var warm, fresh float64
@@ -56,15 +59,15 @@ func TestWarmCellAllocs(t *testing.T) {
 		for _, v := range diffcheck.CacheVariants() {
 			for _, mask := range []diffcheck.ToggleMask{0, diffcheck.AllMasks - 1} {
 				var cellErr error
-				cell := func(sim *diffcheck.Sim) func() {
+				cell := func(sc *core.ScanContext) func() {
 					return func() {
-						if _, err := runCell(ctx, sim, k, v, mask); err != nil {
+						if _, err := runCell(ctx, sc, k, v, mask); err != nil {
 							cellErr = err
 						}
 					}
 				}
-				warm += testing.AllocsPerRun(3, cell(new(diffcheck.Sim)))
-				fresh += testing.AllocsPerRun(3, func() { cell(new(diffcheck.Sim))() })
+				warm += testing.AllocsPerRun(3, cell(new(core.ScanContext)))
+				fresh += testing.AllocsPerRun(3, func() { cell(new(core.ScanContext))() })
 				if cellErr != nil {
 					t.Fatal(cellErr)
 				}
@@ -72,7 +75,7 @@ func TestWarmCellAllocs(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("objects per cell: warm %.0f, fresh %.0f", warm/float64(cells), fresh/float64(cells))
+	t.Logf("objects per cell: warm %.1f, fresh %.1f", warm/float64(cells), fresh/float64(cells))
 	if warm > fresh/2 {
 		t.Errorf("warm cells allocate %.0f%% of the objects fresh ones do, want at most half", 100*warm/fresh)
 	}

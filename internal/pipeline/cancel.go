@@ -44,13 +44,18 @@ const cancelCheckInterval = 1 << 10
 // (deadline or explicit), plus a stop function releasing the watcher.
 // A ctx that can never be cancelled (context.Background and friends)
 // returns a nil flag and a no-op stop, keeping the nil-deadline fast
-// path free. Callers must invoke stop once the machine is done with the
-// flag.
+// path free. A ctx already done returns the flag raised: the watcher
+// raises it from a goroutine of its own, which a busy scheduler may not
+// start before the run ends. Callers must invoke stop once the machine
+// is done with the flag.
 func CancelFromContext(ctx context.Context) (*CancelFlag, func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return nil, func() {}
 	}
 	f := &CancelFlag{}
+	if ctx.Err() != nil {
+		f.Cancel()
+	}
 	stop := context.AfterFunc(ctx, f.Cancel)
 	return f, func() { stop() }
 }

@@ -103,6 +103,13 @@ func TestCancelFromContext(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+
+	// A ctx already done yields a flag already raised.
+	if f, stop := CancelFromContext(ctx); !f.Cancelled() {
+		t.Fatal("CancelFromContext(cancelled ctx) returned a lowered flag")
+	} else {
+		stop()
+	}
 }
 
 func TestCancelMidRun(t *testing.T) {

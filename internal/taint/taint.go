@@ -222,6 +222,19 @@ func NewState() *State {
 	}
 }
 
+// Reset returns st to the state NewState builds, keeping the storage of
+// its registry, shadow memory, predictor-table shadow and recorder: a
+// scan on a reset state allocates only what outgrows an earlier one.
+// pipeline.Machine.Reset wires Config.Probe into the state, so a state
+// is reset before, not after, the machine it shadows.
+func (st *State) Reset() {
+	st.Names.names = st.Names.names[:0]
+	clear(st.Mem.m)
+	clear(st.Pred)
+	*st.Rec = Recorder{Limit: DefaultEventLimit, Events: st.Rec.Events[:0]}
+	*st = State{Names: st.Names, Mem: st.Mem, Pred: st.Pred, Rec: st.Rec}
+}
+
 // DefineSecret allocates a label named s.Name and applies it to the
 // region's shadow bytes. A region failing Secret.Check is rejected with
 // a *SecretError before any label is allocated.
