@@ -1,8 +1,8 @@
 #!/bin/sh
-# CI gate: vet, build, and run the full test suite under the race
-# detector. -short keeps the paper-scale sweeps (keyrec -full, large
-# fig6 sample counts) out of CI; they are exercised manually via
-# `pandora <experiment> -full`.
+# CI gate: vet, build, and run the test suite under the race detector
+# with -short, then in full without it. The paper-scale sweeps (keyrec
+# -full, large fig6 sample counts) stay out of CI; they are exercised
+# manually via `pandora <experiment> -full`.
 #
 # The suite carries the end-to-end gates: the scanner's scenario
 # verdicts and taint self-test, the trace exports, the contract
@@ -16,6 +16,13 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
 go test -race -short ./...
+
+# The tests -short skips, run once without the race detector: the
+# pipeline-vs-emulator differential under every optimization
+# configuration, the contract table against CONTRACT_table.json, the long
+# cache and prefetcher equivalence runs, the JIT differential fuzz and
+# the BSAES plaintext sweep.
+go test ./...
 
 # Every Go benchmark (the root substrate micro-benchmarks and the
 # pipeline's profiling entry points) runs once, so none can rot

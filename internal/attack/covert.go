@@ -34,7 +34,7 @@ type SilentStoreChannel struct {
 // shared-memory covert setting).
 func NewSilentStoreChannel() (*SilentStoreChannel, error) {
 	cfg := pipeline.DefaultConfig()
-	cfg.SilentStores = &pipeline.SilentStoreConfig{}
+	cfg.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 	cfg.SQSize = 5
 	hcfg := cache.DefaultHierConfig()
 	hcfg.L1.Ways = 1

@@ -105,7 +105,7 @@ func newBSAESScenario(cfg BSAESConfig, victimKey, victimPlain, attackerKey [16]b
 		return nil, err
 	}
 	pcfg := pipeline.DefaultConfig()
-	pcfg.SilentStores = &pipeline.SilentStoreConfig{}
+	pcfg.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 	pcfg.SQSize = cfg.SQSize
 	machine, err := pipeline.New(pcfg, m, hier)
 	if err != nil {

@@ -220,7 +220,7 @@ func writeFig4Timeline(b *strings.Builder, tr *obs.Trace) {
 func runFig4(o Options) (Result, error) {
 	ssCfg := func() pipeline.Config {
 		c := pipeline.DefaultConfig()
-		c.SilentStores = &pipeline.SilentStoreConfig{}
+		c.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 		return c
 	}
 
@@ -305,7 +305,7 @@ func runFig4(o Options) (Result, error) {
 // gadgetRun measures one amplification-gadget run (Figure 5 shape).
 func gadgetRun(storeVal int64) (int64, error) {
 	cfg := pipeline.DefaultConfig()
-	cfg.SilentStores = &pipeline.SilentStoreConfig{}
+	cfg.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 	cfg.SQSize = 5
 	hcfg := cache.DefaultHierConfig()
 	hcfg.L1.Ways = 1

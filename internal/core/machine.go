@@ -30,6 +30,8 @@ import (
 //	sq=N, rob=N, prf=N, alu=N, ld=N  sizing overrides (sq, rob ≤ 1024;
 //	                    prf ≤ 4096; alu, ld ≤ 64)
 //
+// Features compose in any order. Of two tokens that set the same
+// field, such as silentstores and silentstores-lsq, the last one wins.
 // An empty spec returns the default baseline. An argument above its
 // bound is a *SpecError "out of range (max N)": a served scan job takes
 // its spec from the request, and the ROB's consumer masks grow with the
@@ -64,11 +66,13 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 		var err error
 		switch name {
 		case "silentstores":
-			cfg.SilentStores = &pipeline.SilentStoreConfig{}
+			cfg.SilentStores.Scheme = pipeline.SSReadPortStealing
 		case "silentstores-lsq":
-			cfg.SilentStores = &pipeline.SilentStoreConfig{Scheme: pipeline.SSLSQCompare}
+			cfg.SilentStores.Scheme = pipeline.SSLSQCompare
 		case "compsimp":
-			cfg.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}
+			cfg.Simplifier.ZeroSkipMul = true
+			cfg.Simplifier.TrivialALU = true
+			cfg.Simplifier.EarlyExitDiv = true
 		case "strengthred":
 			cfg.Simplifier.StrengthReduction = true
 		case "packing":
@@ -93,19 +97,19 @@ func ParseMachineSpec(spec string) (pipeline.Config, error) {
 		case "rfc-01":
 			cfg.RFC = uopt.RFCZeroOne
 		case "spec":
-			speculation(&cfg).WrongPath = true
-			speculation(&cfg).Bimodal = true
+			cfg.Speculation.WrongPath = true
+			cfg.Speculation.Bimodal = true
 		case "wrongpath":
 			n, e := argN(0, pipeline.MaxQueueSize)
 			if e != nil {
 				return cfg, e
 			}
-			speculation(&cfg).WrongPath = true
-			speculation(&cfg).MaxWrongPath = n
+			cfg.Speculation.WrongPath = true
+			cfg.Speculation.MaxWrongPath = n
 		case "bimodal":
-			speculation(&cfg).Bimodal = true
+			cfg.Speculation.Bimodal = true
 		case "stlf":
-			speculation(&cfg).StLF = true
+			cfg.Speculation.StLF = true
 		case "staddr":
 			cfg.StoreAddrLat, err = argN(cfg.StoreAddrLat, pipeline.MaxStoreAddrLat)
 		case "sq":
@@ -139,13 +143,4 @@ const (
 func MachineFeatures() string {
 	return "silentstores silentstores-lsq compsimp strengthred packing fusion reuse-sv reuse-sn " +
 		"vp[:N] vp-stride[:N] rfc-any rfc-01 spec wrongpath[:N] bimodal stlf staddr=N sq=N rob=N prf=N alu=N ld=N"
-}
-
-// speculation returns cfg's speculation block, creating it on first use so
-// the spec/wrongpath/bimodal/stlf features compose in any order.
-func speculation(cfg *pipeline.Config) *pipeline.SpeculationConfig {
-	if cfg.Speculation == nil {
-		cfg.Speculation = &pipeline.SpeculationConfig{}
-	}
-	return cfg.Speculation
 }

@@ -14,7 +14,7 @@ func TestParseMachineSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SilentStores == nil || cfg.SilentStores.Scheme != pipeline.SSReadPortStealing {
+	if cfg.SilentStores.Scheme != pipeline.SSReadPortStealing {
 		t.Error("silentstores not configured")
 	}
 	if !cfg.Simplifier.ZeroSkipMul {
@@ -50,7 +50,7 @@ func TestParseMachineSpecSpeculation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := cfg.Speculation
-	if sp == nil || !sp.WrongPath || !sp.Bimodal || !sp.StLF {
+	if !sp.WrongPath || !sp.Bimodal || !sp.StLF {
 		t.Errorf("spec,stlf misconfigured: %+v", sp)
 	}
 	if cfg.StoreAddrLat != 4 {
@@ -61,7 +61,7 @@ func TestParseMachineSpecSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp = cfg.Speculation; sp == nil || !sp.WrongPath || sp.Bimodal || sp.MaxWrongPath != 12 {
+	if sp = cfg.Speculation; !sp.WrongPath || sp.Bimodal || sp.MaxWrongPath != 12 {
 		t.Errorf("wrongpath:12 misconfigured: %+v", sp)
 	}
 
@@ -69,7 +69,7 @@ func TestParseMachineSpecSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp = cfg.Speculation; sp == nil || sp.WrongPath || !sp.Bimodal {
+	if sp = cfg.Speculation; sp.WrongPath || !sp.Bimodal {
 		t.Errorf("bimodal misconfigured: %+v", sp)
 	}
 }
@@ -108,8 +108,8 @@ func TestParseMachineSpecErrors(t *testing.T) {
 
 // FuzzParseMachineSpec: ParseMachineSpec never panics, rejects only
 // with a *SpecError, and every accepted spec keeps FormatMachineSpec's
-// round-trip property — format, reparse, format again gives the same
-// string.
+// round-trip property — reparsing the formatted spec gives the same
+// configuration, and formatting that gives the same string.
 func FuzzParseMachineSpec(f *testing.F) {
 	for _, spec := range []string{
 		"silentstores,compsimp,packing,reuse-sv,vp:3,rfc-any,sq=5,rob=32,prf=48,alu=4,ld=1",
@@ -131,6 +131,9 @@ func FuzzParseMachineSpec(f *testing.F) {
 		again, err := ParseMachineSpec(canon)
 		if err != nil {
 			t.Fatalf("reparse of %q (from %q): %v", canon, spec, err)
+		}
+		if again != cfg {
+			t.Fatalf("round trip of %q through %q changed the config:\n%+v\n%+v", spec, canon, cfg, again)
 		}
 		if got := FormatMachineSpec(again); got != canon {
 			t.Fatalf("round trip of %q: %q -> %q", spec, canon, got)

@@ -45,19 +45,18 @@ func (e *SpecError) Error() string {
 //
 // so two user spellings of the same machine ("vp,spec" vs
 // " spec , vp:2 ") format identically — the property serve's cache
-// keys rely on. Configuration fields outside the grammar (probes,
-// watchdogs, taint, fault injectors, co-tenants) are ignored.
+// keys rely on. Configuration fields outside the grammar (run
+// attachments, the co-tenant, the cycle budget, checks) are ignored.
 func FormatMachineSpec(cfg pipeline.Config) string {
 	def := pipeline.DefaultConfig()
 	var out []string
 	add := func(f string) { out = append(out, f) }
 
-	if ss := cfg.SilentStores; ss != nil {
-		if ss.Scheme == pipeline.SSLSQCompare {
-			add("silentstores-lsq")
-		} else {
-			add("silentstores")
-		}
+	switch cfg.SilentStores.Scheme {
+	case pipeline.SSReadPortStealing:
+		add("silentstores")
+	case pipeline.SSLSQCompare:
+		add("silentstores-lsq")
 	}
 	if s := cfg.Simplifier; s.ZeroSkipMul && s.TrivialALU && s.EarlyExitDiv {
 		add("compsimp")
@@ -89,24 +88,22 @@ func FormatMachineSpec(cfg pipeline.Config) string {
 	case uopt.RFCZeroOne:
 		add("rfc-01")
 	}
-	if sp := cfg.Speculation; sp != nil {
-		if sp.WrongPath && sp.Bimodal && sp.MaxWrongPath == 0 {
-			add("spec")
-		} else {
-			if sp.WrongPath {
-				if sp.MaxWrongPath > 0 {
-					add("wrongpath:" + strconv.Itoa(sp.MaxWrongPath))
-				} else {
-					add("wrongpath")
-				}
-			}
-			if sp.Bimodal {
-				add("bimodal")
+	if sp := cfg.Speculation; sp.WrongPath && sp.Bimodal && sp.MaxWrongPath == 0 {
+		add("spec")
+	} else {
+		if sp.WrongPath {
+			if sp.MaxWrongPath > 0 {
+				add("wrongpath:" + strconv.Itoa(sp.MaxWrongPath))
+			} else {
+				add("wrongpath")
 			}
 		}
-		if sp.StLF {
-			add("stlf")
+		if sp.Bimodal {
+			add("bimodal")
 		}
+	}
+	if cfg.Speculation.StLF {
+		add("stlf")
 	}
 	if cfg.StoreAddrLat != def.StoreAddrLat {
 		add("staddr=" + strconv.Itoa(cfg.StoreAddrLat))

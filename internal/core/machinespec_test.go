@@ -8,7 +8,8 @@ import (
 
 // TestMachineSpecRoundTrip: formatting a parsed spec is idempotent —
 // FormatMachineSpec(Parse(canonical)) == canonical — and maps every
-// accepted spelling onto one canonical form.
+// accepted spelling onto one canonical form, which parses to the same
+// configuration as the spelling did.
 func TestMachineSpecRoundTrip(t *testing.T) {
 	cases := []struct {
 		in, canonical string
@@ -43,6 +44,8 @@ func TestMachineSpecRoundTrip(t *testing.T) {
 		// Whitespace, ordering and redundant spellings collapse.
 		{" vp:8 , silentstores ", "silentstores,vp:8"},
 		{"stlf,compsimp,silentstores", "silentstores,compsimp,stlf"},
+		{"strengthred,compsimp", "compsimp,strengthred"},
+		{"stlf,wrongpath:3,bimodal", "wrongpath:3,bimodal,stlf"},
 	}
 	for _, tc := range cases {
 		got, err := CanonicalMachineSpec(tc.in)
@@ -61,6 +64,10 @@ func TestMachineSpecRoundTrip(t *testing.T) {
 		}
 		if again != got {
 			t.Errorf("not idempotent: %q -> %q -> %q", tc.in, got, again)
+		}
+		in, _ := ParseMachineSpec(tc.in)
+		if canon, _ := ParseMachineSpec(got); in != canon {
+			t.Errorf("%q and its canonical form %q parse to different configs:\n%+v\n%+v", tc.in, got, in, canon)
 		}
 	}
 }

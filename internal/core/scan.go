@@ -226,7 +226,7 @@ func scanAES(ctx context.Context, silentStores bool, probe obs.Probe) (ScanSumma
 	cfg.Cancel = flag
 	scenario := "aes-baseline"
 	if silentStores {
-		cfg.SilentStores = &pipeline.SilentStoreConfig{}
+		cfg.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 		cfg.SQSize = 5
 		scenario = "aes-silentstores"
 	}

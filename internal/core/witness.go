@@ -272,7 +272,7 @@ func witnesses() []witness {
 			name: "store-to-leak forwarding", item: "Data: Store address (StLF)",
 			config: func() pipeline.Config {
 				c := stlfWitnessConfig()
-				c.Speculation = &pipeline.SpeculationConfig{StLF: true}
+				c.Speculation = pipeline.SpeculationConfig{StLF: true}
 				return c
 			},
 			baseline: stlfWitnessConfig,
@@ -315,7 +315,7 @@ func witnesses() []witness {
 			name: "wrong-path vector lane", item: "Data: Wrong-path load (SV)",
 			config: func() pipeline.Config {
 				c := base()
-				c.Speculation = &pipeline.SpeculationConfig{WrongPath: true}
+				c.Speculation = pipeline.SpeculationConfig{WrongPath: true}
 				return c
 			},
 			baseline: base,
@@ -356,7 +356,7 @@ func witnesses() []witness {
 			name: "silent stores", item: "Data: Store (SS)",
 			config: func() pipeline.Config {
 				c := base()
-				c.SilentStores = &pipeline.SilentStoreConfig{}
+				c.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 				c.SQSize = 4
 				return c
 			},

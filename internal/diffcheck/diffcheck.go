@@ -112,7 +112,7 @@ func PipeConfig(mask ToggleMask) pipeline.Config {
 	c.MaxCycles = 2_000_000
 	c.CheckInvariants = true
 	if mask&TogSilentStores != 0 {
-		c.SilentStores = &pipeline.SilentStoreConfig{Retry: true}
+		c.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing, Retry: true}
 	}
 	if mask&TogPredictor != 0 {
 		c.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 2}
@@ -134,12 +134,10 @@ func PipeConfig(mask ToggleMask) pipeline.Config {
 		c.FuseAddiLoad = true
 	}
 	if mask&TogSpec != 0 {
-		c.Speculation = &pipeline.SpeculationConfig{WrongPath: true, Bimodal: true}
+		c.Speculation.WrongPath = true
+		c.Speculation.Bimodal = true
 	}
 	if mask&TogStLF != 0 {
-		if c.Speculation == nil {
-			c.Speculation = &pipeline.SpeculationConfig{}
-		}
 		c.Speculation.StLF = true
 		c.StoreAddrLat = 4
 	}

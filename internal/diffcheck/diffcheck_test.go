@@ -7,6 +7,7 @@ import (
 
 	"pandora/internal/isa"
 	"pandora/internal/parallel"
+	"pandora/internal/pipeline"
 	"pandora/internal/uopt"
 )
 
@@ -27,26 +28,39 @@ func TestToggleMaskString(t *testing.T) {
 
 func TestPipeConfigToggles(t *testing.T) {
 	off := PipeConfig(0)
-	if off.SilentStores != nil || off.ValuePred.Scheme != uopt.VPOff || off.Reuse != uopt.ReuseOff ||
+	if off.SilentStores.Scheme != pipeline.SSOff || off.ValuePred.Scheme != uopt.VPOff || off.Reuse != uopt.ReuseOff ||
 		off.Simplifier.Enabled() || off.Packing || off.RFC != uopt.RFCOff || off.FuseAddiLoad {
 		t.Errorf("mask 0 enabled an optimization: %+v", off)
 	}
 	if !off.CheckInvariants {
 		t.Error("harness configs must have invariant checking on")
 	}
-	if off.Speculation != nil || off.StoreAddrLat != 0 {
+	if off.Speculation != (pipeline.SpeculationConfig{}) || off.StoreAddrLat != 0 {
 		t.Errorf("mask 0 enabled speculation: %+v", off)
 	}
 	on := PipeConfig(AllMasks - 1)
-	if on.SilentStores == nil || on.ValuePred.Scheme == uopt.VPOff || on.Reuse == uopt.ReuseOff ||
+	if on.SilentStores.Scheme != pipeline.SSReadPortStealing || on.ValuePred.Scheme == uopt.VPOff || on.Reuse == uopt.ReuseOff ||
 		!on.Simplifier.Enabled() || !on.Packing || on.RFC != uopt.RFCAnyValue || !on.FuseAddiLoad {
 		t.Errorf("full mask left an optimization off: %+v", on)
 	}
-	if on.Speculation == nil || !on.Speculation.WrongPath || !on.Speculation.StLF || on.StoreAddrLat != 4 {
+	if !on.Speculation.WrongPath || !on.Speculation.StLF || on.StoreAddrLat != 4 {
 		t.Errorf("full mask left speculation off: %+v", on.Speculation)
 	}
-	if sf := PipeConfig(TogStLF); sf.Speculation == nil || !sf.Speculation.StLF || sf.Speculation.WrongPath {
+	if sf := PipeConfig(TogStLF); !sf.Speculation.StLF || sf.Speculation.WrongPath {
 		t.Errorf("TogStLF alone misconfigured: %+v", sf.Speculation)
+	}
+}
+
+// TestPipeConfigComparable: a mask's configuration is a plain value, so two
+// builds of one mask compare equal and distinct masks compare unequal.
+func TestPipeConfigComparable(t *testing.T) {
+	for m := ToggleMask(0); m < AllMasks; m++ {
+		if PipeConfig(m) != PipeConfig(m) {
+			t.Fatalf("PipeConfig(%v) differs from itself", m)
+		}
+		if m > 0 && PipeConfig(m) == PipeConfig(m-1) {
+			t.Fatalf("PipeConfig(%v) equals PipeConfig(%v)", m, m-1)
+		}
 	}
 }
 

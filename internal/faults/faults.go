@@ -80,8 +80,9 @@ const (
 	// SiteStuckPredictor freezes predictor training for the whole run:
 	// the bimodal direction counters and the store-to-load forwarding
 	// confidence counters keep predicting from stale state. Structural,
-	// and only observable on a machine with Config.Speculation — it is
-	// exercised by unit tests, not the campaign sweep.
+	// and only observable on a machine whose Config.Speculation enables
+	// Bimodal or StLF — it is exercised by unit tests, not the campaign
+	// sweep.
 	SiteStuckPredictor
 
 	numSites

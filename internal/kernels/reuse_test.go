@@ -41,17 +41,13 @@ func TestEnumerateMatchesGolden(t *testing.T) {
 // TestWarmCellAllocs pins what reuse saves: over every kernel × cache
 // variant at the two extreme masks, cells run on a warm scan context
 // allocate at most half the objects of cells on fresh ones, and at most
-// 17 each on average (19 under -race). The machine keeps its predictor
+// 10 each on average, under -race too. The machine keeps its predictor
 // and reuse tables and the taint state its maps and registry across
 // cells; what a warm cell still allocates is per-cell by design: the
-// config's silent-store and speculation blocks, the memory pages Setup
-// writes, the kernel's reference check, and the cell's result with the
-// details of the events it records.
+// memory pages Setup writes, the kernel's reference check, and the
+// cell's result with the details of the events it keeps.
 func TestWarmCellAllocs(t *testing.T) {
-	warmCellAllocs := 17.0
-	if raceEnabled {
-		warmCellAllocs = 19
-	}
+	const warmCellAllocs = 10
 	ctx := context.Background()
 	var warm, fresh float64
 	cells := 0
@@ -80,6 +76,6 @@ func TestWarmCellAllocs(t *testing.T) {
 		t.Errorf("warm cells allocate %.0f%% of the objects fresh ones do, want at most half", 100*warm/fresh)
 	}
 	if w := warm / float64(cells); w > warmCellAllocs {
-		t.Errorf("a warm cell allocates %.1f objects, want at most %.0f", w, warmCellAllocs)
+		t.Errorf("a warm cell allocates %.1f objects, want at most %d", w, warmCellAllocs)
 	}
 }

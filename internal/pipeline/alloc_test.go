@@ -134,7 +134,7 @@ func TestSteadyStateAllocsEnabledProbe(t *testing.T) {
 // them publish every store-queue kind.
 func TestSteadyStateAllocsSilentStores(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	steady := &countProbe{}
 	cfg.Probe = steady
 	if avg := steadyStateAllocs(t, cfg); avg != 0 {
@@ -179,7 +179,7 @@ func TestSteadyStateAllocsSilentStores(t *testing.T) {
 	p := &countProbe{}
 	for _, c := range cases {
 		cfg := DefaultConfig()
-		cfg.SilentStores = &SilentStoreConfig{}
+		cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 		if c.loadPorts > 0 {
 			cfg.LoadPorts = c.loadPorts
 		}
@@ -319,7 +319,7 @@ func TestUopDoubleFreeDetected(t *testing.T) {
 func specAllocConfig() Config {
 	cfg := DefaultConfig()
 	cfg.StoreAddrLat = 4
-	cfg.Speculation = &SpeculationConfig{WrongPath: true, Bimodal: true, StLF: true}
+	cfg.Speculation = SpeculationConfig{WrongPath: true, Bimodal: true, StLF: true}
 	return cfg
 }
 

@@ -35,11 +35,13 @@ import (
 type SilentStoreScheme uint8
 
 const (
+	// SSOff disables silent stores.
+	SSOff SilentStoreScheme = iota
 	// SSReadPortStealing issues an SS-Load through a free load port as
 	// soon as the store's address resolves (Lepak & Lipasti's free-
 	// silent-store-squashing; the scheme the paper implements and
 	// Figure 4 describes).
-	SSReadPortStealing SilentStoreScheme = iota
+	SSReadPortStealing
 	// SSLSQCompare compares the in-flight store against an older
 	// in-flight store to the same address in the load-store queue — no
 	// memory read at all, but it only catches store pairs that overlap
@@ -48,17 +50,20 @@ const (
 )
 
 func (s SilentStoreScheme) String() string {
-	if s == SSLSQCompare {
+	switch s {
+	case SSReadPortStealing:
+		return "read-port-stealing"
+	case SSLSQCompare:
 		return "lsq-compare"
 	}
-	return "read-port-stealing"
+	return "off"
 }
 
 // SilentStoreConfig enables and parameterizes the silent-store
 // implementation (Section V-A1 of the paper; Lepak & Lipasti, "Silent
-// Stores for Free", MICRO'00).
+// Stores for Free", MICRO'00). The zero value disables it.
 type SilentStoreConfig struct {
-	// Scheme selects the candidacy check.
+	// Scheme selects the candidacy check; SSOff disables silent stores.
 	Scheme SilentStoreScheme
 	// Retry lets the SS-Load re-attempt issue on later cycles when no
 	// load port is free. The paper's Figure 4 Case C corresponds to
@@ -70,9 +75,9 @@ type SilentStoreConfig struct {
 // SpeculationConfig enables control- and memory-speculation: wrong-path
 // fetch past mispredicted branches (with full squash recovery) and a
 // store-to-load forwarding predictor that forwards before the store
-// address resolves (with replay on misprediction). Nil disables all of it
-// and the pipeline behaves exactly as the non-speculative machine — the
-// property the differential oracle's baseline masks rely on.
+// address resolves (with replay on misprediction). The zero value disables
+// all of it and the pipeline behaves exactly as the non-speculative
+// machine — the property the differential oracle's baseline masks rely on.
 type SpeculationConfig struct {
 	// WrongPath lets fetch continue down the predicted path of a
 	// mispredicted conditional branch instead of stalling; the wrong-path
@@ -118,7 +123,7 @@ const (
 	stlfBits    = 8
 )
 
-func (s *SpeculationConfig) maxWrongPath(robSize int) int {
+func (s SpeculationConfig) maxWrongPath(robSize int) int {
 	if s.MaxWrongPath > 0 {
 		return s.MaxWrongPath
 	}
@@ -137,35 +142,22 @@ type Config struct {
 	SQSize   int
 	PhysRegs int
 
-	ALUPorts    int
-	LoadPorts   int
-	StorePorts  int
-	MulDivUnits int
+	ALUPorts  int
+	LoadPorts int
 
-	ALULat int
-	MulLat int
-	DivLat int
-
-	// BranchPenalty is the fetch-redirect bubble after a mispredicted
-	// branch or an indirect jump resolves. Direction prediction is static
-	// BTFN (backward taken, forward not-taken); JALR always redirects.
-	BranchPenalty int
 	// SquashPenalty is the refetch bubble after a value-misprediction
 	// squash.
 	SquashPenalty int
-	// ForwardLat is the latency of a load fully satisfied by
-	// store-to-load forwarding.
-	ForwardLat int
 	// StoreAddrLat is the store address-generation latency (0 means 1,
 	// at most MaxStoreAddrLat). Widening it opens the window in which a
 	// load's older stores are unresolved — the window the store-to-load
 	// forwarding predictor bets on.
 	StoreAddrLat int
 
-	// Speculation, when non-nil, enables wrong-path fetch and the
-	// store-to-load forwarding predictor (see SpeculationConfig). Nil is
+	// Speculation enables wrong-path fetch and the store-to-load
+	// forwarding predictor (see SpeculationConfig). Its zero value is
 	// bit-identical to the non-speculative machine.
-	Speculation *SpeculationConfig
+	Speculation SpeculationConfig
 
 	// MaxCycles bounds simulated time for programs that keep retiring
 	// forever; Run returns a StallError when it is exceeded. (A machine
@@ -214,10 +206,10 @@ type Config struct {
 	// those tests, not for production use.
 	LinearScheduler bool
 
-	// Optimization classes, each a description whose nil or zero value
+	// Optimization classes, each a description whose zero value
 	// disables it. The tables behind them are the Machine's, built or
 	// cleared by Reset, so one Config may serve many machines at once.
-	SilentStores *SilentStoreConfig
+	SilentStores SilentStoreConfig
 	Simplifier   uopt.Simplifier
 	Packing      bool
 	Reuse        uopt.ReuseScheme
@@ -254,17 +246,35 @@ type Config struct {
 	// thread can perform an active attack by setting its own instruction
 	// operands such that the packing optimization occurs strictly as a
 	// function of a victim instruction's operands").
-	CoTenant *CoTenantConfig
+	CoTenant CoTenantConfig
 }
 
 // CoTenantConfig describes the sibling thread's instruction stream: an
 // endless supply of single-cycle integer ops with fixed operand values,
 // one ready each cycle.
 type CoTenantConfig struct {
+	// Active runs the sibling thread. Zero operands are a real attacker
+	// choice, so they cannot mean "no sibling".
+	Active bool
 	// OperandA and OperandB are the sibling's instruction operands —
 	// the attacker-controlled half of the packing predicate.
 	OperandA, OperandB uint64
 }
+
+// Fixed timing of the modelled core. Direction prediction without
+// Config.Speculation is static BTFN (backward taken, forward not-taken);
+// branchPenalty is the fetch-redirect bubble after a mispredicted branch
+// or an indirect jump resolves, and forwardLat the latency of a load fully
+// satisfied by store-to-load forwarding.
+const (
+	storePorts    = 1
+	mulDivUnits   = 1
+	aluLat        = 1
+	mulLat        = 4
+	divLat        = 20
+	branchPenalty = 6
+	forwardLat    = 2
+)
 
 // DefaultConfig returns a modest 4-wide out-of-order core resembling the
 // paper's simulated baseline.
@@ -279,14 +289,7 @@ func DefaultConfig() Config {
 		PhysRegs:      96,
 		ALUPorts:      2,
 		LoadPorts:     2,
-		StorePorts:    1,
-		MulDivUnits:   1,
-		ALULat:        1,
-		MulLat:        4,
-		DivLat:        20,
-		BranchPenalty: 6,
 		SquashPenalty: 8,
-		ForwardLat:    2,
 		MaxCycles:     50_000_000,
 	}
 }
@@ -303,9 +306,6 @@ func (c Config) validate(h *cache.Hierarchy) error {
 		{"ROBSize", c.ROBSize}, {"IQSize", c.IQSize},
 		{"LQSize", c.LQSize}, {"SQSize", c.SQSize},
 		{"ALUPorts", c.ALUPorts}, {"LoadPorts", c.LoadPorts},
-		{"StorePorts", c.StorePorts}, {"MulDivUnits", c.MulDivUnits},
-		{"ALULat", c.ALULat}, {"MulLat", c.MulLat}, {"DivLat", c.DivLat},
-		{"ForwardLat", c.ForwardLat},
 	}
 	for _, ck := range checks {
 		if ck.v <= 0 {
@@ -328,16 +328,14 @@ func (c Config) validate(h *cache.Hierarchy) error {
 			return fmt.Errorf("pipeline: %s must be at most %d, got %d", ck.name, ck.max, ck.v)
 		}
 	}
-	if c.BranchPenalty < 0 || c.SquashPenalty < 0 {
-		return fmt.Errorf("pipeline: penalties must be non-negative")
+	if c.SquashPenalty < 0 {
+		return fmt.Errorf("pipeline: SquashPenalty must be non-negative")
 	}
 	if c.StoreAddrLat < 0 || c.StoreAddrLat > MaxStoreAddrLat {
 		return fmt.Errorf("pipeline: StoreAddrLat must be in [0, %d], got %d", MaxStoreAddrLat, c.StoreAddrLat)
 	}
-	if sp := c.Speculation; sp != nil {
-		if sp.MaxWrongPath < 0 {
-			return fmt.Errorf("pipeline: Speculation.MaxWrongPath must be non-negative, got %d", sp.MaxWrongPath)
-		}
+	if c.Speculation.MaxWrongPath < 0 {
+		return fmt.Errorf("pipeline: Speculation.MaxWrongPath must be non-negative, got %d", c.Speculation.MaxWrongPath)
 	}
 	if c.MaxCycles <= 0 {
 		return fmt.Errorf("pipeline: MaxCycles must be positive")

@@ -16,7 +16,7 @@ func (m *Machine) fetchAndDispatch() {
 	if m.fetchBlocked != nil {
 		u := m.fetchBlocked
 		if u.stage == stDone || u.stage == stRetired {
-			if resume := u.doneC + int64(m.cfg.BranchPenalty); resume > m.fetchResumeC {
+			if resume := u.doneC + int64(branchPenalty); resume > m.fetchResumeC {
 				m.fetchResumeC = resume
 			}
 			m.fetchBlocked = nil

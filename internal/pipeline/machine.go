@@ -293,7 +293,7 @@ func (m *Machine) Reset(cfg Config, memory *mem.Memory, hier *cache.Hierarchy) e
 	m.vf.Reset(cfg.RFC)
 	m.initROB()
 	m.initOpt()
-	if cfg.Speculation != nil {
+	if cfg.Speculation != (SpeculationConfig{}) {
 		m.btable = counters(m.btable, 1<<bimodalBits)
 		m.stlf = counters(m.stlf, 1<<stlfBits)
 		m.wrongPathPC = -1
@@ -549,7 +549,7 @@ func (m *Machine) skipIdle(wdNext, budget int64, cancellable bool) {
 		if e := m.sq[0]; e.dequeuing {
 			next = min(next, e.dequeueDoneC)
 		}
-		if m.cfg.SilentStores != nil {
+		if m.cfg.SilentStores.Scheme != SSOff {
 			for _, e := range m.sq {
 				if e.ss == ssPending {
 					next = min(next, e.ssReturnC)

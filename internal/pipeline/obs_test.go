@@ -76,7 +76,7 @@ func TestProbeUoptActivations(t *testing.T) {
 	tr := obs.NewTrace()
 	cfg := DefaultConfig()
 	cfg.Probe = tr
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	cfg.Reuse = uopt.SchemeSv
 	m := newTestMachine(t, cfg)
 	run(t, m, `

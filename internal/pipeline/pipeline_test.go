@@ -310,7 +310,7 @@ func optVariants() map[string]func() Config {
 		"baseline": DefaultConfig,
 		"silentstores": func() Config {
 			c := DefaultConfig()
-			c.SilentStores = &SilentStoreConfig{}
+			c.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 			return c
 		},
 		"valuepred": func() Config {
@@ -359,7 +359,7 @@ func optVariants() map[string]func() Config {
 		},
 		"everything": func() Config {
 			c := DefaultConfig()
-			c.SilentStores = &SilentStoreConfig{Retry: true}
+			c.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing, Retry: true}
 			c.ValuePred = uopt.VPConfig{Scheme: uopt.VPLastValue, Threshold: 2}
 			c.Reuse = uopt.SchemeSv
 			c.Simplifier = uopt.Simplifier{ZeroSkipMul: true, TrivialALU: true, EarlyExitDiv: true}

@@ -38,7 +38,7 @@ const caseASrc = `
 
 func TestSilentStoreCaseA(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	m, mm := ssSetup(t, cfg)
 	if _, err := m.Run(asm.MustAssemble(caseASrc)); err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestSilentStoreCaseA(t *testing.T) {
 
 func TestSilentStoreCaseBValueMismatch(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	m, mm := ssSetup(t, cfg)
 	src := `
 		addi x1, x0, 0x800
@@ -82,7 +82,7 @@ func TestSilentStoreCaseBValueMismatch(t *testing.T) {
 // candidate even though the values match.
 func TestSilentStoreCaseCNoPort(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	cfg.LoadPorts = 1
 	m, _ := ssSetup(t, cfg)
 	src := `
@@ -114,7 +114,7 @@ func TestSilentStoreCaseCNoPort(t *testing.T) {
 // cannot return before the store is ready to perform.
 func TestSilentStoreCaseDLateReturn(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	mm := mem.New()
 	mm.Write(0x800, 8, 7)
 	h := cache.MustNewHierarchy(cache.DefaultHierConfig())
@@ -142,7 +142,7 @@ func TestSilentStoreCaseDLateReturn(t *testing.T) {
 
 func TestSilentStoreEventTimeline(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 	tr := obs.NewTrace()
 	cfg.Probe = tr
 	m, _ := ssSetup(t, cfg)
@@ -176,7 +176,7 @@ func TestSilentStoreEventTimeline(t *testing.T) {
 func TestAmplificationGadgetShape(t *testing.T) {
 	run := func(storeVal int64) int64 {
 		cfg := DefaultConfig()
-		cfg.SilentStores = &SilentStoreConfig{}
+		cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 		cfg.SQSize = 5 // the paper's 5-entry SQ
 		hcfg := cache.DefaultHierConfig()
 		hcfg.L1.Ways = 1 // direct-mapped L1, as in Figure 5

@@ -22,7 +22,7 @@ import (
 //     derived) address before the squash; the squash unwinds the ROB, not
 //     the cache. A squashed leak is still a leak.
 //
-// Everything here is inert when Config.Speculation is nil: the machine
+// Everything here is inert at Config.Speculation's zero value: the machine
 // then behaves bit-identically to the non-speculative pipeline, which is
 // the baseline half of every differential check.
 
@@ -39,7 +39,7 @@ func (m *Machine) storeAddrLat() int {
 // branch at t.pc: the bimodal counter table when configured, else the
 // static BTFN rule decoded into the template.
 func (m *Machine) predictTaken(t *uopTemplate) bool {
-	if sp := m.cfg.Speculation; sp != nil && sp.Bimodal {
+	if m.cfg.Speculation.Bimodal {
 		return m.btable[uint64(t.pc)&uint64(len(m.btable)-1)] >= 2
 	}
 	return t.predictedTaken
@@ -50,8 +50,7 @@ func (m *Machine) predictTaken(t *uopTemplate) bool {
 // order, never from the wrong path. The stuck-predictor fault site
 // freezes training (the table keeps predicting from stale state).
 func (m *Machine) trainBranch(u *uop) {
-	sp := m.cfg.Speculation
-	if sp == nil || !sp.Bimodal {
+	if !m.cfg.Speculation.Bimodal {
 		return
 	}
 	if m.cfg.Faults.PredictorStuck(m.cycle) {
@@ -72,8 +71,7 @@ func (m *Machine) trainBranch(u *uop) {
 // conditional branches qualify: a JALR has no predicted target to follow
 // (no BTB), so it keeps the legacy fetchBlocked stall.
 func (m *Machine) specCanWrongPath(u *uop) bool {
-	sp := m.cfg.Speculation
-	return sp != nil && sp.WrongPath && u.class == isa.ClassBranch
+	return m.cfg.Speculation.WrongPath && u.class == isa.ClassBranch
 }
 
 // beginWrongPath enters wrong-path mode: fetch follows u's predicted
@@ -143,12 +141,12 @@ func (m *Machine) newWrongPathUop() *uop {
 // squashWrongPath is mispredict recovery: the resolved branch stays in
 // the ROB (it completes and retires normally); everything younger — the
 // wrong path — is discarded, never replayed. Fetch resumes on the correct
-// path after BranchPenalty: the oracle already sits at the branch's true
+// path after branchPenalty: the oracle already sits at the branch's true
 // successor, since wrong-path fetch never stepped it.
 func (m *Machine) squashWrongPath(br *uop) {
 	m.stats.MispredictSquashes++
 	m.emit(obs.KindSquash, obs.TrackIssue, br, int64(m.wrongPathN), "mispredict")
-	m.squashTail(br.seq+1, m.cfg.BranchPenalty)
+	m.squashTail(br.seq+1, branchPenalty)
 	// squashTail clears specBranch only for seq >= minSeq; the initiating
 	// branch itself is older, so exit wrong-path mode by hand.
 	if m.specBranch == br {
@@ -194,8 +192,7 @@ func (m *Machine) stlfReset(pc int64) {
 // (verifySpecForward); the forwarded value, its taint and its labels flow
 // to consumers in the meantime. Returns true if a load port was consumed.
 func (m *Machine) trySpecForward(u *uop) bool {
-	sp := m.cfg.Speculation
-	if sp == nil || !sp.StLF {
+	if !m.cfg.Speculation.StLF {
 		return false
 	}
 	if m.stlfConf(u.pc) < 2 {
@@ -219,7 +216,7 @@ func (m *Machine) trySpecForward(u *uop) bool {
 	if u.memWidth < 8 {
 		val &= 1<<(8*uint(u.memWidth)) - 1
 	}
-	m.startExec(u, m.cfg.ForwardLat)
+	m.startExec(u, forwardLat)
 	u.result = isa.LoadExtend(u.inst.Op, val)
 	u.specForwarded = true
 	u.specData = true
@@ -228,7 +225,7 @@ func (m *Machine) trySpecForward(u *uop) bool {
 	}
 	u.labels |= src.labels
 	m.stats.SpecForwards++
-	m.emit(obs.KindForward, obs.TrackMem, u, int64(m.cfg.ForwardLat), "speculative")
+	m.emit(obs.KindForward, obs.TrackMem, u, forwardLat, "speculative")
 	// The predictor's decision exposes the forwarded store's data and,
 	// through the later verify/replay, the store-load address match.
 	m.cfg.Taint.ObserveSpecForward(m.cycle, u.pc, u.labels)

@@ -12,11 +12,9 @@ import (
 func specConfig(mut func(*SpeculationConfig)) Config {
 	cfg := DefaultConfig()
 	cfg.CheckInvariants = true
-	sp := &SpeculationConfig{}
 	if mut != nil {
-		mut(sp)
+		mut(&cfg.Speculation)
 	}
-	cfg.Speculation = sp
 	return cfg
 }
 
@@ -108,7 +106,7 @@ func TestWrongPathLoadWarmsCache(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CheckInvariants = true
 		if spec {
-			cfg.Speculation = &SpeculationConfig{WrongPath: true}
+			cfg.Speculation = SpeculationConfig{WrongPath: true}
 		}
 		m := newTestMachine(t, cfg)
 		res := run(t, m, kernel)

@@ -202,7 +202,7 @@ func (m *Machine) complete() {
 			e := u.sqe
 			e.addrReady = true
 			m.emit(obs.KindAddrResolved, obs.TrackMem, u, int64(u.storeVal), "")
-			if ss := m.cfg.SilentStores; ss != nil && ss.Scheme == SSLSQCompare {
+			if m.cfg.SilentStores.Scheme == SSLSQCompare {
 				m.lsqCompare(e)
 			}
 		case isa.ClassBranch:
@@ -342,7 +342,7 @@ func (m *Machine) sqTick() {
 			m.changes++
 			m.emit(obs.KindSQHead, obs.TrackMem, e.u, 0, "")
 		}
-		if m.cfg.SilentStores != nil {
+		if m.cfg.SilentStores.Scheme != SSOff {
 			switch e.ss {
 			case ssReturned:
 				if e.ssMatch {
@@ -561,9 +561,9 @@ func (m *Machine) issue() {
 
 	ps := issuePass{
 		alu:           m.cfg.ALUPorts,
-		md:            m.cfg.MulDivUnits,
+		md:            mulDivUnits,
 		ld:            m.cfg.LoadPorts,
-		st:            m.cfg.StorePorts,
+		st:            storePorts,
 		aluIssued:     m.aluScratch[:0],
 		fenceSeq:      m.liveFenceSeq(),
 		unresolvedSeq: m.firstUnresolvedStore(),
@@ -574,7 +574,7 @@ func (m *Machine) issue() {
 	// active packing attack). It has one op ready per cycle, and the issue
 	// arbiter never lets one thread claim every port (round-robin
 	// fairness), so a one-ALU core leaves the sibling none.
-	if m.cfg.CoTenant != nil && m.cfg.ALUPorts > 1 {
+	if m.cfg.CoTenant.Active && m.cfg.ALUPorts > 1 {
 		ps.coOps = 1
 		ps.alu--
 	}
@@ -590,7 +590,7 @@ func (m *Machine) issue() {
 	// stealing). Demand loads had priority above. An SS-Load that finds
 	// no free port the cycle its store's address resolves gives up
 	// (Figure 4 Case C) unless Retry is configured.
-	if m.cfg.SilentStores != nil && m.cfg.SilentStores.Scheme == SSReadPortStealing {
+	if m.cfg.SilentStores.Scheme == SSReadPortStealing {
 		for _, e := range m.sq {
 			if !e.addrReady || e.ss != ssNone || e.dequeuing {
 				continue
@@ -683,7 +683,7 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 			u.result = m.aluResult(u)
 			break
 		}
-		lat := m.cfg.ALULat
+		lat := aluLat
 		simplified := false
 		if m.cfg.Simplifier.Enabled() {
 			lat, simplified = m.cfg.Simplifier.SimplifiedLatency(uopt.KindSimple, u.srcVals[0], u.srcVals[1], lat)
@@ -757,10 +757,10 @@ func (m *Machine) issueOne(u *uop, ps *issuePass) {
 			break
 		}
 		if ps.md > 0 {
-			lat := m.cfg.MulLat
+			lat := mulLat
 			kind := uopt.KindMul
 			if u.class == isa.ClassDiv {
-				lat = m.cfg.DivLat
+				lat = divLat
 				kind = uopt.KindDiv
 			}
 			if m.cfg.Simplifier.Enabled() {
@@ -862,7 +862,7 @@ func (m *Machine) lqReadyLoad(u *uop) bool {
 	val = isa.LoadExtend(u.inst.Op, val)
 	var lat int
 	if full {
-		lat = m.cfg.ForwardLat
+		lat = forwardLat
 		m.stats.LoadsForwarded++
 		m.emit(obs.KindForward, obs.TrackMem, u, int64(lat), "")
 		// A completed full forward trains the forwarding predictor: this

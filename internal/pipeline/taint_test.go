@@ -24,12 +24,12 @@ func shadowConfigs() map[string]func() pipeline.Config {
 		"baseline": pipeline.DefaultConfig,
 		"silentstores": func() pipeline.Config {
 			c := pipeline.DefaultConfig()
-			c.SilentStores = &pipeline.SilentStoreConfig{}
+			c.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSReadPortStealing}
 			return c
 		},
 		"silentstores-lsq": func() pipeline.Config {
 			c := pipeline.DefaultConfig()
-			c.SilentStores = &pipeline.SilentStoreConfig{Scheme: pipeline.SSLSQCompare}
+			c.SilentStores = pipeline.SilentStoreConfig{Scheme: pipeline.SSLSQCompare}
 			return c
 		},
 		"compsimp": func() pipeline.Config {

@@ -14,7 +14,7 @@ import (
 func lsqMachine(t *testing.T) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{Scheme: SSLSQCompare}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSLSQCompare}
 	mm := mem.New()
 	h := cache.MustNewHierarchy(cache.DefaultHierConfig())
 	m, err := New(cfg, mm, h)
@@ -76,7 +76,7 @@ func TestLSQCompareMismatchPerforms(t *testing.T) {
 // older in-flight store to the same address is not a candidate.
 func TestLSQCompareMissesMemoryMatch(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SilentStores = &SilentStoreConfig{Scheme: SSLSQCompare}
+	cfg.SilentStores = SilentStoreConfig{Scheme: SSLSQCompare}
 	mm := mem.New()
 	mm.Write(0x800, 8, 7)
 	h := cache.MustNewHierarchy(cache.DefaultHierConfig())
@@ -269,7 +269,7 @@ func TestCoTenantPackingAttack(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ALUPorts = 2
 		cfg.Packing = true
-		cfg.CoTenant = &CoTenantConfig{OperandA: coA, OperandB: coB}
+		cfg.CoTenant = CoTenantConfig{Active: true, OperandA: coA, OperandB: coB}
 		m := newTestMachine(t, cfg)
 		res, err := m.Run(asm.MustAssemble(victim(secret)))
 		if err != nil {
@@ -349,7 +349,7 @@ func TestSQDequeueAblation(t *testing.T) {
 	}
 	run := func(ooo bool, storeVal int64) int64 {
 		cfg := DefaultConfig()
-		cfg.SilentStores = &SilentStoreConfig{}
+		cfg.SilentStores = SilentStoreConfig{Scheme: SSReadPortStealing}
 		cfg.SQSize = 5
 		cfg.SQOutOfOrderDequeue = ooo
 		hcfg := cache.DefaultHierConfig()

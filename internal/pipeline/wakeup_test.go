@@ -95,13 +95,13 @@ func TestFusedLoadWakesWithAddi(t *testing.T) {
 		if got := m.Reg(2); got != 0x1234 {
 			t.Fatalf("fuse=%v: x2 = %#x, want 0x1234", fuse, got)
 		}
-		mulDone := firstCycle(t, evs, obs.KindIssue, 2) + int64(cfg().MulLat)
+		mulDone := firstCycle(t, evs, obs.KindIssue, 2) + mulLat
 		addi := firstCycle(t, evs, obs.KindIssue, 3)
 		ld := firstCycle(t, evs, obs.KindIssue, 4)
 		if addi != mulDone {
 			t.Errorf("fuse=%v: ADDI issued at %d, want %d (the cycle its multiply completes)", fuse, addi, mulDone)
 		}
-		want := addi + int64(cfg().ALULat) // once the ADDI completes
+		want := addi + aluLat // once the ADDI completes
 		if fuse {
 			want = addi // with the ADDI
 		}

@@ -167,6 +167,12 @@ func (r *Recorder) Record(ev LeakEvent) {
 	}
 }
 
+// keeps reports whether Record would retain an event of class c, as the
+// class's first event or below Limit.
+func (r *Recorder) keeps(c OptClass) bool {
+	return r.Counts[c] == 0 || len(r.Events) < r.Limit
+}
+
 // Total returns the exact number of events recorded across all classes.
 func (r *Recorder) Total() uint64 {
 	if r == nil {

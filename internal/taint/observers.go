@@ -107,11 +107,16 @@ func (st *State) ObserveWrongPathLoad(cycle, pc int64, labels LabelSet) {
 // data's: a constant-time kernel is free to store secret bytes to a
 // public address. No-op unless the state was armed with ObserveAddrs,
 // so scenarios studying only the optimization channels are unaffected.
-// An untainted call returns before formatting its detail: every armed
-// load and store makes one.
+// The detail is formatted only for an event the recorder keeps: every
+// armed load and store makes a call, and a contract cell's recorder keeps
+// just each class's first event.
 func (st *State) ObserveCacheAddr(cycle, pc int64, addr uint64, labels LabelSet) {
 	if st == nil || !st.ObserveAddrs || st.Rec == nil || !labels.Any() {
 		return
 	}
-	st.observe(OptCacheAddr, cycle, pc, "", fmt.Sprintf("tainted access address %#x", addr), labels)
+	detail := ""
+	if st.Rec.keeps(OptCacheAddr) {
+		detail = fmt.Sprintf("tainted access address %#x", addr)
+	}
+	st.observe(OptCacheAddr, cycle, pc, "", detail, labels)
 }

@@ -231,6 +231,25 @@ func TestObserveCacheAddrUntaintedAllocFree(t *testing.T) {
 	}
 }
 
+// TestObserveCacheAddrDroppedAllocFree: on a recorder at Limit 0, as a
+// contract cell runs it, only the class's first tainted access is kept
+// with its detail; later ones are counted without formatting one.
+func TestObserveCacheAddrDroppedAllocFree(t *testing.T) {
+	st := NewState()
+	st.ObserveAddrs = true
+	st.Rec.Limit = 0
+	st.ObserveCacheAddr(1, 2, 0x1040, 1)
+	if n := testing.AllocsPerRun(100, func() { st.ObserveCacheAddr(1, 2, 0x1080, 1) }); n != 0 {
+		t.Errorf("dropped tainted ObserveCacheAddr: %v allocs, want 0", n)
+	}
+	if got := st.Rec.CountOf(OptCacheAddr); got != 102 {
+		t.Errorf("CountOf(OptCacheAddr) = %d, want 102", got)
+	}
+	if d := st.Rec.First[OptCacheAddr].Detail; d != "tainted access address 0x1040" {
+		t.Errorf("first event's detail = %q", d)
+	}
+}
+
 func TestMLDRefs(t *testing.T) {
 	for c := OptClass(0); c < OptClass(NumOptClasses); c++ {
 		if c.MLDRef() == "" {
